@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench perfbench fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -50,6 +50,14 @@ lint-mutation:
 # `go run ./cmd/clumsy bench -compare BENCH_0.json BENCH_1.json`.
 bench:
 	$(GO) run ./cmd/clumsy bench -quick -progress
+
+# perfbench vets and self-tests the repository benchmark. perfbench/ is its
+# own Go module, so the root `go vet ./...` and `go test ./...` skip it;
+# this keeps a change to the API it drives (Calibrate, OpenNode,
+# Node.Process, Close) from breaking it unnoticed. Run one workload with
+# `bash perfbench/run.sh --workload paper-long --seed 1`.
+perfbench:
+	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
 # fleet runs the fleet degradation study (faulty-node fraction sweep on the
 # virtual-time cluster simulator). `go run ./cmd/clumsy fleet -faulty N ...`

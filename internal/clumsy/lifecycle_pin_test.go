@@ -6,8 +6,8 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"errors"
-	"flag"
 	"fmt"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -20,12 +20,10 @@ import (
 	"clumsy/internal/workload"
 )
 
-// updatePins rewrites testdata/lifecycle_pins.json from the current engine.
-// The committed digests are the oracle for refactors of the engine
-// lifecycle; regenerate them only for a deliberate change of simulated
-// behaviour.
-var updatePins = flag.Bool("update-pins", false, "rewrite testdata/lifecycle_pins.json")
-
+// lifecyclePinsFile holds the pinned digests, the oracle for refactors of
+// the engine lifecycle. To re-pin after a deliberate change of simulated
+// behaviour, delete the file and run the test once: it records the current
+// engine's digests and fails so the new file gets reviewed.
 const lifecyclePinsFile = "testdata/lifecycle_pins.json"
 
 // pinRun is one traced batch run: its Result, the JSONL event stream of the
@@ -345,7 +343,6 @@ func telemetryPinCases() []pinCase {
 type nodeLog struct {
 	b      bytes.Buffer
 	fatals int
-	drops  int
 	dead   bool
 }
 
@@ -363,9 +360,6 @@ func (l *nodeLog) serve(t *testing.T, n *Node, ps []packet.Packet) {
 		}
 		if out.Fatal {
 			l.fatals++
-		}
-		if out.Dropped {
-			l.drops++
 		}
 		fmt.Fprintf(&l.b, "%+v\n", out)
 	}
@@ -527,11 +521,12 @@ func TestEngineLifecyclePins(t *testing.T) {
 			got[c.name] = hex.EncodeToString(sum[:])
 		})
 	}
-	if t.Failed() {
-		return
-	}
 	path := filepath.FromSlash(lifecyclePinsFile)
-	if *updatePins {
+	b, err := os.ReadFile(path)
+	if errors.Is(err, fs.ErrNotExist) {
+		if t.Failed() {
+			t.Fatal("not recording pins: a case failed")
+		}
 		b, err := json.MarshalIndent(got, "", "  ")
 		if err != nil {
 			t.Fatal(err)
@@ -539,9 +534,8 @@ func TestEngineLifecyclePins(t *testing.T) {
 		if err := os.WriteFile(path, append(b, '\n'), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		return
+		t.Fatalf("recorded %d new pins in %s; review and commit them", len(got), path)
 	}
-	b, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,9 +554,12 @@ func TestEngineLifecyclePins(t *testing.T) {
 		}
 	}
 	for _, c := range cases {
-		if want[c.name] == "" {
-			t.Errorf("%s: no pinned digest (run with -update-pins)", c.name)
-		} else if got[c.name] != want[c.name] {
+		switch {
+		case got[c.name] == "":
+			// The case itself failed and said why.
+		case want[c.name] == "":
+			t.Errorf("%s: no pinned digest (delete %s to re-pin)", c.name, path)
+		case got[c.name] != want[c.name]:
 			t.Errorf("%s: digest %s, pinned %s", c.name, got[c.name], want[c.name])
 		}
 	}

@@ -11,17 +11,18 @@ import (
 	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
 	"clumsy/internal/simmem"
+	"clumsy/internal/telemetry"
 )
 
-// The streaming node API refactors the batch packet loop of runOnce into
-// an open/process lifecycle, so a fleet simulator can interleave packets
-// from many independent processors under one virtual clock. A Node is one
-// clumsy processor: the real engine, cache hierarchy, fault process, and
-// recovery ladder of a faulty run, kept alive between packets. The
-// containment machinery is identical to the batch path — watchdog budget,
-// checkpoint/restore at packet boundaries, the escalating ladder — and a
-// node fed the whole trace in order reproduces the batch run's recovery
-// behaviour.
+// A Node is one clumsy processor kept alive between packets: the engine,
+// cache hierarchy, fault process, and recovery ladder, with an
+// open/process lifecycle so a fleet simulator can interleave packets from
+// many independent processors under one virtual clock. It is also the
+// only engine there is: a batch Run is a golden node (injection off) and
+// a faulty node, each fed the whole trace in order, folded into a Result.
+// A fleet node is the same machine as Run's faulty pass except for DMA
+// placement (see nodeOpts.arena), so its per-packet costs differ slightly
+// from the batch run's.
 
 // ErrNodeDead is returned by Node.Process once a fatal error has ended the
 // node's service life (abort policy, or drop rate beyond MaxDropRate).
@@ -45,17 +46,36 @@ func Calibrate(cfg Config, trace *packet.Trace) (Calibration, error) {
 		return Calibration{}, errors.New("clumsy: empty trace")
 	}
 	cfg.Packets = len(trace.Packets)
-	golden, err := runOnce(cfg, trace, nil, 0)
+	golden, err := goldenPass(cfg, trace)
 	if err != nil {
-		return Calibration{}, fmt.Errorf("clumsy: golden run failed: %w", err)
+		return Calibration{}, err
 	}
-	if golden.fatal != nil {
-		return Calibration{}, fmt.Errorf("clumsy: golden run must not die: %w", golden.fatal)
+	return golden.calibration(), nil
+}
+
+// goldenPass runs the fault-free reference: a node opened with injection
+// off — no ladder, no controller, no checkpoint, no telemetry, no watchdog
+// — DMAing into the arena, fed the whole trace.
+func goldenPass(cfg Config, trace *packet.Trace) (*Node, error) {
+	n, err := openNode(cfg, trace, nodeOpts{arena: true})
+	if err == nil {
+		err = n.serve(trace)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("clumsy: golden run failed: %w", err)
+	}
+	if n.fatal != nil {
+		return nil, fmt.Errorf("clumsy: golden run must not die: %w", n.fatal)
+	}
+	return n, nil
+}
+
+// calibration derives a finished golden pass's calibration.
+func (n *Node) calibration() Calibration {
 	return Calibration{
-		Budget: uint64(cfg.WatchdogFactor * float64(golden.maxPacketInstrs)),
-		Delay:  golden.delay,
-	}, nil
+		Budget: uint64(n.cfg.WatchdogFactor * float64(n.maxPacketInstrs)),
+		Delay:  n.delay(),
+	}
 }
 
 // NodeOutcome is the result of processing one packet on a node.
@@ -95,8 +115,9 @@ func (h NodeHealth) DropRate() float64 {
 type Node struct {
 	cfg   Config
 	app   apps.App
-	space *simmem.Space
 	proc  fault.Process
+	burst *fault.Burst   // proc under the burst regime, else nil
+	stuck *fault.StuckAt // proc under the permanent regime, else nil
 	h     *cache.Hierarchy
 	eng   *engine
 	ctrl  *freqctl.Controller
@@ -107,177 +128,287 @@ type Node struct {
 	cacheState *cache.Snapshot
 	guard      *stateGuard
 
-	buf    simmem.Addr // reused DMA buffer (line-aligned)
+	arena  bool        // DMA into a fresh arena buffer per packet
+	buf    simmem.Addr // otherwise: the reused DMA buffer (line-aligned)
 	bufCap int
 
-	prevCycles float64 // totalCycles at the last packet boundary
-	parityMark uint64
+	// Telemetry; all nil unless this is Run's faulty pass.
+	tel                    *telemetry.Telemetry
+	rt                     *telemetry.RunTrace
+	histInstrs, histCycles *telemetry.Histogram
 
-	attempted     int
-	processed     int
-	contained     int
-	watchdogKills int
-	dead          bool
-	fatal         error
+	// Two per-packet clocks. lapMark backs NodeOutcome.Cycles, which
+	// includes the switch penalty, scrub passes and a dropped packet's
+	// burned cycles; histMark backs the packet.cycles histogram, which
+	// counts none of them.
+	lapMark  float64
+	histMark float64
+
+	parityMark  uint64
+	setupCycles float64 // engine cycles spent in Setup
+
+	attempted       int
+	processed       int
+	drops           int // fatal errors, contained or not (setup death included)
+	contained       int
+	watchdogKills   int
+	restoredPages   uint64
+	maxPacketInstrs uint64
+	timeline        []FreqEvent
+	dead            bool
+	setupDied       bool
+	fatal           error
 }
 
-// OpenNode builds one faulty processor for the workload: fault process per
-// the configured regime (forked off the node's seed with the batch path's
-// stream labels, so a node and a batch run with the same seed draw the
-// same faults), hierarchy with the recovery ladder armed, engine, and —
-// unless the policy is abort — a packet-boundary checkpoint. The control
-// plane (Setup over the trace) runs here; a fatal error during Setup fails
-// the open, exactly like the batch semantics. cal must come from Calibrate
-// over the same trace.
+// nodeOpts is the caller's choice of the role a node plays. None of it is
+// a Config field: it selects how the engine is driven, not what machine is
+// simulated.
+type nodeOpts struct {
+	// inject arms the fault process, the recovery ladder, the frequency
+	// controller, and — unless the policy is abort — the packet-boundary
+	// checkpoint. The golden pass runs with it off.
+	inject bool
+	// arena gives every packet a fresh line-aligned buffer carved from the
+	// address space, as the batch passes do. Otherwise one buffer sized for
+	// the trace's largest packet is reused: a streaming node must not grow
+	// its simulated memory per packet. The placements change cache
+	// behaviour, and both are pinned (the paper tables, the fleet digests),
+	// so neither may replace the other.
+	arena bool
+	// tel receives counters and trace events; only Run's faulty pass sets
+	// it, so the golden reference and fleet nodes stay silent.
+	tel *telemetry.Telemetry
+	// budget is the per-packet watchdog instruction limit (0 = none).
+	budget uint64
+}
+
+// OpenNode builds one faulty processor for the workload with the
+// constructor Run's faulty pass uses — same fault streams, recovery
+// ladder, controller, and (unless the policy is abort) packet-boundary
+// checkpoint — except that packets are DMAed into one reused buffer and no
+// telemetry is emitted. The control plane (Setup over the trace) runs
+// here; a fatal error during Setup fails the open. cal must come from
+// Calibrate over the same trace.
 func OpenNode(cfg Config, trace *packet.Trace, cal Calibration) (*Node, error) {
 	cfg = cfg.withDefaults()
 	if trace == nil || len(trace.Packets) == 0 {
 		return nil, errors.New("clumsy: empty trace")
 	}
 	cfg.Packets = len(trace.Packets)
+	n, err := openNode(cfg, trace, nodeOpts{inject: true, budget: cal.Budget})
+	if err != nil {
+		return nil, err
+	}
+	if n.setupDied {
+		return nil, fmt.Errorf("clumsy: node setup failed: %w", n.fatal)
+	}
+	return n, nil
+}
 
+// appBlocks is the size of the synthetic code segment, comfortably above
+// any application's basic-block count.
+const appBlocks = 32
+
+// openNode is the one constructor of the engine. It builds, in order, the
+// fault process, the hierarchy and its line-disable ladder, the engine and
+// frequency controller, runs the app's Setup, and installs the state guard
+// and the checkpoint. A fatal error during Setup returns a dead node with
+// setupDied set: there is no pre-fault state to restore before the tables
+// exist, so it always ends the pass.
+func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 	spaceBytes := cfg.SpaceBytes
 	if spaceBytes == 0 {
 		spaceBytes = autoSpaceBytes(trace)
 	}
 	space := simmem.NewSpace(spaceBytes)
+	n := &Node{cfg: cfg, arena: o.arena, tel: o.tel}
 
-	// Fault process: same construction and fork labels as runOnce, so the
-	// injector stream of a node is bit-identical to a batch run seeded the
-	// same way.
-	model := fault.NewModel(cfg.FaultScale)
+	// The fault process. Every regime forks the injector stream off the
+	// seed with the same label, so the paper regime consumes the RNG
+	// exactly as it always has — bit-for-bit reproduction of the existing
+	// tables is part of the contract. The stuck-at map draws from its own
+	// fork so seeding it never perturbs the transient stream.
+	scale := 1.0
+	if o.inject {
+		scale = cfg.FaultScale
+	}
+	model := fault.NewModel(scale)
 	seedRNG := fault.NewRNG(cfg.Seed)
-	var proc fault.Process
 	switch cfg.Regime {
 	case RegimeBurst:
-		proc = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
+		n.burst = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
+		n.proc = n.burst
 	case RegimePermanent:
 		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
 		l1dBytes := cfg.L1DSize
 		if l1dBytes == 0 {
 			l1dBytes = cache.DefaultL1D.SizeBytes
 		}
-		proc = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac), l1dBytes/4, fault.DefaultStuckAtParams())
+		n.stuck = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac), l1dBytes/4, fault.DefaultStuckAtParams())
+		n.proc = n.stuck
 	case RegimePaper:
 		fallthrough
 	default: // unknown regimes fall back to the paper process
-		proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
+		n.proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
 	}
-	proc.SetEnabled(false)
+	n.proc.SetEnabled(false)
 
 	var hc cache.HierarchyConfig
 	if cfg.L1DSize != 0 {
 		hc.L1D = cache.DefaultL1D
 		hc.L1D.SizeBytes = cfg.L1DSize
 	}
-	h, err := cache.NewHierarchyWith(space, proc, cfg.Detection, cfg.Strikes, hc)
+	h, err := cache.NewHierarchyWith(space, n.proc, cfg.Detection, cfg.Strikes, hc)
 	if err != nil {
 		return nil, err
 	}
+	n.h = h
 	h.L1D.SetSubBlock(cfg.SubBlock)
-	strikes, window := cfg.LineDisableStrikes, cfg.LineDisableWindow
-	if strikes == 0 && cfg.Recovery == RecoverDegrade {
-		strikes = DefaultLineDisableStrikes
-	}
-	if strikes > 0 {
-		if window == 0 {
-			window = DefaultLineDisableWindow
+	if o.inject {
+		// Arm the line-disable rung of the recovery ladder. It stays
+		// dormant (the paper's semantics) unless explicitly configured or
+		// running under the degrade policy.
+		strikes, window := cfg.LineDisableStrikes, cfg.LineDisableWindow
+		if strikes == 0 && cfg.Recovery == RecoverDegrade {
+			strikes = DefaultLineDisableStrikes
 		}
-		h.L1D.SetLineDisable(strikes, window)
+		if strikes > 0 {
+			if window == 0 {
+				window = DefaultLineDisableWindow
+			}
+			h.L1D.SetLineDisable(strikes, window)
+		}
+		if cfg.PreDisableFrac > 0 {
+			h.L1D.ForceDisable(cfg.PreDisableFrac)
+		}
 	}
-	if cfg.PreDisableFrac > 0 {
-		h.L1D.ForceDisable(cfg.PreDisableFrac)
-	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
+	if n.eng, err = newEngine(h, appBlocks); err != nil {
 		return nil, err
 	}
 
-	var ctrl *freqctl.Controller
-	if cfg.Dynamic {
-		epoch := cfg.EpochPackets
-		if epoch == 0 {
-			epoch = freqctl.DefaultEpochPackets
+	// rt is nil when tracing is off — every emit call vanishes behind one
+	// branch.
+	if o.tel != nil {
+		n.rt = o.tel.StartRun(n.eng.totalCycles)
+		h.L1D.SetTelemetry(n.rt)
+		n.rt.RunStart(cfg.App, cfg.Packets, cfg.Seed, cfg.CycleTime, cfg.Dynamic,
+			cfg.Detection.String(), cfg.Strikes, cfg.FaultScale)
+		if b, t := n.burst, n.rt; b != nil {
+			b.OnTransition = func(bad bool) {
+				if bad {
+					t.BurstEnter(b.Episodes)
+				} else {
+					t.BurstExit(b.Episodes)
+				}
+			}
 		}
-		x1, x2 := cfg.X1, cfg.X2
-		if x1 == 0 {
-			x1 = freqctl.DefaultX1
+	}
+
+	if o.inject {
+		if cfg.Dynamic {
+			epoch := cfg.EpochPackets
+			if epoch == 0 {
+				epoch = freqctl.DefaultEpochPackets
+			}
+			x1, x2 := cfg.X1, cfg.X2
+			if x1 == 0 {
+				x1 = freqctl.DefaultX1
+			}
+			if x2 == 0 {
+				x2 = freqctl.DefaultX2
+			}
+			n.ctrl, err = freqctl.NewWith(freqctl.DefaultLevels(), epoch, x1, x2, freqctl.DefaultSwitchPenalty)
+			if err != nil {
+				return nil, err
+			}
+			if o.tel != nil {
+				wireFreqTelemetry(n.ctrl, o.tel.Registry)
+			}
+			if cfg.MinDwellEpochs > 0 {
+				n.ctrl.SetMinDwell(cfg.MinDwellEpochs)
+			}
+			if cfg.Recovery == RecoverDegrade {
+				// Top rung of the ladder: the controller sees spatial
+				// evidence and backs off when faults spread across lines
+				// or eat capacity faster than line disable can contain.
+				n.ctrl.SetSpatialPolicy(DefaultSpatialLines, DefaultSpatialDisabledFrac)
+				n.ctrl.SpatialEvidence = h.L1D.TakeEpochEvidence
+			}
+			h.L1D.SetCycleTime(n.ctrl.CycleTime())
+		} else {
+			h.L1D.SetCycleTime(cfg.CycleTime)
 		}
-		if x2 == 0 {
-			x2 = freqctl.DefaultX2
-		}
-		ctrl, err = freqctl.NewWith(freqctl.DefaultLevels(), epoch, x1, x2, freqctl.DefaultSwitchPenalty)
-		if err != nil {
+	}
+
+	if n.app, err = apps.New(cfg.App); err != nil {
+		return nil, err
+	}
+	n.rec = metrics.NewRecorder()
+	n.ctx = &apps.Context{Space: space, Mem: dataMemory{n.eng}, Rec: n.rec, Exec: n.eng}
+
+	// Control plane. A fatal error here always ends the pass, whatever the
+	// recovery policy: the checkpoint that drop-and-continue restores from
+	// is only taken once Setup has produced a state worth preserving (a
+	// real router would rebuild its tables, not roll them back).
+	if o.inject && cfg.Planes&PlaneControl != 0 {
+		n.proc.SetEnabled(true)
+	}
+	if err := runSetup(n.app, n.ctx, trace); err != nil {
+		if !isFatal(err) {
 			return nil, err
 		}
-		if cfg.MinDwellEpochs > 0 {
-			ctrl.SetMinDwell(cfg.MinDwellEpochs)
+		n.setupDied = true
+		n.drop(-1, err)
+		n.die(err)
+		return n, nil
+	}
+	n.proc.SetEnabled(false)
+	n.rec.BeginPackets()
+	n.setupCycles = n.eng.totalCycles()
+
+	// State-integrity machinery: if Setup registered a flow-state table,
+	// install the corruption ladder around it. The guard exists in both
+	// the golden and the faulty pass — verified lookups and scrub walks
+	// must charge the same instruction stream in both, or the golden
+	// reference would stop being a reference — but the ladder only ever
+	// fires where faults exist.
+	if sa, ok := n.app.(apps.StatefulApp); ok && sa.StateTable() != nil {
+		n.guard = newStateGuard(sa.StateTable(), h, n.rt, n.eng, cfg)
+	}
+
+	if !o.arena {
+		for i := range trace.Packets {
+			n.bufCap = max(n.bufCap, dmaSize(&trace.Packets[i]))
 		}
-		if cfg.Recovery == RecoverDegrade {
-			ctrl.SetSpatialPolicy(DefaultSpatialLines, DefaultSpatialDisabledFrac)
-			ctrl.SpatialEvidence = h.L1D.TakeEpochEvidence
-		}
-		h.L1D.SetCycleTime(ctrl.CycleTime())
-	} else {
-		h.L1D.SetCycleTime(cfg.CycleTime)
-	}
-
-	app, err := apps.New(cfg.App)
-	if err != nil {
-		return nil, err
-	}
-	rec := metrics.NewRecorder()
-	n := &Node{
-		cfg: cfg, app: app, space: space, proc: proc, h: h, eng: eng,
-		ctrl: ctrl, rec: rec,
-		ctx: &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng},
-	}
-
-	// Control plane. A fatal error here fails the open: there is no
-	// pre-fault state to restore before the tables exist.
-	if cfg.Planes&PlaneControl != 0 {
-		proc.SetEnabled(true)
-	}
-	if err := runSetup(app, n.ctx, trace); err != nil {
-		return nil, fmt.Errorf("clumsy: node setup failed: %w", err)
-	}
-	proc.SetEnabled(false)
-	rec.BeginPackets()
-
-	// State-integrity machinery around a stateful app's flow table, exactly
-	// as the batch path wires it (the node has no run trace, so events are
-	// discarded; counters and the ladder still run).
-	if sa, ok := app.(apps.StatefulApp); ok && sa.StateTable() != nil {
-		n.guard = newStateGuard(sa.StateTable(), h, nil, eng, cfg)
-	}
-
-	// One line-aligned DMA buffer, reused for every packet, sized for the
-	// largest packet of the workload: a streaming node must not grow its
-	// simulated memory per packet.
-	maxWire := 0
-	for i := range trace.Packets {
-		if l := trace.Packets[i].WireLen(); l > maxWire {
-			maxWire = l
+		if n.buf, err = space.Alloc(n.bufCap, 32); err != nil {
+			return nil, err
 		}
 	}
-	n.bufCap = (maxWire + 31) &^ 31
-	if n.bufCap < 32 {
-		n.bufCap = 32
-	}
-	n.buf, err = space.Alloc(n.bufCap, 32)
-	if err != nil {
-		return nil, err
-	}
 
-	if cfg.Recovery != RecoverAbort {
+	// Checkpoint the post-setup state before the injector is re-enabled.
+	// The restore point is the complete architectural memory state — the
+	// backing space (dirty-page granular) plus a deep copy of every cache
+	// level — so a rolled-back execution continues bit-exactly as if the
+	// failed packet had never run: same values, same hits and misses, same
+	// write-back order. Neither the checkpoint nor the per-packet commits
+	// touch the simulated machine, which keeps drop-policy runs without
+	// fatal errors identical to abort-policy runs.
+	if o.inject && cfg.Recovery != RecoverAbort {
 		n.ckpt = space.NewCheckpoint()
 		n.cacheState = h.Snapshot(nil)
 	}
-	if cfg.Planes&PlaneData != 0 {
-		proc.SetEnabled(true)
+
+	// Data plane.
+	if o.inject && cfg.Planes&PlaneData != 0 {
+		n.proc.SetEnabled(true)
 	}
-	eng.budget = cal.Budget
-	n.prevCycles = n.totalCycles()
+	n.eng.budget = o.budget
+	n.lapMark = n.totalCycles()
+	if o.tel != nil {
+		n.histInstrs = o.tel.Registry.Histogram(telemetry.HistPacketInstructions)
+		n.histCycles = o.tel.Registry.Histogram(telemetry.HistPacketCycles)
+		n.histMark = n.eng.totalCycles()
+	}
 	return n, nil
 }
 
@@ -291,6 +422,47 @@ func (n *Node) totalCycles() float64 {
 	return c
 }
 
+// delay is the data-plane cycles per completed packet; a pass that
+// completed nothing charges its whole cost.
+func (n *Node) delay() float64 {
+	if n.processed == 0 {
+		return n.totalCycles()
+	}
+	return (n.totalCycles() - n.setupCycles) / float64(n.processed)
+}
+
+// serve streams the trace through the node in order until it ends or the
+// node dies.
+func (n *Node) serve(trace *packet.Trace) error {
+	for i := range trace.Packets {
+		if n.dead {
+			break
+		}
+		if _, err := n.Process(&trace.Packets[i]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// drop counts a fatal error on packet i (-1: during Setup), emits its
+// packet_drop record, and returns its drop reason.
+func (n *Node) drop(i int, err error) string {
+	n.drops++
+	if errors.Is(err, ErrWatchdog) {
+		n.watchdogKills++
+	}
+	reason := dropReason(err)
+	n.rt.PacketDrop(i, reason)
+	return reason
+}
+
+// die ends the node's service life.
+func (n *Node) die(err error) {
+	n.dead = true
+	n.fatal = err
+}
+
 // Process serves one packet and returns its outcome: the simulated cycles
 // it cost (the fleet's service time), and whether it was dropped or killed
 // the node. Calling Process on a dead node returns ErrNodeDead; any other
@@ -299,73 +471,114 @@ func (n *Node) Process(p *packet.Packet) (NodeOutcome, error) {
 	if n.dead {
 		return NodeOutcome{}, ErrNodeDead
 	}
+	processed, contained := n.processed, n.contained
+	out, err := n.step(p)
+	// The recorder is measurement harness, not simulated machine: only the
+	// app observes into it, so the packet boundary is marked once the step
+	// is over.
+	if n.processed > processed {
+		n.rec.EndPacket()
+	} else if n.contained > contained {
+		n.rec.DropPacket()
+	}
+	return out, err
+}
+
+// step is the machine's per-packet step: DMA, execution, watchdog burn,
+// contain-or-die, scrub, the boundary commit, and the controller update.
+func (n *Node) step(p *packet.Packet) (NodeOutcome, error) {
+	i := n.attempted
 	n.attempted++
-	if err := n.dmaInto(p); err != nil {
+	buf, err := n.dma(p)
+	if err != nil {
 		return NodeOutcome{}, err
 	}
 	n.eng.beginPacket()
 	if n.guard != nil {
-		n.guard.packet = n.attempted - 1
+		n.guard.packet = i
 	}
-	if err := processPacket(n.app, n.ctx, p, n.buf); err != nil {
+	if err := processPacket(n.app, n.ctx, p, buf); err != nil {
 		if errors.Is(err, ErrStateCorrupt) {
-			// Unrecoverable cross-packet state: terminal under every policy.
-			n.dead = true
-			n.fatal = err
-			return NodeOutcome{Dropped: true, Fatal: true, Reason: dropReason(err), Cycles: n.lap()}, nil
+			// The recovery ladder is exhausted: flow state has diverged
+			// beyond what eviction and shadow rebuild can repair. This
+			// outcome is terminal under every policy — containment can
+			// drop a packet, but it cannot un-lose the table.
+			reason := n.drop(i, err)
+			n.die(err)
+			return NodeOutcome{Dropped: true, Fatal: true, Reason: reason, Cycles: n.lap()}, nil
 		}
 		if !isFatal(err) {
 			return NodeOutcome{}, err
 		}
-		// Fatal: spin out the watchdog budget, then drop or die.
+		// The execution is stuck or trapped; the processor spins for the
+		// remainder of the watchdog budget before the packet is declared
+		// dead, and those cycles are real (Section 4.1: the reported
+		// figures are based on the packets processed until the fatal
+		// error, over the cycles actually burned).
 		if n.eng.budget > 0 {
 			n.eng.burnWatchdog(n.eng.budget)
 		}
-		if errors.Is(err, ErrWatchdog) {
-			n.watchdogKills++
-		}
-		out := NodeOutcome{Dropped: true, Reason: dropReason(err)}
+		out := NodeOutcome{Dropped: true, Reason: n.drop(i, err)}
 		if n.ckpt == nil {
-			n.dead = true
-			n.fatal = err
+			n.die(err)
 			out.Fatal = true
 			out.Cycles = n.lap()
 			return out, nil
 		}
-		n.ckpt.Restore()
+		// Contain the fault: drop the packet and roll the whole memory
+		// state — backing space and cache contents — back to the last
+		// packet boundary. Execution resumes with the next packet on
+		// exactly the machine state the failed packet started from; only
+		// its burned cycles remain.
+		pages := n.ckpt.Restore()
 		n.h.RestoreSnapshot(n.cacheState)
 		if n.guard != nil {
 			n.guard.st.RestoreShadow()
 		}
 		n.contained++
-		n.rec.DropPacket()
+		n.restoredPages += uint64(pages)
+		n.rt.StateRestore(i, pages, out.Reason)
 		if sr, ok := n.app.(apps.ScratchResetter); ok {
 			sr.ResetScratch()
 		}
+		if n.histInstrs != nil {
+			n.histMark = n.eng.totalCycles()
+		}
 		if n.cfg.MaxDropRate > 0 {
 			if rate := float64(n.contained) / float64(n.attempted); rate > n.cfg.MaxDropRate {
-				n.dead = true
-				n.fatal = fmt.Errorf("%w: %.4f > %.4f after %d packets",
-					ErrDropRateExceeded, rate, n.cfg.MaxDropRate, n.attempted)
+				n.die(fmt.Errorf("%w: %.4f > %.4f after packet %d",
+					ErrDropRateExceeded, rate, n.cfg.MaxDropRate, i))
 				out.Fatal = true
 			}
 		}
 		out.Cycles = n.lap()
 		return out, nil
 	}
-	n.rec.EndPacket()
 	n.processed++
+	n.maxPacketInstrs = max(n.maxPacketInstrs, n.eng.packetInstrs())
+	if n.histInstrs != nil {
+		n.histInstrs.Observe(n.eng.packetInstrs())
+		now := n.eng.totalCycles()
+		n.histCycles.Observe(uint64(now - n.histMark))
+		n.histMark = now
+	}
 	if n.guard != nil && n.guard.scrubDue(n.processed) {
-		if err := n.guard.scrubPass(n.ctx.Mem, n.attempted-1); err != nil {
+		// Periodic integrity scrub, before the boundary commit so any
+		// repairs fold into the next restore point. A scrub that exhausts
+		// the ladder ends the node's life like an in-packet exhaustion.
+		if err := n.guard.scrubPass(n.ctx.Mem, i); err != nil {
 			if !errors.Is(err, ErrStateCorrupt) && !isFatal(err) {
 				return NodeOutcome{}, err
 			}
-			n.dead = true
-			n.fatal = err
+			n.die(err)
 			return NodeOutcome{Dropped: true, Fatal: true, Reason: dropReason(err), Cycles: n.lap()}, nil
+		}
+		if n.histInstrs != nil {
+			n.histMark = n.eng.totalCycles() // scrub cycles are not packet cycles
 		}
 	}
 	if n.ckpt != nil {
+		// Advance the restore point to this packet boundary.
 		n.ckpt.Commit()
 		n.cacheState = n.h.Snapshot(n.cacheState)
 	}
@@ -375,8 +588,10 @@ func (n *Node) Process(p *packet.Packet) (NodeOutcome, error) {
 	if n.ctrl != nil {
 		newErrors := n.h.L1D.Recovery.ParityErrors - n.parityMark
 		n.parityMark = n.h.L1D.Recovery.ParityErrors
-		if _, changed := n.ctrl.PacketDone(newErrors); changed {
+		if dec, changed := n.ctrl.PacketDone(newErrors); changed {
 			n.h.L1D.SetCycleTime(n.ctrl.CycleTime())
+			n.timeline = append(n.timeline, FreqEvent{Packet: i + 1, CycleTime: n.ctrl.CycleTime()})
+			n.rt.FreqTransition(i+1, dec.String(), n.ctrl.CycleTime())
 		}
 	}
 	return NodeOutcome{Cycles: n.lap()}, nil
@@ -385,30 +600,64 @@ func (n *Node) Process(p *packet.Packet) (NodeOutcome, error) {
 // lap returns the cycles since the last packet boundary and advances it.
 func (n *Node) lap() float64 {
 	now := n.totalCycles()
-	d := now - n.prevCycles
-	n.prevCycles = now
+	d := now - n.lapMark
+	n.lapMark = now
 	return d
 }
 
-// dmaInto places the packet into the node's reused buffer, as the NIC's
-// DMA engine would: straight to backing memory, invalidating stale cached
-// copies of the range.
-func (n *Node) dmaInto(p *packet.Packet) error {
-	if size := p.WireLen(); size > n.bufCap {
-		return fmt.Errorf("clumsy: packet (%d bytes) exceeds the node's DMA buffer (%d)", size, n.bufCap)
+// dmaSize is the line-aligned buffer footprint of a packet's wire image;
+// even a zero-byte arrival keeps the 32-byte minimum so layouts stay
+// stable.
+func dmaSize(p *packet.Packet) int {
+	return max((p.WireLen()+31)&^31, 32)
+}
+
+// dma places the packet into simulated memory per the node's placement: a
+// fresh arena buffer, or the node's reused buffer.
+//
+//lint:hot-path
+func (n *Node) dma(p *packet.Packet) (simmem.Addr, error) {
+	if n.arena {
+		return dmaPacket(n.h, p)
 	}
+	if size := p.WireLen(); size > n.bufCap {
+		return 0, fmt.Errorf("clumsy: packet (%d bytes) exceeds the node's DMA buffer (%d)", size, n.bufCap) //lint:alloc-ok simulator error on a misconfigured node, never in steady state
+	}
+	return n.buf, dmaInto(n.h, n.buf, p)
+}
+
+// dmaPacket places one packet into fresh, line-aligned arena memory.
+//
+//lint:hot-path
+func dmaPacket(h *cache.Hierarchy, p *packet.Packet) (simmem.Addr, error) {
+	buf, err := h.Space.Alloc(dmaSize(p), 32) //lint:alloc-ok Alloc allocates only on its out-of-arena error path
+	if err != nil {
+		return 0, err
+	}
+	return buf, dmaInto(h, buf, p)
+}
+
+// dmaInto writes the packet's wire image at buf as a NIC's DMA engine
+// would: directly into the backing store, invalidating any stale cached
+// copies of the range (a wild read through a corrupted pointer may have
+// cached lines of the buffer region before the packet arrived).
+//
+//lint:hot-path
+func dmaInto(h *cache.Hierarchy, buf simmem.Addr, p *packet.Packet) error {
 	if p.Raw != nil {
+		// Malformed wire image: DMA exactly the bytes the NIC received,
+		// however few.
 		if len(p.Raw) == 0 {
 			return nil
 		}
-		return n.h.DMA(n.buf, p.Raw)
+		return h.DMA(buf, p.Raw) //lint:alloc-ok DMA allocates only its fault-diagnostic AccessError
 	}
 	hdr := p.Header()
-	if err := n.h.DMA(n.buf, hdr[:]); err != nil {
+	if err := h.DMA(buf, hdr[:]); err != nil { //lint:alloc-ok DMA allocates only its fault-diagnostic AccessError
 		return err
 	}
 	if len(p.Payload) > 0 {
-		return n.h.DMA(n.buf+packet.HeaderLen, p.Payload)
+		return h.DMA(buf+packet.HeaderLen, p.Payload) //lint:alloc-ok DMA allocates only its fault-diagnostic AccessError
 	}
 	return nil
 }

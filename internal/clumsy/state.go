@@ -29,8 +29,8 @@ const (
 
 // stateGuard wires a StatefulApp's flow table into the processor: it is
 // the OnCorrupt recovery ladder, the periodic scrub pass, and the
-// end-of-run divergence audit. One guard exists per runOnce, installed in
-// the golden and the faulty pass alike so both execute identical
+// end-of-run divergence audit. One guard exists per engine pass, installed
+// in the golden and the faulty pass alike so both execute identical
 // instruction streams (the ladder can only fire where faults exist).
 type stateGuard struct {
 	st  *simmem.StateTable
@@ -141,12 +141,12 @@ func (g *stateGuard) scrubPass(mem simmem.Memory, pkt int) error {
 }
 
 // capture copies the guard's counters into the run result.
-func (g *stateGuard) capture(out *onceResult) {
-	out.stateRecords = g.st.Records()
-	out.stateDetected = g.detected
-	out.stateEvictions = g.evictions
-	out.stateRebuilds = g.rebuilds
-	out.stateScrubs = g.scrubPasses
+func (g *stateGuard) capture(res *Result) {
+	res.StateRecords = g.st.Records()
+	res.StateDetected = g.detected
+	res.StateEvictions = g.evictions
+	res.StateRebuilds = g.rebuilds
+	res.StateScrubs = g.scrubPasses
 }
 
 // audit is the end-of-run divergence check of the faulty pass: with the
@@ -154,7 +154,7 @@ func (g *stateGuard) capture(out *onceResult) {
 // L1D and compares against the golden shadow. A diverged record whose
 // stored checksum still verifies is *undetected* corruption — a checksum
 // collision, the only channel the integrity machinery cannot close.
-func (g *stateGuard) audit(out *onceResult) error {
+func (g *stateGuard) audit(res *Result) error {
 	for idx := 0; idx < g.st.Records(); idx++ {
 		diverged := false
 		for w := 0; w < g.st.RecWords(); w++ {
@@ -177,9 +177,9 @@ func (g *stateGuard) audit(out *onceResult) error {
 		if !diverged {
 			continue
 		}
-		out.stateDiverged++
+		res.StateDiverged++
 		if g.st.SumOf(g.words, idx) == storedSum {
-			out.stateUndetected++
+			res.StateUndetected++
 		}
 	}
 	return nil

@@ -43,42 +43,43 @@ func wireFreqTelemetry(ctrl *freqctl.Controller, reg *telemetry.Registry) {
 	}
 }
 
-// finishTelemetry flushes one faulty run's accumulated statistics into the
-// registry and closes the run trace. The simulator's hot paths keep their
-// plain struct counters; this once-per-run flush is what makes the
-// telemetry layer free while a run executes.
-func finishTelemetry(tel *telemetry.Telemetry, rt *telemetry.RunTrace, out *onceResult, eng *engine, h *cache.Hierarchy, ctrl *freqctl.Controller, processed int) {
-	if tel == nil {
+// flushTelemetry flushes the faulty pass's accumulated statistics, folded
+// into res, into the registry and closes the run trace. The simulator's
+// hot paths keep their plain struct counters; this once-per-run flush is
+// what makes the telemetry layer free while a run executes.
+func (n *Node) flushTelemetry(res *Result) {
+	if n.tel == nil {
 		return
 	}
-	reg := tel.Registry
+	h := n.h
+	reg := n.tel.Registry
 	reg.Counter(telemetry.CtrRunCount).Inc()
-	if out.fatal != nil {
+	if res.FatalErr != nil {
 		reg.Counter(telemetry.CtrRunFatal).Inc()
 	}
 	// Drops are counted from the actual per-packet drop events, not
 	// inferred as trace-length minus processed: under drop-and-continue a
 	// run completes the trace yet still dropped packets, and under abort
 	// the packets after the fatal one were never attempted, only lost.
-	if out.drops > 0 {
-		reg.Counter(telemetry.CtrRunPacketsDropped).Add(uint64(out.drops))
+	if n.drops > 0 {
+		reg.Counter(telemetry.CtrRunPacketsDropped).Add(uint64(n.drops))
 	}
-	if out.watchdogKills > 0 {
-		reg.Counter(telemetry.CtrWatchdogKills).Add(uint64(out.watchdogKills))
+	if n.watchdogKills > 0 {
+		reg.Counter(telemetry.CtrWatchdogKills).Add(uint64(n.watchdogKills))
 	}
-	if out.contained > 0 {
-		reg.Counter(telemetry.CtrRecoveryContained).Add(uint64(out.contained))
-		reg.Counter(telemetry.CtrRecoveryRestoredPages).Add(out.restoredPages)
+	if res.Contained > 0 {
+		reg.Counter(telemetry.CtrRecoveryContained).Add(uint64(res.Contained))
+		reg.Counter(telemetry.CtrRecoveryRestoredPages).Add(res.RestoredPages)
 	}
-	reg.Counter(telemetry.CtrRunPacketsProcessed).Add(uint64(processed))
-	reg.Counter(telemetry.CtrRunInstructions).Add(eng.instrs)
-	reg.Counter(telemetry.CtrRunCycles).Add(uint64(out.cycles))
+	reg.Counter(telemetry.CtrRunPacketsProcessed).Add(uint64(n.processed))
+	reg.Counter(telemetry.CtrRunInstructions).Add(n.eng.instrs)
+	reg.Counter(telemetry.CtrRunCycles).Add(uint64(res.Cycles))
 
 	// Per-component cycle attribution: the same total, split by where the
 	// cycles went. Counters are integral, so each bucket is truncated
 	// independently; consumers wanting the exact partition read the
 	// Breakdown fields off the Result.
-	bd := out.breakdown
+	bd := res.Breakdown
 	reg.Counter(telemetry.CtrCyclesCompute).Add(uint64(bd.Compute))
 	reg.Counter(telemetry.CtrCyclesL1DStall).Add(uint64(bd.L1D))
 	reg.Counter(telemetry.CtrCyclesL1IStall).Add(uint64(bd.L1I))
@@ -106,38 +107,38 @@ func finishTelemetry(tel *telemetry.Telemetry, rt *telemetry.RunTrace, out *once
 	if rec.LineDisables > 0 {
 		reg.Counter(telemetry.CtrRecoveryLineDisabled).Add(rec.LineDisables)
 	}
-	if out.linesDisabled > 0 {
-		reg.Counter(telemetry.CtrCacheL1DLinesDisabled).Add(uint64(out.linesDisabled))
+	if res.LinesDisabled > 0 {
+		reg.Counter(telemetry.CtrCacheL1DLinesDisabled).Add(uint64(res.LinesDisabled))
 	}
-	if out.burstEpisodes > 0 {
-		reg.Counter(telemetry.CtrFaultBurstEpisodes).Add(out.burstEpisodes)
+	if res.BurstEpisodes > 0 {
+		reg.Counter(telemetry.CtrFaultBurstEpisodes).Add(res.BurstEpisodes)
 	}
-	if out.permanentHits > 0 {
-		reg.Counter(telemetry.CtrFaultPermanentHits).Add(out.permanentHits)
+	if res.PermanentHits > 0 {
+		reg.Counter(telemetry.CtrFaultPermanentHits).Add(res.PermanentHits)
 	}
-	if esc := rec.LineDisables + uint64(out.spatialBackoffs); esc > 0 {
+	if esc := rec.LineDisables + uint64(res.SpatialBackoffs); esc > 0 {
 		reg.Counter(telemetry.CtrRecoveryEscalations).Add(esc)
 	}
 
-	if ctrl != nil {
-		reg.Counter(telemetry.CtrFreqSwitches).Add(uint64(ctrl.Switches))
-		reg.Counter(telemetry.CtrFreqPenaltyCycles).Add(uint64(ctrl.PenaltyCycles))
+	if n.ctrl != nil {
+		reg.Counter(telemetry.CtrFreqSwitches).Add(uint64(n.ctrl.Switches))
+		reg.Counter(telemetry.CtrFreqPenaltyCycles).Add(uint64(n.ctrl.PenaltyCycles))
 	}
 
 	// Flow-state integrity counters; all zero for stateless apps.
-	if out.stateDetected > 0 {
-		reg.Counter(telemetry.CtrStateDetected).Add(out.stateDetected)
+	if res.StateDetected > 0 {
+		reg.Counter(telemetry.CtrStateDetected).Add(res.StateDetected)
 	}
-	if out.stateEvictions > 0 {
-		reg.Counter(telemetry.CtrStateEvictions).Add(out.stateEvictions)
+	if res.StateEvictions > 0 {
+		reg.Counter(telemetry.CtrStateEvictions).Add(res.StateEvictions)
 	}
-	if out.stateRebuilds > 0 {
-		reg.Counter(telemetry.CtrStateRebuilds).Add(out.stateRebuilds)
+	if res.StateRebuilds > 0 {
+		reg.Counter(telemetry.CtrStateRebuilds).Add(res.StateRebuilds)
 	}
-	if out.stateScrubs > 0 {
-		reg.Counter(telemetry.CtrStateScrubs).Add(out.stateScrubs)
+	if res.StateScrubs > 0 {
+		reg.Counter(telemetry.CtrStateScrubs).Add(res.StateScrubs)
 	}
-	rt.RunEnd(processed, out.drops, eng.instrs, out.fatal != nil)
+	n.rt.RunEnd(n.processed, n.drops, n.eng.instrs, res.FatalErr != nil)
 }
 
 // addCacheStats folds one cache level's statistics into the registered

@@ -1,42 +1,34 @@
 package clumsy
 
 import (
+	"fmt"
 	"testing"
 
 	"clumsy/internal/apps"
 	"clumsy/internal/cache"
-	"clumsy/internal/fault"
-	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
-	"clumsy/internal/simmem"
 )
 
-// zeroallocRig is a faulty-path data plane mirroring runOnce's steady
-// state: an enabled fault process under parity detection, per-packet
-// checkpoint commits and cache snapshots for the containing policies, and
-// the line-disable ladder armed under degrade. It exists to pin the
+// zeroallocRig drives a faulty node's steady-state packet step: an
+// enabled fault process under parity detection, per-packet checkpoint
+// commits and cache snapshots for the containing policies, and the
+// line-disable ladder armed under degrade. It exists to pin the
 // allocation behaviour of the per-packet hot loop, which `clumsy bench`
 // reports as allocs_per_packet.
 type zeroallocRig struct {
-	trace      *packet.Trace
-	app        apps.App
-	ctx        *apps.Context
-	eng        *engine
-	h          *cache.Hierarchy
-	ckpt       *simmem.Checkpoint
-	cacheState *cache.Snapshot
-	guard      *stateGuard
-	next       int
+	trace *packet.Trace
+	n     *Node
+	next  int
 }
 
-// newZeroallocRig builds the rig exactly as runOnce does for the given
-// app, policy, and regime: same fork labels for the fault streams, parity
-// detection with a two-strike retry budget, and the degrade policy arming
-// line disable. Stateful apps additionally get the state guard with a
-// short scrub interval, so the integrity ladder and the periodic scrub
-// are inside the measured loop. The watchdog stays unarmed and the fault
-// scale moderate, so the defensive applications never die and every
-// measured packet takes the success path (recovery stalls included).
+// newZeroallocRig opens the node the way Run opens its faulty pass (arena
+// DMA) for the given app, policy, and regime, with parity detection and a
+// two-strike retry budget. Stateful apps get a short scrub interval, so
+// the integrity ladder and the periodic scrub are inside the measured
+// loop. The watchdog stays unarmed, faults are confined to the data plane,
+// and the fault scale is moderate, so the defensive applications never
+// die and every measured packet takes the success path (recovery stalls
+// included).
 func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime FaultRegime) *zeroallocRig {
 	t.Helper()
 	app, err := apps.New(appName)
@@ -47,86 +39,37 @@ func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime
 	if err != nil {
 		t.Fatal(err)
 	}
-	space := simmem.NewSpace(autoSpaceBytes(trace))
-	model := fault.NewModel(25)
-	seedRNG := fault.NewRNG(7)
-	var proc fault.Process
-	switch regime {
-	case RegimeBurst:
-		proc = fault.NewBurst(model, seedRNG.Fork(0xfa17), 32, fault.DefaultBurstParams())
-	case RegimePermanent:
-		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-		proc = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac),
-			cache.DefaultL1D.SizeBytes/4, fault.DefaultStuckAtParams())
-	default:
-		proc = fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-	}
-	proc.SetEnabled(false)
-	h, err := cache.NewHierarchyWith(space, proc, cache.DetectionParity, 2, cache.HierarchyConfig{})
+	// ScrubInterval 16 puts several full scrub passes inside the
+	// 100-packet measurement window, pinning the scrub loop too.
+	cfg := Config{App: appName, Packets: len(trace.Packets), Seed: 7, FaultScale: 25, CycleTime: 0.5,
+		Detection: cache.DetectionParity, Strikes: 2, Planes: PlaneData,
+		Recovery: policy, Regime: regime, ScrubInterval: 16}.withDefaults()
+	n, err := openNode(cfg, trace, nodeOpts{inject: true, arena: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	h.L1D.SetCycleTime(0.5)
-	if policy == RecoverDegrade {
-		h.L1D.SetLineDisable(DefaultLineDisableStrikes, DefaultLineDisableWindow)
+	if n.setupDied {
+		t.Fatalf("setup: %v", n.fatal)
 	}
-	eng, err := newEngine(h, appBlocks)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := metrics.NewRecorder()
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng}
-	if err := app.Setup(ctx, trace); err != nil {
-		t.Fatalf("setup: %v", err)
-	}
-	rec.BeginPackets()
-	r := &zeroallocRig{trace: trace, app: app, ctx: ctx, eng: eng, h: h}
-	if sa, ok := app.(apps.StatefulApp); ok && sa.StateTable() != nil {
-		// ScrubInterval 16 puts several full scrub passes inside the
-		// 100-packet measurement window, pinning the scrub loop too.
-		r.guard = newStateGuard(sa.StateTable(), h, nil, eng, Config{ScrubInterval: 16})
-		r.guard.st.CommitShadow()
-	}
-	if policy != RecoverAbort {
-		r.ckpt = space.NewCheckpoint()
-		t.Cleanup(r.ckpt.Release)
-		r.cacheState = h.Snapshot(nil)
-	}
-	proc.SetEnabled(true)
-	return r
+	t.Cleanup(n.Close)
+	return &zeroallocRig{trace: trace, n: n}
 }
 
-// step runs one packet through the steady-state loop: DMA, execution, and
-// — for the containing policies — the checkpoint commit plus the
-// buffer-reusing cache snapshot that advance the restore point. The
-// recorder's EndPacket is deliberately excluded: it is measurement
-// harness, not simulated machine, and its per-packet observation reset
-// allocates by design.
+// step runs one packet through the node's machine step: DMA, execution,
+// the scrub when due, and — for the containing policies — the checkpoint
+// commit plus the buffer-reusing cache snapshot that advance the restore
+// point. The recorder's EndPacket, which Process adds around the step, is
+// deliberately excluded: it is measurement harness, not simulated
+// machine, and its per-packet observation reset allocates by design.
 func (r *zeroallocRig) step() error {
 	p := &r.trace.Packets[r.next%len(r.trace.Packets)]
 	r.next++
-	buf, err := dmaPacket(r.h, p)
+	out, err := r.n.step(p)
 	if err != nil {
 		return err
 	}
-	r.eng.beginPacket()
-	if r.guard != nil {
-		r.guard.packet = r.next - 1
-	}
-	if err := processPacket(r.app, r.ctx, p, buf); err != nil {
-		return err
-	}
-	if r.guard != nil && r.guard.scrubDue(r.next) {
-		if err := r.guard.scrubPass(r.ctx.Mem, r.next-1); err != nil {
-			return err
-		}
-	}
-	if r.ckpt != nil {
-		r.ckpt.Commit()
-		r.cacheState = r.h.Snapshot(r.cacheState)
-	}
-	if r.guard != nil {
-		r.guard.st.CommitShadow()
+	if out.Dropped {
+		return fmt.Errorf("packet dropped (%s)", out.Reason)
 	}
 	return nil
 }
@@ -181,13 +124,14 @@ func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 					}
 					// Self-check: the rig must actually exercise the faulty
 					// path, or a zero result proves nothing.
-					if r.h.L1D.Recovery.FaultsOnRead+r.h.L1D.Recovery.FaultsOnWrite == 0 {
+					rec := r.n.h.L1D.Recovery
+					if rec.FaultsOnRead+rec.FaultsOnWrite == 0 {
 						t.Fatal("rig injected no faults; the zero-alloc result is vacuous")
 					}
-					if r.h.L1D.Recovery.ParityErrors == 0 {
+					if rec.ParityErrors == 0 {
 						t.Fatal("rig detected no parity errors; recovery path unexercised")
 					}
-					if r.guard != nil && r.guard.scrubPasses == 0 {
+					if g := r.n.guard; g != nil && g.scrubPasses == 0 {
 						t.Fatal("stateful rig never scrubbed; the guard path is unexercised")
 					}
 				})

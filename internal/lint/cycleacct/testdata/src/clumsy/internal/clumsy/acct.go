@@ -1,6 +1,6 @@
 // Fixture: cycle accounting inside the simulator core. Direct writes to the
-// engine's counters are rejected unless the function is a designated
-// accounting helper; snapshot structs stay writable everywhere.
+// engine's counters, and to the Result fields a pass's totals fold into,
+// are rejected unless the function is a designated accounting helper.
 package clumsy
 
 type engine struct {
@@ -34,12 +34,22 @@ func stepClosure(e *engine) {
 	f()
 }
 
-// Result mirrors the real fold-out snapshot struct: not an accumulator, so
-// assignments to it are fine even though the field is named Cycles.
+// Result mirrors the real fold-out struct: the engine folds a finished
+// pass's totals straight into it, so its cost fields are written only by
+// the accounting fold; its other fields stay writable anywhere.
 type Result struct {
 	Cycles float64
+	Delay  float64
 }
 
+// fold is the designated accounting fold.
+//
+//lint:cycle-accounting
 func fold(e *engine, r *Result) {
 	r.Cycles = e.core
+}
+
+func patch(r *Result) {
+	r.Delay = 1
+	r.Cycles = 0 // want `direct write to cycle/energy counter field Cycles`
 }
