@@ -1,9 +1,10 @@
 // Package clumsy_test is the benchmark harness that regenerates every table
-// and figure of the paper's evaluation. With -bench-render each benchmark
-// prints the reproduced rows/series once (so `go test -bench . -bench-render
-// | tee bench_output.txt` captures them) in addition to timing the
-// underlying experiment; by default the output stays clean for benchmark
-// tooling such as benchstat.
+// and figure of the paper's evaluation, and the extension studies, through
+// the study registry of internal/experiment: BenchmarkStudy/<name> times
+// one study. With -bench-render each benchmark prints the reproduced output
+// once (so `go test -bench . -bench-render | tee bench_output.txt` captures
+// it) in addition to timing it; by default the output stays clean for
+// benchmark tooling such as benchstat.
 //
 // The benchmarks run at a reduced scale (fewer packets and trials than the
 // CLI defaults) to keep the suite fast; `cmd/clumsy <experiment>` with
@@ -16,12 +17,10 @@ package clumsy_test
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sync"
 	"testing"
 
-	"clumsy/internal/apps"
-	"clumsy/internal/bench"
 	"clumsy/internal/experiment"
 )
 
@@ -29,231 +28,27 @@ import (
 var renderOutput = flag.Bool("bench-render", false,
 	"print each experiment's reproduced tables/figures once during benchmarks")
 
-// benchOptions returns the reduced experiment scale used by the harness,
-// shared with the `clumsy bench` runner.
-func benchOptions() experiment.Options {
-	return bench.ExperimentOptions()
-}
-
-// printOnce guards the one-time printing of each experiment's output.
-var printOnce sync.Map
-
-func oncePer(key string, f func()) {
-	if !*renderOutput {
-		return
-	}
-	if _, loaded := printOnce.LoadOrStore(key, true); !loaded {
-		f()
-	}
-}
-
-func BenchmarkFig1b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiment.Fig1b()
-		oncePer("fig1b", func() { fig.Render(os.Stdout) })
-	}
-}
-
-func BenchmarkFig2b(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiment.Fig2b()
-		oncePer("fig2b", func() { fig.Render(os.Stdout) })
-	}
-}
-
-func BenchmarkFig3(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiment.Fig3()
-		oncePer("fig3", func() { fig.Render(os.Stdout) })
-	}
-}
-
-func BenchmarkFig4(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiment.Fig4()
-		oncePer("fig4", func() { fig.Render(os.Stdout) })
-	}
-}
-
-func BenchmarkFig5(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		fig := experiment.Fig5()
-		oncePer("fig5", func() { fig.Render(os.Stdout) })
-	}
-}
-
-func BenchmarkTable1(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Table1(o)
-		if err != nil {
-			b.Fatal(err)
+// BenchmarkStudy runs every study of the registry at a reduced, fixed-seed
+// scale. It skips the composites (all, extensions), whose parts run on
+// their own, and the studies that need an app named.
+func BenchmarkStudy(b *testing.B) {
+	o := experiment.Options{Packets: 1000, Trials: 2, Seed: 1}
+	for _, st := range experiment.Studies() {
+		if st.NeedsApp || st.Name == "all" || st.Name == "extensions" {
+			continue
 		}
-		oncePer("table1", func() { experiment.Table1Render(rows, o).Render(os.Stdout) })
-	}
-}
-
-func benchErrorBehaviour(b *testing.B, app, figure string) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		sweeps, err := experiment.ErrorBehaviour(app, o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer(figure, func() {
-			for _, t := range experiment.ErrorBehaviourRender(sweeps, figure, o) {
-				t.Render(os.Stdout)
-				fmt.Println()
+		printed := !*renderOutput
+		b.Run(st.Name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				w := io.Discard
+				if !printed {
+					w, printed = os.Stdout, true
+					defer fmt.Println() // a blank line before the next study's output
+				}
+				if err := st.Run(o, "", "text", w); err != nil {
+					b.Fatal(err)
+				}
 			}
-		})
-	}
-}
-
-func BenchmarkFig6(b *testing.B) { benchErrorBehaviour(b, "route", "Figure 6") }
-func BenchmarkFig7(b *testing.B) { benchErrorBehaviour(b, "nat", "Figure 7") }
-
-func BenchmarkFig8(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.Fig8(o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("fig8", func() { experiment.Fig8Render(rows, o).Render(os.Stdout) })
-	}
-}
-
-func benchEDF(b *testing.B, figure string, panelApps []string) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		for pi, app := range panelApps {
-			panel := fmt.Sprintf("%s(%c)", figure, 'a'+pi)
-			r, err := experiment.EDFGrid(app, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			oncePer(panel, func() {
-				experiment.EDFRender(r, panel, o).Render(os.Stdout)
-				fmt.Println()
-			})
-		}
-	}
-}
-
-func BenchmarkFig9(b *testing.B)  { benchEDF(b, "Figure 9", []string{"route", "crc"}) }
-func BenchmarkFig10(b *testing.B) { benchEDF(b, "Figure 10", []string{"md5", "tl"}) }
-func BenchmarkFig11(b *testing.B) { benchEDF(b, "Figure 11", []string{"drr", "nat"}) }
-
-func BenchmarkFig12(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		r, err := experiment.EDFGrid("url", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("Figure 12(a)", func() {
-			experiment.EDFRender(r, "Figure 12(a)", o).Render(os.Stdout)
-			fmt.Println()
-		})
-
-		var all []*experiment.EDFResult
-		for _, name := range apps.Names() {
-			g, err := experiment.EDFGrid(name, o)
-			if err != nil {
-				b.Fatal(err)
-			}
-			all = append(all, g)
-		}
-		avg := experiment.EDFAverage(all)
-		oncePer("Figure 12(b)", func() {
-			experiment.EDFRender(avg, "Figure 12(b)", o).Render(os.Stdout)
-			fmt.Println()
-		})
-	}
-}
-
-// Extension studies (beyond the paper's evaluation; see DESIGN.md).
-
-func BenchmarkExtDetection(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		cells, err := experiment.ExtDetection("route", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("ext-detection", func() {
-			experiment.ExtDetectionRender("route", cells, o).Render(os.Stdout)
-			fmt.Println()
-		})
-	}
-}
-
-func BenchmarkExtSubBlock(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		cells, err := experiment.ExtSubBlock("route", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("ext-subblock", func() {
-			experiment.ExtSubBlockRender("route", cells, o).Render(os.Stdout)
-			fmt.Println()
-		})
-	}
-}
-
-func BenchmarkExtExponents(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.ExtExponents("route", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("ext-exponents", func() {
-			experiment.ExtExponentsRender("route", rows, o).Render(os.Stdout)
-			fmt.Println()
-		})
-	}
-}
-
-func BenchmarkExtGeometry(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		cells, err := experiment.ExtGeometry("route", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("ext-geometry", func() {
-			experiment.ExtGeometryRender("route", cells, o).Render(os.Stdout)
-			fmt.Println()
-		})
-	}
-}
-
-func BenchmarkExtDVS(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		rows, err := experiment.ExtDVS("route", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("ext-dvs", func() {
-			experiment.ExtDVSRender("route", rows, o).Render(os.Stdout)
-			fmt.Println()
-		})
-	}
-}
-
-func BenchmarkExtTuning(b *testing.B) {
-	o := benchOptions()
-	for i := 0; i < b.N; i++ {
-		cells, err := experiment.ExtTuning("route", o)
-		if err != nil {
-			b.Fatal(err)
-		}
-		oncePer("ext-tuning", func() {
-			experiment.ExtTuningRender("route", cells, o).Render(os.Stdout)
-			fmt.Println()
 		})
 	}
 }

@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	clumsy <experiment> [flags]
+//	clumsy <command> [flags]
 //
-// Experiments: table1, fig1b, fig2b, fig3, fig4, fig5, fig6, fig7, fig8,
-// fig9, fig10, fig11, fig12, all, run, stats, bench, list.
-//
-// Every command accepts the observability flags -trace-out (JSONL event
-// trace of all simulated runs), -cpuprofile/-memprofile (pprof), and
-// -progress (grid progress on stderr).
+// The commands are the studies of the study registry in
+// internal/experiment, plus run, stats, trace, bench, list, and fleet
+// -faulty N for one fleet simulation. Each command defines only the flags
+// it reads; `clumsy <command> -h` lists them and `clumsy list` lists the
+// commands.
 package main
 
 import (
@@ -24,6 +23,7 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"text/tabwriter"
@@ -49,78 +49,323 @@ func main() {
 	}
 }
 
-// cliOpts carries every parsed flag through the experiment dispatch so
-// that compound commands (extensions, all) re-dispatch without re-parsing
-// flags or re-initialising the observability stack.
+// cliOpts holds every value a command's flags can set. A command's FlagSet
+// defines only the flags that command reads; the others keep their zero
+// values.
 type cliOpts struct {
-	opt         experiment.Options
-	app         string
-	packets     int
-	seed        uint64
-	scale       float64
+	opt    experiment.Options // -packets -trials -scale -seed -recovery -max-drop-rate, campaign knobs
+	app    string
+	format string
+	out    string
+
+	journalPath string
+	resume      bool
+
+	// One simulation (run, stats, fleet -faulty).
 	cr          float64
-	crSet       bool // -cr given explicitly (fleet keeps the cluster default otherwise)
 	dynamic     bool
 	parity      bool
 	strikes     int
 	regime      clumsy.FaultRegime
-	recovery    clumsy.RecoveryPolicy
-	maxDropRate float64
 	watchdog    float64
-	format      string
-	describe    bool
-	out         string
 	tracePath   string
-	quick       bool
-	compare     bool
-	threshold   float64
-	progress    bool
-	nodes       int
-	faulty      int
-	dispatch    string
-	wl          *workload.Spec // workload-v2 spec, nil = canonical trace
+	describe    bool
 	scrub       int
 	stateStr    int
-	args        []string // positional arguments after the flags
-	tel         *telemetry.Telemetry
+	shape       string
+	shape2      string
+	periods2    int
+	adversarial float64
+	churn       float64
+	wl          *workload.Spec // workload-v2 spec, nil = canonical trace
+
+	// fleet -faulty N.
+	faulty   int
+	nodes    int
+	dispatch cluster.DispatchPolicy
+
+	// bench.
+	quick     bool
+	compare   bool
+	threshold float64
+
+	// Observability.
+	traceOut   string
+	cpuprofile string
+	memprofile string
+	progress   bool
+
+	args []string // positional arguments after the flags
+	tel  *telemetry.Telemetry
 }
 
-// fleetConfig builds the single-run fleet configuration of `fleet -faulty N`.
-func (o cliOpts) fleetConfig(pol cluster.DispatchPolicy) cluster.Config {
-	cfg := cluster.Config{
-		App:             o.app,
-		Nodes:           o.nodes,
-		Packets:         o.packets,
-		Seed:            o.seed,
-		Dispatch:        pol,
-		FaultyNodes:     o.faulty,
-		FaultScale:      o.scale,
-		Dynamic:         o.dynamic,
-		Recovery:        o.recovery,
-		NodeMaxDropRate: o.maxDropRate,
-		Workload:        o.wl,
-		Telemetry:       o.tel,
+// command is one subcommand: its flags, a check of the parsed flags that
+// runs before anything is opened or simulated, and its action.
+type command struct {
+	fs    *flag.FlagSet
+	check func() error
+	exec  func(w io.Writer) error
+}
+
+// helps describes the commands that are not studies of the registry.
+var helps = []struct{ name, help string }{
+	{"run", "one simulation with a full report"},
+	{"stats", "one simulation like run, then the telemetry counter registry"},
+	{"trace", "dump an application's workload (text, or a binary trace file with -out)"},
+	{"fleet -faulty N", "one fleet simulation with an SLO report"},
+	{"bench", "performance benchmark snapshot, or bench -compare OLD NEW"},
+	{"list", "this text"},
+}
+
+// newCommand builds the named command over o, or reports it unknown.
+func newCommand(name string, o *cliOpts) (command, bool) {
+	fs := flag.NewFlagSet(name, flag.ContinueOnError)
+	c := command{fs: fs, check: func() error { return nil }}
+	help := ""
+	for _, h := range helps {
+		if h.name == name {
+			help = h.help
+		}
 	}
-	if o.crSet {
-		cfg.CycleTime = o.cr
+	switch name {
+	case "list":
+		c.exec = func(w io.Writer) error {
+			usage(w)
+			return nil
+		}
+	case "run":
+		o.runFlags(fs)
+		c.check = o.parseWorkload
+		c.exec = func(w io.Writer) error { return o.render(w, o.runAndReport) }
+	case "stats":
+		o.runFlags(fs)
+		fs.StringVar(&o.format, "format", "text", "output format: text (Prometheus exposition) or json")
+		fs.BoolVar(&o.describe, "describe", false, "print the telemetry name registry instead of running a simulation")
+		c.check = func() error {
+			if o.format != "text" && o.format != "json" {
+				return fmt.Errorf("stats: unknown format %q (want text or json)", o.format)
+			}
+			return o.parseWorkload()
+		}
+		c.exec = func(w io.Writer) error { return o.render(w, o.stats) }
+	case "trace":
+		fs.StringVar(&o.app, "app", "route", "application whose workload to dump")
+		fs.IntVar(&o.opt.Packets, "packets", 0, "packets to generate (at least 20)")
+		fs.Uint64Var(&o.opt.Seed, "seed", 0, "workload seed (0 = 1)")
+		fs.StringVar(&o.out, "out", "", "write the workload as a binary trace file (replay it with run -trace)")
+		c.exec = func(w io.Writer) error {
+			return dumpTrace(w, o.app, max(o.opt.Packets, 20), max64(o.opt.Seed, 1), o.out)
+		}
+	case "bench":
+		fs.BoolVar(&o.quick, "quick", false, "reduced matrix and packet counts (CI smoke-test scale)")
+		fs.BoolVar(&o.compare, "compare", false, "compare two snapshot files (bench -compare OLD NEW) instead of running")
+		fs.Float64Var(&o.threshold, "threshold", bench.DefaultThreshold, "with -compare: relative regression gate on tracked metrics")
+		fs.StringVar(&o.format, "format", "text", "with -compare: output format, text or json")
+		fs.StringVar(&o.out, "out", "", "snapshot path (default: the next free BENCH_<n>.json in the working directory)")
+		o.observabilityFlags(fs)
+		c.exec = func(w io.Writer) error { return benchCommand(*o, w) }
+	default:
+		st, ok := experiment.LookupStudy(name)
+		if !ok {
+			return c, false
+		}
+		help = st.Help
+		o.studyFlags(fs, st)
+		c.check = func() error { return st.Check(o.app, o.format) }
+		runStudy := func(w io.Writer) error {
+			return o.render(w, func(w io.Writer) error { return st.Run(o.opt, o.app, o.format, w) })
+		}
+		c.exec = runStudy
+		if name == "fleet" {
+			// The fleet command is the fleet study, or with -faulty N one
+			// fleet simulation.
+			help += fmt.Sprintf("; with -faulty N, one fleet simulation instead.\n  Only a -faulty run reads -%s;\n  only the study reads -%s.",
+				strings.Join(fleetRunFlags, " -"), strings.Join(fleetStudyFlags, " -"))
+			o.fleetFlags(fs)
+			c.check = func() error { return o.checkFleet(fs, st) }
+			c.exec = func(w io.Writer) error {
+				if o.faulty < 0 {
+					return runStudy(w)
+				}
+				return o.render(w, o.fleetRun)
+			}
+		}
 	}
-	return cfg
+	fs.Usage = func() {
+		fmt.Fprintf(fs.Output(), "usage: clumsy %s [flags]\n  %s\n\nflags:\n", name, help)
+		fs.PrintDefaults()
+	}
+	return c, true
+}
+
+// studyFlags defines a study's flags: the campaign flags, -app where the
+// study reads one (defaulting to the study's app), and -recovery where the
+// study runs under the campaign-wide policy.
+func (o *cliOpts) studyFlags(fs *flag.FlagSet, st experiment.Study) {
+	o.campaignFlags(fs)
+	o.observabilityFlags(fs)
+	if st.ReadsApp() {
+		appHelp := "application"
+		if st.NeedsApp {
+			appHelp = "application (required)"
+		}
+		fs.StringVar(&o.app, "app", st.App, appHelp)
+	}
+	if st.Recovery {
+		o.recoveryFlag(fs)
+	}
+}
+
+// campaignFlags defines the flags of a study campaign: scale, output and
+// the resilient-campaign knobs.
+func (o *cliOpts) campaignFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.opt.Packets, "packets", 0, "packets per run (0 = default)")
+	fs.IntVar(&o.opt.Trials, "trials", 0, "trials per configuration (0 = default)")
+	fs.Float64Var(&o.opt.FaultScale, "scale", 0, "fault-rate multiplier (0 = default)")
+	fs.Uint64Var(&o.opt.Seed, "seed", 0, "experiment seed (0 = default)")
+	fs.Float64Var(&o.opt.MaxDropRate, "max-drop-rate", 0, "under drop or degrade, fail a run once its dropped fraction exceeds this (0 = unlimited)")
+	fs.StringVar(&o.format, "format", "text", "output format: text or csv")
+	fs.StringVar(&o.out, "out", "", "write the output to this file atomically instead of stdout")
+	fs.StringVar(&o.journalPath, "journal", "", "record every completed grid cell in this JSONL journal (atomic per cell)")
+	fs.BoolVar(&o.resume, "resume", false, "with -journal, skip cells already recorded; the output is byte-identical to an uninterrupted run")
+	fs.DurationVar(&o.opt.RunTimeout, "run-timeout", 0, "per-grid-cell wall-clock deadline, e.g. 90s (0 = none)")
+	fs.IntVar(&o.opt.Retries, "retries", 0, "retries per cell for transient host failures (simulated outcomes never retry)")
+	fs.DurationVar(&o.opt.RetryBackoff, "retry-backoff", 0, "base retry delay, doubled per attempt (0 = default 100ms)")
+}
+
+// recoveryFlag defines -recovery, the fatal-error policy.
+func (o *cliOpts) recoveryFlag(fs *flag.FlagSet) {
+	fs.Func("recovery", "fatal-error policy: abort (the default; a fatal error ends the run, the paper's semantics), drop (drop the packet, roll memory back to the packet boundary, continue), or degrade (drop plus the escalating recovery ladder)",
+		func(s string) (err error) {
+			o.opt.Recovery, err = clumsy.ParseRecoveryPolicy(s)
+			return err
+		})
+}
+
+// runFlags defines the flags of one simulation (run, stats).
+func (o *cliOpts) runFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.app, "app", "route", "application")
+	fs.IntVar(&o.opt.Packets, "packets", 0, "packets (at least 1000)")
+	fs.Uint64Var(&o.opt.Seed, "seed", 0, "seed (0 = 1)")
+	fs.Float64Var(&o.opt.FaultScale, "scale", 0, "fault-rate multiplier (at least 1)")
+	fs.Float64Var(&o.cr, "cr", 1, "relative cycle time")
+	fs.BoolVar(&o.dynamic, "dynamic", false, "use the dynamic frequency controller")
+	fs.BoolVar(&o.parity, "parity", false, "enable parity detection")
+	fs.IntVar(&o.strikes, "strikes", 1, "recovery strikes under parity")
+	o.recoveryFlag(fs)
+	fs.Func("regime", "fault regime: paper (the default; memoryless), burst (Gilbert-Elliott droop episodes), or permanent (stuck-at cell map over the paper process)",
+		func(s string) (err error) {
+			o.regime, err = clumsy.ParseFaultRegime(s)
+			return err
+		})
+	fs.Float64Var(&o.opt.MaxDropRate, "max-drop-rate", 0, "under drop or degrade, fail the run once its dropped fraction exceeds this (0 = unlimited)")
+	fs.Float64Var(&o.watchdog, "watchdog", 0, "per-packet instruction budget as a multiple of the golden worst packet (0 = default 500)")
+	fs.StringVar(&o.tracePath, "trace", "", "replay this binary trace file (from clumsy trace -out) instead of generating one")
+	fs.IntVar(&o.scrub, "scrub", 0, "stateful apps: flow-table scrub interval in packets (0 = default 64, negative = disabled)")
+	fs.IntVar(&o.stateStr, "state-strikes", 0, "stateful apps: per-record corruption strikes before the run is unrecoverable (0 = default 4)")
+	o.workloadFlags(fs)
+	fs.StringVar(&o.out, "out", "", "write the output to this file atomically instead of stdout")
+	o.observabilityFlags(fs)
+}
+
+// workloadFlags defines the workload-v2 flags.
+func (o *cliOpts) workloadFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.shape, "shape", "", "workload temporal shape: steady, diurnal, flash, or onoff (empty = canonical trace)")
+	fs.StringVar(&o.shape2, "shape2", "", "second shape multiplied onto -shape, mean rate renormalized to 1 (empty = no stacking)")
+	fs.IntVar(&o.periods2, "periods2", 0, "cycle count of the -shape2 profile (0 = that shape's default)")
+	fs.Float64Var(&o.adversarial, "adversarial", 0, "fraction of packets replaced by malformed wire images")
+	fs.Float64Var(&o.churn, "churn", 0, "fraction of packets rewritten into fresh one-packet flows")
+}
+
+// observabilityFlags defines the host-side observability flags.
+func (o *cliOpts) observabilityFlags(fs *flag.FlagSet) {
+	fs.StringVar(&o.traceOut, "trace-out", "", "write a JSONL event trace of every simulated run to this file")
+	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
+	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this file at exit")
+	fs.BoolVar(&o.progress, "progress", false, "report progress on stderr")
+}
+
+// fleetRunFlags are read only by a single fleet run, fleetStudyFlags only
+// by the degradation study.
+var (
+	fleetRunFlags   = []string{"nodes", "dispatch", "cr", "dynamic", "recovery", "max-drop-rate", "shape", "shape2", "periods2", "adversarial", "churn"}
+	fleetStudyFlags = []string{"trials", "journal", "resume", "run-timeout", "retries", "retry-backoff"}
+)
+
+// fleetFlags adds the single-run flags to the fleet study's flags.
+func (o *cliOpts) fleetFlags(fs *flag.FlagSet) {
+	fs.IntVar(&o.faulty, "faulty", -1, "run one fleet simulation with this many hostile nodes (-1 = run the degradation study)")
+	fs.IntVar(&o.nodes, "nodes", 0, "-faulty run: node count (0 = 8)")
+	fs.Func("dispatch", "-faulty run: dispatch policy, flow (the default) or least", func(s string) (err error) {
+		o.dispatch, err = cluster.ParseDispatchPolicy(s)
+		return err
+	})
+	fs.Float64Var(&o.cr, "cr", 0, "-faulty run: relative cycle time of every node (0 = 0.5)")
+	fs.BoolVar(&o.dynamic, "dynamic", false, "-faulty run: dynamic frequency control on every node")
+	o.recoveryFlag(fs)
+	o.workloadFlags(fs)
+}
+
+// checkFleet rejects the flags the chosen fleet mode does not read.
+func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) error {
+	var misuse error
+	fs.Visit(func(f *flag.Flag) {
+		switch {
+		case misuse != nil:
+		case o.faulty < 0 && slices.Contains(fleetRunFlags, f.Name):
+			misuse = fmt.Errorf("fleet: -%s applies only to one fleet simulation (-faulty N)", f.Name)
+		case o.faulty >= 0 && slices.Contains(fleetStudyFlags, f.Name):
+			misuse = fmt.Errorf("fleet: -%s applies only to the degradation study (no -faulty)", f.Name)
+		}
+	})
+	if misuse != nil {
+		return misuse
+	}
+	if o.faulty < 0 {
+		return st.Check(o.app, o.format)
+	}
+	if o.format != "text" && o.format != "json" {
+		return fmt.Errorf("fleet -faulty: unknown format %q (want text or json)", o.format)
+	}
+	return o.parseWorkload()
+}
+
+// parseWorkload builds the workload-v2 spec from the workload flags.
+func (o *cliOpts) parseWorkload() error {
+	if o.shape == "" && o.shape2 == "" && o.adversarial <= 0 && o.churn <= 0 {
+		return nil
+	}
+	sh, sh2 := workload.ShapeSteady, workload.ShapeSteady
+	var err error
+	if o.shape != "" {
+		if sh, err = workload.ParseShape(o.shape); err != nil {
+			return err
+		}
+	}
+	if o.shape2 != "" {
+		if sh2, err = workload.ParseShape(o.shape2); err != nil {
+			return err
+		}
+	}
+	o.wl = &workload.Spec{Shape: sh, Shape2: sh2, Periods2: o.periods2,
+		Adversarial: o.adversarial, Churn: o.churn}
+	return nil
 }
 
 // runConfig builds the single-run configuration of the run/stats commands.
-func (o cliOpts) runConfig() clumsy.Config {
+func (o *cliOpts) runConfig() clumsy.Config {
 	return clumsy.Config{
 		App:            o.app,
-		Packets:        max(o.packets, 1000),
-		Seed:           max64(o.seed, 1),
+		Packets:        max(o.opt.Packets, 1000),
+		Seed:           max64(o.opt.Seed, 1),
 		CycleTime:      o.cr,
 		Dynamic:        o.dynamic,
 		Detection:      detectionOf(o.parity),
 		Strikes:        o.strikes,
-		FaultScale:     maxf(o.scale, 1),
+		FaultScale:     maxf(o.opt.FaultScale, 1),
 		Regime:         o.regime,
-		Recovery:       o.recovery,
-		MaxDropRate:    o.maxDropRate,
+		Recovery:       o.opt.Recovery,
+		MaxDropRate:    o.opt.MaxDropRate,
 		WatchdogFactor: o.watchdog,
 		ScrubInterval:  o.scrub,
 		StateStrikes:   o.stateStr,
@@ -128,64 +373,95 @@ func (o cliOpts) runConfig() clumsy.Config {
 	}
 }
 
-// run parses flags, stands up the observability stack (telemetry hub,
-// trace sink, grid monitor, pprof profiles), and dispatches the command.
+// runAndReport executes one run and prints its full report.
+func (o *cliOpts) runAndReport(w io.Writer) error {
+	res, err := runOne(o.runConfig(), o.tracePath)
+	if err != nil {
+		return err
+	}
+	return report(w, res)
+}
+
+// stats executes one run exactly like `run` (same defaults and seeding, so
+// its counts match a trace captured by `run -trace-out` with the same
+// flags), then dumps the counter registry.
+func (o *cliOpts) stats(w io.Writer) error {
+	if o.describe {
+		return describeNames(w)
+	}
+	if _, err := runOne(o.runConfig(), o.tracePath); err != nil {
+		return err
+	}
+	if o.format == "json" {
+		return o.tel.Registry.WriteJSON(w)
+	}
+	return o.tel.Registry.WritePrometheus(w)
+}
+
+// fleetRun runs one fleet simulation: N nodes, the given hostile count,
+// full health lifecycle, SLO report (text, or -format json).
+func (o *cliOpts) fleetRun(w io.Writer) error {
+	r, err := cluster.Run(cluster.Config{
+		App:             o.app,
+		Nodes:           o.nodes,
+		Packets:         o.opt.Packets,
+		Seed:            o.opt.Seed,
+		Dispatch:        o.dispatch,
+		FaultyNodes:     o.faulty,
+		FaultScale:      o.opt.FaultScale,
+		CycleTime:       o.cr,
+		Dynamic:         o.dynamic,
+		Recovery:        o.opt.Recovery,
+		NodeMaxDropRate: o.opt.MaxDropRate,
+		Workload:        o.wl,
+		Telemetry:       o.tel,
+	})
+	if err != nil {
+		return err
+	}
+	if o.format == "json" {
+		return r.WriteJSON(w)
+	}
+	return r.WriteText(w)
+}
+
+// render writes fn's output to w, or atomically to the -out file, so a
+// cancelled or failed command leaves no partial file.
+func (o *cliOpts) render(w io.Writer, fn func(io.Writer) error) error {
+	if o.out == "" {
+		return fn(w)
+	}
+	return atomicio.WriteFile(o.out, fn)
+}
+
+// run parses the command's flags, stands up the observability stack
+// (telemetry hub, trace sink, grid monitor, pprof profiles), and executes
+// the command.
 func run(args []string, w io.Writer) (err error) {
 	if len(args) == 0 {
 		usage(w)
 		return fmt.Errorf("missing experiment name")
 	}
-	cmd, rest := args[0], args[1:]
-
-	fs := flag.NewFlagSet(cmd, flag.ContinueOnError)
-	packets := fs.Int("packets", 0, "packets per run (0 = default)")
-	trials := fs.Int("trials", 0, "trials per configuration (0 = default)")
-	scale := fs.Float64("scale", 0, "fault-rate multiplier (0 = default 1)")
-	seed := fs.Uint64("seed", 0, "experiment seed (0 = default)")
-	appName := fs.String("app", "route", "application for run/fig6-style experiments")
-	cr := fs.Float64("cr", 1, "relative cycle time for run")
-	dynamic := fs.Bool("dynamic", false, "use the dynamic frequency controller for run")
-	parity := fs.Bool("parity", false, "enable parity detection for run")
-	strikes := fs.Int("strikes", 1, "recovery strikes under parity for run")
-	recovery := fs.String("recovery", "abort", "fatal-error policy: abort (paper semantics), drop (contain and continue), or degrade (drop + the escalating recovery ladder)")
-	regime := fs.String("regime", "paper", "fault regime: paper (memoryless), burst (Gilbert-Elliott droop episodes), or permanent (stuck-at cell map)")
-	maxDropRate := fs.Float64("max-drop-rate", 0, "under -recovery drop, abort once this drop fraction is exceeded (0 = unlimited)")
-	watchdog := fs.Float64("watchdog", 0, "per-packet instruction budget as a multiple of the golden worst packet (0 = default 500)")
-	format := fs.String("format", "text", "output format: text or csv (stats: text=Prometheus or json)")
-	out := fs.String("out", "", "write command output to this file atomically instead of stdout")
-	journalPath := fs.String("journal", "", "record completed campaign cells to this JSONL journal")
-	resume := fs.Bool("resume", false, "with -journal, skip cells already recorded in the journal")
-	runTimeout := fs.Duration("run-timeout", 0, "per-grid-cell wall-clock deadline, e.g. 90s (0 = none)")
-	retries := fs.Int("retries", 0, "retries per cell for transient host failures (simulated outcomes never retry)")
-	retryBackoff := fs.Duration("retry-backoff", 0, "base retry delay, doubled per attempt (0 = default 100ms)")
-	tracePath := fs.String("trace", "", "replay a binary trace file instead of generating (run command)")
-	traceOut := fs.String("trace-out", "", "write a JSONL event trace of every simulated run to this file")
-	cpuprofile := fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-	memprofile := fs.String("memprofile", "", "write a pprof heap profile to this file")
-	progress := fs.Bool("progress", false, "report experiment-grid progress on stderr")
-	describe := fs.Bool("describe", false, "stats: print the telemetry name registry instead of running a simulation")
-	nodes := fs.Int("nodes", 0, "fleet: node count (0 = 8)")
-	faulty := fs.Int("faulty", -1, "fleet: hostile node count for one fleet simulation (-1 = run the degradation study instead)")
-	dispatchPolicy := fs.String("dispatch", "", "fleet: dispatch policy, flow (default) or least")
-	shape := fs.String("shape", "", "workload-v2 temporal shape: steady, diurnal, flash, or onoff (empty = canonical trace)")
-	shape2 := fs.String("shape2", "", "workload-v2 stacked shape multiplied onto -shape, mean rate renormalized to 1 (empty = no stacking)")
-	periods2 := fs.Int("periods2", 0, "cycle count of the -shape2 profile (0 = that shape's default)")
-	adversarial := fs.Float64("adversarial", 0, "workload-v2 malformed-packet fraction (truncated/fuzzed wire images)")
-	churn := fs.Float64("churn", 0, "workload-v2 flow-churn fraction (each churned packet gets a fresh flow identity)")
-	scrub := fs.Int("scrub", 0, "flow-table scrub interval in packets for stateful apps (0 = default, negative = disabled)")
-	stateStrikes := fs.Int("state-strikes", 0, "per-record corruption strike budget before the run is declared unrecoverable (0 = default)")
-	quick := fs.Bool("quick", false, "bench: reduced matrix and packet counts (CI smoke-test scale)")
-	compareFlag := fs.Bool("compare", false, "bench: compare two snapshot files (bench -compare OLD NEW) instead of running")
-	threshold := fs.Float64("threshold", bench.DefaultThreshold, "bench -compare: relative regression gate on tracked metrics")
-	if err := fs.Parse(rest); err != nil {
+	o := &cliOpts{}
+	c, ok := newCommand(args[0], o)
+	if !ok {
+		usage(w)
+		return fmt.Errorf("unknown experiment %q", args[0])
+	}
+	if err := c.fs.Parse(args[1:]); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
 		return err
 	}
-	policy, err := clumsy.ParseRecoveryPolicy(*recovery)
-	if err != nil {
-		return err
+	o.args = c.fs.Args()
+	if len(o.args) > 0 && args[0] != "bench" {
+		return fmt.Errorf("%s: unexpected arguments %v (flags go before arguments)", args[0], o.args)
 	}
-	faultRegime, err := clumsy.ParseFaultRegime(*regime)
-	if err != nil {
+	if o.resume && o.journalPath == "" {
+		return fmt.Errorf("-resume requires -journal")
+	}
+	if err := c.check(); err != nil {
 		return err
 	}
 
@@ -194,6 +470,7 @@ func run(args []string, w io.Writer) (err error) {
 	// partial progress. A second signal force-quits.
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
+	o.opt.Ctx = ctx
 	sig := make(chan os.Signal, 2)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	defer func() {
@@ -212,74 +489,17 @@ func run(args []string, w io.Writer) (err error) {
 		}
 	}()
 
-	o := cliOpts{
-		opt: experiment.Options{
-			Packets: *packets, Trials: *trials, FaultScale: *scale, Seed: *seed,
-			Recovery: policy, MaxDropRate: *maxDropRate,
-			Ctx: ctx, RunTimeout: *runTimeout, Retries: *retries, RetryBackoff: *retryBackoff,
-		},
-		app:         *appName,
-		packets:     *packets,
-		seed:        *seed,
-		scale:       *scale,
-		cr:          *cr,
-		dynamic:     *dynamic,
-		parity:      *parity,
-		strikes:     *strikes,
-		regime:      faultRegime,
-		recovery:    policy,
-		maxDropRate: *maxDropRate,
-		watchdog:    *watchdog,
-		format:      *format,
-		describe:    *describe,
-		out:         *out,
-		tracePath:   *tracePath,
-		quick:       *quick,
-		compare:     *compareFlag,
-		threshold:   *threshold,
-		progress:    *progress,
-		nodes:       *nodes,
-		faulty:      *faulty,
-		dispatch:    *dispatchPolicy,
-		scrub:       *scrub,
-		stateStr:    *stateStrikes,
-		args:        fs.Args(),
-	}
-	if *shape != "" || *shape2 != "" || *adversarial > 0 || *churn > 0 {
-		sh := workload.ShapeSteady
-		if *shape != "" {
-			var perr error
-			if sh, perr = workload.ParseShape(*shape); perr != nil {
-				return perr
-			}
-		}
-		sh2 := workload.ShapeSteady
-		if *shape2 != "" {
-			var perr error
-			if sh2, perr = workload.ParseShape(*shape2); perr != nil {
-				return perr
-			}
-		}
-		o.wl = &workload.Spec{Shape: sh, Shape2: sh2, Periods2: *periods2,
-			Adversarial: *adversarial, Churn: *churn}
-	}
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "cr" {
-			o.crSet = true
-		}
-	})
-
 	// Observability stack. The hub is installed as the process default so
 	// that every clumsy.Run — including the ones buried inside experiment
 	// grids — is counted and traced without plumbing changes.
 	o.tel = telemetry.New()
 	clumsy.SetDefaultTelemetry(o.tel)
 	defer clumsy.SetDefaultTelemetry(nil)
-	if *traceOut != "" {
+	if o.traceOut != "" {
 		// Atomic: the trace file appears under its final name only once the
 		// sink is flushed and closed, so a killed command never leaves a
 		// truncated JSONL behind.
-		f, err := atomicio.Create(*traceOut)
+		f, err := atomicio.Create(o.traceOut)
 		if err != nil {
 			return err
 		}
@@ -287,26 +507,24 @@ func run(args []string, w io.Writer) (err error) {
 		o.tel.SetSink(sink)
 		defer sink.Close()
 	}
-	if *journalPath != "" {
-		j, loaded, jerr := experiment.OpenJournal(*journalPath, *resume)
+	if o.journalPath != "" {
+		j, loaded, jerr := experiment.OpenJournal(o.journalPath, o.resume)
 		if jerr != nil {
 			return jerr
 		}
 		o.opt.Journal = j
-		if *resume {
-			fmt.Fprintf(os.Stderr, "clumsy: resuming campaign from %s (%d cells recorded)\n", *journalPath, loaded)
-			o.tel.StartRun(nil).CampaignResume(*journalPath, loaded)
+		if o.resume {
+			fmt.Fprintf(os.Stderr, "clumsy: resuming campaign from %s (%d cells recorded)\n", o.journalPath, loaded)
+			o.tel.StartRun(nil).CampaignResume(o.journalPath, loaded)
 		}
-	} else if *resume {
-		return fmt.Errorf("-resume requires -journal")
 	}
-	if *progress {
+	if o.progress {
 		mon := &telemetry.RunMonitor{Registry: o.tel.Registry, OnProgress: printProgress}
 		experiment.SetMonitor(mon)
 		defer experiment.SetMonitor(nil)
 	}
-	if *cpuprofile != "" {
-		f, err := atomicio.Create(*cpuprofile)
+	if o.cpuprofile != "" {
+		f, err := atomicio.Create(o.cpuprofile)
 		if err != nil {
 			return err
 		}
@@ -321,10 +539,10 @@ func run(args []string, w io.Writer) (err error) {
 			}
 		}()
 	}
-	if *memprofile != "" {
-		defer writeHeapProfile(*memprofile)
+	if o.memprofile != "" {
+		defer writeHeapProfile(o.memprofile)
 	}
-	err = dispatch(cmd, o, w)
+	err = c.exec(w)
 	if errors.Is(err, context.Canceled) {
 		// Interrupted: report how much of the campaign survives, and how to
 		// pick it back up.
@@ -336,19 +554,6 @@ func run(args []string, w io.Writer) (err error) {
 		}
 	}
 	return err
-}
-
-// dispatch routes the command's output: with -out the full rendering is
-// written atomically to the file (a cancelled or failed command leaves no
-// partial file), otherwise it streams to w. The trace and bench commands
-// manage their own -out semantics (binary trace payload; snapshot JSON).
-func dispatch(cmd string, o cliOpts, w io.Writer) error {
-	if o.out != "" && cmd != "trace" && cmd != "bench" {
-		return atomicio.WriteFile(o.out, func(f io.Writer) error {
-			return execute(cmd, o, f)
-		})
-	}
-	return execute(cmd, o, w)
 }
 
 // printProgress renders one grid-progress line on stderr (carriage-return
@@ -376,253 +581,6 @@ func writeHeapProfile(path string) {
 	if err := atomicio.WriteFile(path, pprof.WriteHeapProfile); err != nil {
 		fmt.Fprintln(os.Stderr, "clumsy: memprofile:", err)
 	}
-}
-
-// execute dispatches one (sub)command with already-parsed options.
-func execute(cmd string, o cliOpts, w io.Writer) error {
-	emitTable := func(t *experiment.Table) error {
-		if o.format == "csv" {
-			return t.RenderCSV(w)
-		}
-		t.Render(w)
-		return nil
-	}
-	emitFigure := func(f *experiment.Figure) error {
-		if o.format == "csv" {
-			return f.RenderCSV(w)
-		}
-		f.Render(w)
-		return nil
-	}
-	opt := o.opt
-
-	switch cmd {
-	case "list":
-		usage(w)
-		return nil
-	case "fig1b":
-		return emitFigure(experiment.Fig1b())
-	case "fig2b":
-		return emitFigure(experiment.Fig2b())
-	case "fig3":
-		return emitFigure(experiment.Fig3())
-	case "fig4":
-		return emitFigure(experiment.Fig4())
-	case "fig5":
-		return emitFigure(experiment.Fig5())
-	case "table1":
-		rows, err := experiment.Table1(opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.Table1Render(rows, opt))
-	case "fig6", "fig7":
-		// Figure 6 studies route, Figure 7 studies nat; -app overrides.
-		app := o.app
-		if app == "route" && cmd == "fig7" {
-			app = "nat"
-		}
-		sweeps, err := experiment.ErrorBehaviour(app, opt)
-		if err != nil {
-			return err
-		}
-		label := map[string]string{"fig6": "Figure 6", "fig7": "Figure 7"}[cmd]
-		for _, t := range experiment.ErrorBehaviourRender(sweeps, label, opt) {
-			if err := emitTable(t); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	case "fig8":
-		rows, err := experiment.Fig8(opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.Fig8Render(rows, opt))
-	case "fig9", "fig10", "fig11", "fig12":
-		pairs := map[string][]string{
-			"fig9":  {"route", "crc"},
-			"fig10": {"md5", "tl"},
-			"fig11": {"drr", "nat"},
-			"fig12": {"url", "average"},
-		}[cmd]
-		for i, app := range pairs {
-			panel := fmt.Sprintf("Figure %s(%c)", cmd[3:], 'a'+i)
-			var r *experiment.EDFResult
-			var err error
-			if app == "average" {
-				var all []*experiment.EDFResult
-				for _, name := range apps.Names() {
-					g, err := experiment.EDFGrid(name, opt)
-					if err != nil {
-						return err
-					}
-					all = append(all, g)
-				}
-				r = experiment.EDFAverage(all)
-			} else {
-				r, err = experiment.EDFGrid(app, opt)
-				if err != nil {
-					return err
-				}
-			}
-			if err := emitTable(experiment.EDFRender(r, panel, opt)); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	case "ecc":
-		cells, err := experiment.ExtDetection(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtDetectionRender(o.app, cells, opt))
-	case "subblock":
-		cells, err := experiment.ExtSubBlock(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtSubBlockRender(o.app, cells, opt))
-	case "exponents":
-		rows, err := experiment.ExtExponents(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtExponentsRender(o.app, rows, opt))
-	case "dvs":
-		rows, err := experiment.ExtDVS(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtDVSRender(o.app, rows, opt))
-	case "geometry":
-		cells, err := experiment.ExtGeometry(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtGeometryRender(o.app, cells, opt))
-	case "media":
-		// The paper notes its ideas apply "to any type of processor that
-		// executes applications with fault resiliency (e.g., media
-		// processors)"; this grid runs the IMA ADPCM extension workload.
-		r, err := experiment.EDFGrid("adpcm", opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.EDFRender(r, "Extension: media processor (adpcm)", opt))
-	case "tuning":
-		cells, err := experiment.ExtTuning(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ExtTuningRender(o.app, cells, opt))
-	case "extensions":
-		for _, sub := range []string{"ecc", "subblock", "exponents", "dvs", "geometry", "tuning", "media"} {
-			if err := execute(sub, o, w); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	case "reliability":
-		cells, err := experiment.Reliability(opt)
-		if err != nil {
-			return err
-		}
-		for _, t := range experiment.ReliabilityRender(cells, opt) {
-			if err := emitTable(t); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-		points, err := experiment.ReliabilityCurve(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.ReliabilityCurveRender(o.app, points, opt))
-	case "fleet":
-		pol, err := cluster.ParseDispatchPolicy(o.dispatch)
-		if err != nil {
-			return err
-		}
-		if o.faulty >= 0 {
-			// One fleet simulation: N nodes, the given hostile count, full
-			// health lifecycle, SLO report (text, or -format json).
-			r, err := cluster.Run(o.fleetConfig(pol))
-			if err != nil {
-				return err
-			}
-			if o.format == "json" {
-				return r.WriteJSON(w)
-			}
-			return r.WriteText(w)
-		}
-		// The fleet degradation study: journaled, resumable, rendered like
-		// every other campaign table.
-		cells, err := experiment.Fleet(o.app, opt)
-		if err != nil {
-			return err
-		}
-		return emitTable(experiment.FleetRender(o.app, cells, opt))
-	case "state":
-		// The state-integrity study: flow-table corruption detection and
-		// recovery for the stateful apps, journaled and resumable like
-		// every other campaign.
-		for i, app := range experiment.StateApps() {
-			cells, err := experiment.StateIntegrity(app, opt)
-			if err != nil {
-				return err
-			}
-			if err := emitTable(experiment.StateIntegrityRender(app, cells, opt)); err != nil {
-				return err
-			}
-			if i < len(experiment.StateApps())-1 {
-				fmt.Fprintln(w)
-			}
-		}
-	case "trace":
-		return dumpTrace(w, o.app, max(o.packets, 20), max64(o.seed, 1), o.out)
-	case "bench":
-		return benchCommand(o, w)
-	case "verify":
-		claims, err := experiment.VerifyClaims(opt)
-		if err != nil {
-			return err
-		}
-		if err := emitTable(experiment.VerifyRender(claims, opt)); err != nil {
-			return err
-		}
-		for _, c := range claims {
-			if !c.Pass {
-				return fmt.Errorf("claim %q failed", c.Name)
-			}
-		}
-	case "all":
-		return allExperiments(opt, w)
-	case "run":
-		res, err := runOne(o.runConfig(), o.tracePath)
-		if err != nil {
-			return err
-		}
-		return report(w, res)
-	case "stats":
-		if o.describe {
-			return describeNames(w)
-		}
-		// Execute one run exactly like `run` (same defaults and seeding,
-		// so its counts match a trace captured by `run -trace-out` with
-		// the same flags), then dump the counter registry.
-		if _, err := runOne(o.runConfig(), o.tracePath); err != nil {
-			return err
-		}
-		if o.format == "json" {
-			return o.tel.Registry.WriteJSON(w)
-		}
-		return o.tel.Registry.WritePrometheus(w)
-	default:
-		usage(w)
-		return fmt.Errorf("unknown experiment %q", cmd)
-	}
-	return nil
 }
 
 // describeNames prints the telemetry name registry — the same table the
@@ -801,194 +759,19 @@ func report(w io.Writer, res *clumsy.Result) error {
 	return nil
 }
 
-func allExperiments(opt experiment.Options, w io.Writer) error {
-	for _, f := range []*experiment.Figure{
-		experiment.Fig1b(), experiment.Fig2b(), experiment.Fig3(),
-		experiment.Fig4(), experiment.Fig5(),
-	} {
-		f.Render(w)
-		fmt.Fprintln(w)
-	}
-	rows, err := experiment.Table1(opt)
-	if err != nil {
-		return err
-	}
-	experiment.Table1Render(rows, opt).Render(w)
-	fmt.Fprintln(w)
-	for _, app := range []string{"route", "nat"} {
-		label := "Figure 6"
-		if app == "nat" {
-			label = "Figure 7"
-		}
-		sweeps, err := experiment.ErrorBehaviour(app, opt)
-		if err != nil {
-			return err
-		}
-		for _, t := range experiment.ErrorBehaviourRender(sweeps, label, opt) {
-			t.Render(w)
-			fmt.Fprintln(w)
-		}
-	}
-	fatal, err := experiment.Fig8(opt)
-	if err != nil {
-		return err
-	}
-	experiment.Fig8Render(fatal, opt).Render(w)
-	fmt.Fprintln(w)
-	results, err := experiment.AllEDF(opt)
-	if err != nil {
-		return err
-	}
-	panels := []string{"Figure 9(a)", "Figure 9(b)", "Figure 10(a)", "Figure 10(b)",
-		"Figure 11(a)", "Figure 11(b)", "Figure 12(a)", "Figure 12(b)"}
-	order := map[string]int{"route": 0, "crc": 1, "md5": 2, "tl": 3, "drr": 4, "nat": 5, "url": 6, "average": 7}
-	for _, r := range results {
-		idx, ok := order[r.App]
-		if !ok {
-			continue
-		}
-		experiment.EDFRender(r, panels[idx], opt).Render(w)
-		fmt.Fprintln(w)
-	}
-	// Close the campaign with the programmatic claims verdict.
-	claims, err := experiment.VerifyClaims(opt)
-	if err != nil {
-		return err
-	}
-	experiment.VerifyRender(claims, opt).Render(w)
-	return nil
-}
-
 func usage(w io.Writer) {
-	fmt.Fprint(w, `usage: clumsy <experiment> [flags]
+	fmt.Fprint(w, `usage: clumsy <command> [flags]
 
-experiments:
-  fig1b   voltage swing vs cycle time (circuit model)
-  fig2b   SRAM noise-immunity curves
-  fig3    switching-combination noise distribution
-  fig4    fault probability vs voltage swing
-  fig5    fault probability vs cycle time + fitted formula (Eq. 4)
-  table1  application properties and fallibility factors
-  fig6    route error probabilities (control/data/both planes)
-  fig7    nat error probabilities (control/data/both planes)
-  fig8    fatal error probabilities per application
-  fig9    EDF^2 panels: route, crc
-  fig10   EDF^2 panels: md5, tl
-  fig11   EDF^2 panels: drr, nat
-  fig12   EDF^2 panels: url, average of all applications
-  all     everything above in paper order
-  verify  check the paper's headline claims programmatically (exit 1 on failure)
-  run     one simulation (-app -cr -dynamic -parity -strikes -scale
-          -regime paper|burst|permanent -recovery abort|drop|degrade
-          -max-drop-rate X -watchdog X [-trace f])
-  stats   one simulation like run, then dump the telemetry counter registry
-          (-format text = Prometheus exposition, -format json = JSON;
-          -describe prints the registered instrument/event name table)
-  trace   dump an application's workload (-app -packets -seed [-out file])
-  fleet   fleet-scale serving on the virtual-time cluster simulator:
-          N clumsy nodes behind a dispatcher with node health tracking,
-          drain-and-re-clock, failover, and SLO-guarded load shedding.
-          Plain "fleet" runs the journaled degradation study (faulty-node
-          fraction sweep, -app -packets -trials); "fleet -faulty N" runs one
-          fleet simulation (-nodes N -dispatch flow|least -packets -seed
-          -scale -cr -dynamic, -format json for the machine-readable report)
-  bench   structured performance benchmark: packets/sec, ns/packet,
-          allocs/packet, instructions/packet, and per-component cycle
-          attribution over app x recovery x regime, plus telemetry
-          micro-benchmarks; writes an auto-numbered BENCH_<n>.json snapshot
-          (-out overrides the path, -quick for CI smoke-test scale)
-          bench -compare [-threshold X] [-format json] OLD NEW
-          diffs two snapshots and exits non-zero when a tracked metric
-          regresses beyond the threshold (default 10%)
-  list    this text
+Each command defines only the flags it reads: "clumsy <command> -h" lists
+them. Flags go after the command name.
 
-extensions (beyond the paper's evaluation; -app selects the workload):
-  ecc        SEC-DED error correction vs parity vs no detection
-  subblock   sub-block (per-word) recovery vs full-line invalidation
-  exponents  sensitivity of the winner to the EDF metric weights
-  dvs        conventional voltage scaling vs clumsy over-clocking
-  geometry   L1 data cache size ablation
-  tuning     dynamic-controller threshold study (the paper's X1/X2 choice)
-  media      the claim beyond networking: EDF grid for an IMA ADPCM codec
-  extensions all seven extension studies
-  reliability  fault regime x recovery policy sweep over every application
-               (paper/burst/permanent x abort/drop/degrade) plus the
-               graceful-degradation curve: drop rate and IPC vs the
-               force-disabled L1D capacity fraction (-app selects the curve's
-               workload)
-  state        state-integrity study for the stateful apps (fw, flowtrack):
-               fault regime x scrub interval x workload shape, reporting
-               checksum detections, recovery-ladder actions, and end-of-run
-               flow-record divergence vs the golden shadow (-packets -trials
-               -scale; journaled/resumable with -journal/-resume)
-
-common flags: -packets N  -trials N  -scale X  -seed N  -format text|csv
-              -out f (write output atomically to f instead of stdout)
-
-resilient campaigns (any experiment command):
-  -journal f.jsonl     record every completed grid cell to a durable journal
-                       (atomic rewrite per cell; survives kill at any point)
-  -resume              with -journal, skip cells already recorded; the resumed
-                       campaign's output is byte-identical to an uninterrupted run
-  -run-timeout D       per-grid-cell wall-clock deadline (e.g. 90s); a wedged
-                       cell fails with a diagnostic instead of hanging the grid
-  -retries N           retry transient host failures per cell with exponential
-                       backoff; simulated outcomes (drop-rate exceeded, watchdog,
-                       traps) are deterministic and never retried
-  -retry-backoff D     base retry delay, doubled per attempt (default 100ms)
-  SIGINT/SIGTERM       first signal drains in-flight cells, flushes the journal,
-                       and reports partial progress; second force-quits
-
-fault containment (any simulation command):
-  -recovery abort|drop|degrade
-                         abort reproduces the paper's measurement semantics
-                         (a fatal error ends the run); drop contains fatal
-                         errors at packet granularity: the packet is dropped,
-                         simulated memory is rolled back to the last packet
-                         boundary, and the run continues; degrade adds the
-                         escalating recovery ladder on top of drop: k-strike
-                         retry, then per-line disable after repeated strikes,
-                         then strike-informed frequency back-off
-  -regime paper|burst|permanent
-                         fault regime: the paper's memoryless process, the
-                         Gilbert-Elliott burst model (voltage-droop episodes),
-                         or a per-line stuck-at cell map over the paper process
-  -max-drop-rate X       under drop, declare the run failed once the dropped
-                         fraction of attempted packets exceeds X (0 = never)
-  -watchdog X            per-packet instruction budget as a multiple of the
-                         golden run's worst packet (0 = default 500); tight
-                         budgets (< 1) make heavy packets trip the watchdog
-
-stateful apps (fw, flowtrack; run/stats/fleet commands):
-  -scrub N               flow-table scrub interval in packets (0 = default 64,
-                         negative = disabled); the scrub pass verifies every
-                         record's checksum and runs the recovery ladder on
-                         latent corruption
-  -state-strikes N       per-record corruption budget: strike 1 evicts the
-                         record, later strikes rebuild it from the golden
-                         shadow, exhausting the budget ends the run with an
-                         unrecoverable-state error (0 = default 4)
-
-workload v2 (run/stats/fleet commands):
-  -shape S               temporal shape: steady, diurnal, flash, or onoff;
-                         fleet runs modulate arrival gaps by the shape, batch
-                         runs keep the trace order but scale the adversarial
-                         and churn pressure with the local intensity
-  -shape2 S              stack a second shape multiplicatively on -shape
-                         (e.g. on/off bursts riding a diurnal swing); the
-                         product is renormalized so the mean rate stays 1
-  -periods2 N            cycle count for the -shape2 profile (0 = default)
-  -adversarial X         fraction of packets replaced by malformed wire images
-                         (truncated headers, fuzzed header fields)
-  -churn X               fraction of packets rewritten into fresh one-packet
-                         flows (flow-churn flood against stateful tables)
-
-observability (any command):
-  -trace-out f.jsonl   structured event trace of every simulated run
-                       (fault injections, recoveries, DVS transitions,
-                       packet drops, run lifecycle; cycle timestamps)
-  -progress            live experiment-grid progress on stderr
-  -cpuprofile f        pprof CPU profile of the whole command
-  -memprofile f        pprof heap profile written at exit
+studies (-format text|csv; resumable with -journal f.jsonl -resume):
 `)
+	for _, st := range experiment.Studies() {
+		fmt.Fprintf(w, "  %-16s %s\n", st.Name, st.Help)
+	}
+	fmt.Fprintf(w, "\nsingle runs and tools:\n")
+	for _, h := range helps {
+		fmt.Fprintf(w, "  %-16s %s\n", h.name, h.help)
+	}
 }

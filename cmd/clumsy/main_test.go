@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -426,5 +427,121 @@ func TestRunTimeoutFlag(t *testing.T) {
 	guarded := capture(t, "fig8", "-packets", "150", "-trials", "1", "-run-timeout", "5m", "-retries", "2")
 	if plain != guarded {
 		t.Fatal("deadline/retry flags changed the result of a healthy campaign")
+	}
+}
+
+// TestRejectsMisuse: every command defines only the flags it reads, and
+// input a command cannot honour fails before anything runs or is opened,
+// with a message that names the flag.
+func TestRejectsMisuse(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "j.jsonl")
+	for _, tc := range []struct {
+		args []string
+		name string // the error must name it
+	}{
+		{[]string{"run", "-journal", journal, "-nodes", "3", "-compare", "-format", "csv"}, "-journal"},
+		{[]string{"run", "-nodes", "3"}, "-nodes"},
+		{[]string{"run", "-compare"}, "-compare"},
+		{[]string{"run", "-threshold", "2"}, "-threshold"},
+		{[]string{"run", "-format", "csv"}, "-format"},
+		{[]string{"fig7", "-journal", journal, "-format", "json"}, "format"},
+		{[]string{"table1", "-format", "json"}, "format"},
+		{[]string{"fig1b", "-format", "xml"}, "format"},
+		{[]string{"all", "-format", "json"}, "format"},
+		{[]string{"stats", "-format", "csv"}, "format"},
+		{[]string{"fleet", "-faulty", "1", "-format", "csv"}, "format"},
+		{[]string{"fleet", "-nodes", "2"}, "-nodes"},
+		{[]string{"fleet", "-dispatch", "flow"}, "-dispatch"},
+		{[]string{"fleet", "-cr", "0.25"}, "-cr"},
+		{[]string{"fleet", "-dynamic"}, "-dynamic"},
+		{[]string{"fleet", "-recovery", "drop"}, "-recovery"},
+		{[]string{"fleet", "-max-drop-rate", "0.1"}, "-max-drop-rate"},
+		{[]string{"fleet", "-shape", "diurnal"}, "-shape"},
+		{[]string{"fleet", "-shape2", "onoff"}, "-shape2"},
+		{[]string{"fleet", "-periods2", "2"}, "-periods2"},
+		{[]string{"fleet", "-adversarial", "0.1"}, "-adversarial"},
+		{[]string{"fleet", "-churn", "0.1"}, "-churn"},
+		{[]string{"fleet", "-faulty", "1", "-scrub", "4"}, "-scrub"},
+		{[]string{"fleet", "-faulty", "1", "-state-strikes", "2"}, "-state-strikes"},
+		{[]string{"fleet", "-faulty", "1", "-trials", "2"}, "-trials"},
+		{[]string{"fleet", "-faulty", "1", "-journal", journal}, "-journal"},
+		{[]string{"reliability", "-recovery", "drop"}, "-recovery"},
+		{[]string{"state", "-recovery", "drop"}, "-recovery"},
+		{[]string{"fig9", "-app", "route"}, "-app"},
+		{[]string{"media", "-app", "route"}, "-app"},
+		{[]string{"errors"}, "app"},
+		{[]string{"table1", "extra"}, "extra"},
+	} {
+		var buf bytes.Buffer
+		err := run(tc.args, &buf)
+		if err == nil {
+			t.Errorf("%v: accepted", tc.args)
+			continue
+		}
+		if !strings.Contains(err.Error(), tc.name) {
+			t.Errorf("%v: error %q does not name %s", tc.args, err, tc.name)
+		}
+	}
+	if _, err := os.Stat(journal); !os.IsNotExist(err) {
+		t.Errorf("a rejected command opened its journal (stat err %v)", err)
+	}
+}
+
+// TestAppOverridesFigureDefault: -app replaces the app a figure studies by
+// default and the figure keeps its title.
+func TestAppOverridesFigureDefault(t *testing.T) {
+	got := capture(t, "fig7", "-app", "route", "-packets", "100", "-trials", "1")
+	want := strings.ReplaceAll(capture(t, "fig6", "-packets", "100", "-trials", "1"), "Figure 6", "Figure 7")
+	if got != want {
+		t.Fatalf("fig7 -app route is not route under the Figure 7 title:\n%s", got)
+	}
+}
+
+// TestAllCSV: all honours -format csv like every other study.
+func TestAllCSV(t *testing.T) {
+	out := capture(t, "all", "-packets", "100", "-trials", "1", "-format", "csv")
+	if !strings.HasPrefix(out, "series,Cr,Vsr\n") || !strings.Contains(out, "\nApp,") {
+		t.Fatalf("all -format csv is not CSV:\n%.300s", out)
+	}
+	if strings.Contains(out, "====") {
+		t.Fatal("all -format csv rendered a text table")
+	}
+}
+
+// TestCommandFlagSets: each command's -h lists only the flags it reads.
+func TestCommandFlagSets(t *testing.T) {
+	for _, tc := range []struct {
+		cmd     string
+		defined []string
+		absent  []string
+	}{
+		{"run", []string{"app", "recovery", "scrub", "shape"}, []string{"compare", "nodes", "threshold", "journal", "trials", "format"}},
+		{"fleet", []string{"faulty", "nodes", "journal", "recovery"}, []string{"scrub", "state-strikes"}},
+		{"reliability", []string{"app", "journal"}, []string{"recovery"}},
+		{"state", []string{"journal"}, []string{"recovery", "app"}},
+		{"fig9", []string{"recovery"}, []string{"app"}},
+		{"trace", []string{"app", "out"}, []string{"trace-out", "recovery"}},
+	} {
+		c, ok := newCommand(tc.cmd, &cliOpts{})
+		if !ok {
+			t.Fatalf("no command %q", tc.cmd)
+		}
+		for _, name := range tc.defined {
+			if c.fs.Lookup(name) == nil {
+				t.Errorf("%s: -%s not defined", tc.cmd, name)
+			}
+		}
+		for _, name := range tc.absent {
+			if c.fs.Lookup(name) != nil {
+				t.Errorf("%s: defines -%s, which it does not read", tc.cmd, name)
+			}
+		}
+	}
+	c, _ := newCommand("fig7", &cliOpts{})
+	if got := c.fs.Lookup("app").DefValue; got != "nat" {
+		t.Errorf("fig7 -app defaults to %q, want nat", got)
+	}
+	if err := run([]string{"run", "-h"}, io.Discard); err != nil {
+		t.Errorf("run -h: %v", err)
 	}
 }

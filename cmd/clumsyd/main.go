@@ -24,6 +24,7 @@ import (
 
 	"clumsy/internal/atomicio"
 	"clumsy/internal/clumsy"
+	"clumsy/internal/experiment"
 	"clumsy/internal/service"
 	"clumsy/internal/telemetry"
 )
@@ -45,7 +46,10 @@ func run() int {
 	fs.Usage = func() {
 		fmt.Fprintf(fs.Output(), "usage: clumsyd [flags]\n\nflags:\n")
 		fs.PrintDefaults()
-		fmt.Fprintf(fs.Output(), "\nstudies: %v\n", service.StudyNames())
+		fmt.Fprintf(fs.Output(), "\nstudies (a spec's \"study\"; the same registry as clumsy):\n")
+		for _, st := range experiment.Studies() {
+			fmt.Fprintf(fs.Output(), "  %-12s %s\n", st.Name, st.Help)
+		}
 	}
 	if err := fs.Parse(os.Args[1:]); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -10,7 +10,6 @@ import (
 	"clumsy/internal/cache"
 	"clumsy/internal/clumsy"
 	"clumsy/internal/cluster"
-	"clumsy/internal/experiment"
 	"clumsy/internal/telemetry"
 )
 
@@ -353,11 +352,4 @@ func runMicroCase(mc microCase, samples int) *Case {
 	c.Metrics["ns_per_op"] = summarize("ns", BetterLower, nsSamples)
 	c.Metrics["allocs_per_op"] = summarize("allocs", BetterLower, allocSamples)
 	return c
-}
-
-// ExperimentOptions is the shared reduced-scale experiment configuration
-// the root-level Benchmark* functions run under `go test -bench`: small
-// enough for a laptop iteration loop, fixed-seed for stability.
-func ExperimentOptions() experiment.Options {
-	return experiment.Options{Packets: 1000, Trials: 2, Seed: 1}
 }

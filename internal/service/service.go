@@ -137,7 +137,6 @@ func New(cfg Config) (*Service, error) {
 		notify:     make(chan struct{}, 1),
 		drainCh:    make(chan struct{}),
 		nextID:     maxID,
-		Recovered:  len(incomplete),
 	}
 	for _, c := range terminal {
 		s.campaigns[c.ID] = c
@@ -146,9 +145,24 @@ func New(cfg Config) (*Service, error) {
 	for _, c := range incomplete {
 		s.campaigns[c.ID] = c
 		s.order = append(s.order, c.ID)
+		if err := c.Spec.Validate(); err != nil {
+			// A spec that does not validate (edited on disk, or naming a
+			// study this build lacks) would fail every attempt: record it
+			// failed without opening its journal.
+			c.state = StateFailed
+			c.adopted = false
+			c.errMsg = err.Error()
+			close(c.done)
+			if perr := c.persistTerminal(); perr != nil {
+				s.logf("campaign %s: recording terminal state: %v", c.ID, perr)
+			}
+			s.logf("campaign %s: not adopted, invalid spec: %v", c.ID, err)
+			continue
+		}
 		// Adoption bypasses the queue bound: recovered work is never
 		// rejected, whatever QueueDepth says.
 		s.queue = append(s.queue, c)
+		s.Recovered++
 		s.tel.Registry.Counter(telemetry.CtrServiceRecoveriesOnStart).Inc()
 		s.logf("adopting incomplete campaign %s (study %s)", c.ID, c.Spec.Study)
 	}
@@ -462,9 +476,8 @@ func (s *Service) runAttempt(ctx context.Context, c *Campaign, resume bool) (err
 	opt.Ctx = actx
 	opt.Journal = j
 	opt.RunTimeout = s.cfg.CellTimeout
-	st := studies[c.Spec.Study]
 	var buf bytes.Buffer
-	if err := st.run(opt, c.Spec, &buf); err != nil {
+	if err := runStudy(opt, c.Spec, &buf); err != nil {
 		return err
 	}
 	return atomicio.WriteFile(c.resultPath(), func(w io.Writer) error {

@@ -39,16 +39,18 @@ func newService(t *testing.T, mod func(*Config)) *Service {
 	return svc
 }
 
-// registerTestStudy installs a synthetic study for the duration of the
-// test. Tests in this package must not run in parallel while one is
-// registered (none do).
-func registerTestStudy(t *testing.T, name string, st study) {
+// stubbed is the study the tests that use stubStudies submit. The stub
+// replaces what every campaign runs, so any registry name would do.
+const stubbed = "fig5"
+
+// stubStudies makes every campaign run fn instead of its registry study,
+// through the real supervisor, for the duration of the test. Tests in this
+// package must not run in parallel while a stub is installed (none do).
+func stubStudies(t *testing.T, fn func(o experiment.Options, sp Spec, w io.Writer) error) {
 	t.Helper()
-	if _, exists := studies[name]; exists {
-		t.Fatalf("study %q already registered", name)
-	}
-	studies[name] = st
-	t.Cleanup(func() { delete(studies, name) })
+	prev := runStudy
+	runStudy = fn
+	t.Cleanup(func() { runStudy = prev })
 }
 
 // waitDone blocks until the campaign's supervisor finishes.
@@ -75,8 +77,9 @@ func renderDirect(t *testing.T, sp Spec) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	st, _ := experiment.LookupStudy(sp.Study)
 	var buf bytes.Buffer
-	if err := studies[sp.Study].run(o, sp, &buf); err != nil {
+	if err := st.Run(o, sp.App, sp.Format, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
@@ -131,16 +134,16 @@ func TestSubmitValidates(t *testing.T) {
 // the next submission is rejected with ErrQueueFull and counted.
 func TestQueueBackpressure(t *testing.T) {
 	started := make(chan struct{}, 4)
-	registerTestStudy(t, "block", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		started <- struct{}{}
 		<-o.Ctx.Done()
 		return o.Ctx.Err()
-	}})
+	})
 	svc := newService(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.QueueDepth = 2
 	})
-	if _, err := svc.Submit(Spec{Study: "block"}); err != nil {
+	if _, err := svc.Submit(Spec{Study: stubbed}); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -150,11 +153,11 @@ func TestQueueBackpressure(t *testing.T) {
 	}
 	// Slot busy: these two sit in the queue.
 	for i := 0; i < 2; i++ {
-		if _, err := svc.Submit(Spec{Study: "block"}); err != nil {
+		if _, err := svc.Submit(Spec{Study: stubbed}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := svc.Submit(Spec{Study: "block"}); !errors.Is(err, ErrQueueFull) {
+	if _, err := svc.Submit(Spec{Study: stubbed}); !errors.Is(err, ErrQueueFull) {
 		t.Fatalf("full queue returned %v, want ErrQueueFull", err)
 	}
 	if got := svc.tel.Registry.Counter(telemetry.CtrServiceQueueRejections).Load(); got != 1 {
@@ -164,21 +167,21 @@ func TestQueueBackpressure(t *testing.T) {
 
 func TestCancelQueuedAndRunning(t *testing.T) {
 	started := make(chan struct{}, 2)
-	registerTestStudy(t, "block", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		started <- struct{}{}
 		<-o.Ctx.Done()
 		return o.Ctx.Err()
-	}})
+	})
 	svc := newService(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.QueueDepth = 4
 	})
-	run, err := svc.Submit(Spec{Study: "block"})
+	run, err := svc.Submit(Spec{Study: stubbed})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-started
-	queued, err := svc.Submit(Spec{Study: "block"})
+	queued, err := svc.Submit(Spec{Study: stubbed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +223,7 @@ func TestCancelQueuedAndRunning(t *testing.T) {
 // and complete with the exact output of an undisturbed run.
 func TestRestartWithResume(t *testing.T) {
 	var calls atomic.Int32
-	registerTestStudy(t, "failonce", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		rows, err := experiment.Table1(o)
 		if err != nil {
 			return err
@@ -228,10 +231,11 @@ func TestRestartWithResume(t *testing.T) {
 		if calls.Add(1) == 1 {
 			return errors.New("injected first-attempt failure")
 		}
-		return emitTable(sp, w, experiment.Table1Render(rows, o))
-	}})
+		experiment.Table1Render(rows, o).Render(w)
+		return nil
+	})
 	svc := newService(t, nil)
-	st, err := svc.Submit(Spec{Study: "failonce", Packets: 120, Trials: 1})
+	st, err := svc.Submit(Spec{Study: stubbed, Packets: 120, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -263,12 +267,12 @@ func TestRestartWithResume(t *testing.T) {
 // failed after MaxRestarts+1 attempts.
 func TestRestartBudgetExhaustion(t *testing.T) {
 	var calls atomic.Int32
-	registerTestStudy(t, "alwaysfail", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		calls.Add(1)
 		return errors.New("persistent failure")
-	}})
+	})
 	svc := newService(t, func(c *Config) { c.MaxRestarts = 2 })
-	st, err := svc.Submit(Spec{Study: "alwaysfail"})
+	st, err := svc.Submit(Spec{Study: stubbed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -288,11 +292,11 @@ func TestRestartBudgetExhaustion(t *testing.T) {
 // TestPanicContained: a panicking study must fail its campaign, not the
 // daemon.
 func TestPanicContained(t *testing.T) {
-	registerTestStudy(t, "panics", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		panic("study exploded")
-	}})
+	})
 	svc := newService(t, func(c *Config) { c.MaxRestarts = 1 })
-	st, err := svc.Submit(Spec{Study: "panics"})
+	st, err := svc.Submit(Spec{Study: stubbed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,7 +318,7 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 	dataDir := t.TempDir()
 	started := make(chan struct{}, 1)
 	var calls atomic.Int32
-	registerTestStudy(t, "blockfirst", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		if calls.Add(1) == 1 {
 			started <- struct{}{}
 			<-o.Ctx.Done()
@@ -322,12 +326,12 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 		}
 		fmt.Fprintln(w, "completed after adoption")
 		return nil
-	}})
+	})
 	svc, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, err := svc.Submit(Spec{Study: "blockfirst"})
+	st, err := svc.Submit(Spec{Study: stubbed})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +339,7 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 	expired, cancel := context.WithCancel(context.Background())
 	cancel() // zero grace: checkpoint immediately
 	svc.Drain(expired)
-	if _, err := svc.Submit(Spec{Study: "blockfirst"}); !errors.Is(err, ErrDraining) {
+	if _, err := svc.Submit(Spec{Study: stubbed}); !errors.Is(err, ErrDraining) {
 		t.Fatalf("submit while draining: %v, want ErrDraining", err)
 	}
 
@@ -457,6 +461,63 @@ func TestLoadCampaignsSkipsGhostDirs(t *testing.T) {
 	}
 }
 
+// TestAdoptionRejectsInvalidSpec: an incomplete campaign whose spec.json
+// no longer validates is recorded failed at startup, without a restart, a
+// journal or an adoption count, while the valid campaign beside it is
+// adopted and finishes.
+func TestAdoptionRejectsInvalidSpec(t *testing.T) {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
+		_, err := fmt.Fprintln(w, "ran", sp.Study)
+		return err
+	})
+	dataDir := t.TempDir()
+	for id, spec := range map[string]string{"c000001": `{"study":"bogus"}`, "c000002": `{"study":"` + stubbed + `"}`} {
+		dir := filepath.Join(campaignsDir(dataDir), id)
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, specFile), []byte(spec), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	if svc.Recovered != 1 {
+		t.Fatalf("Recovered = %d, want 1", svc.Recovered)
+	}
+	if got := svc.tel.Registry.Counter(telemetry.CtrServiceRecoveriesOnStart).Load(); got != 1 {
+		t.Fatalf("recoveries_on_start = %d, want 1", got)
+	}
+	bad, _ := svc.Get("c000001")
+	waitDone(t, bad)
+	st := bad.status()
+	if st.State != "failed" || st.Restarts != 0 || st.Adopted || !strings.Contains(st.Error, `unknown study "bogus"`) {
+		t.Fatalf("invalid campaign status = %+v, want failed with the validation error and no restarts", st)
+	}
+	if _, err := os.Stat(bad.journalPath()); !os.IsNotExist(err) {
+		t.Fatalf("invalid campaign opened a journal (stat err %v)", err)
+	}
+	raw, err := os.ReadFile(filepath.Join(bad.dir, stateFile))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec stateRecord
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != "failed" || rec.Error != st.Error || rec.Restarts != 0 {
+		t.Fatalf("state.json = %+v, want failed with %q", rec, st.Error)
+	}
+	good, _ := svc.Get("c000002")
+	waitDone(t, good)
+	if got := good.currentState(); got != StateCompleted {
+		t.Fatalf("valid campaign state = %s (%s), want completed", got, good.status().Error)
+	}
+}
+
 func TestHTTPLifecycle(t *testing.T) {
 	svc := newService(t, nil)
 	ts := httptest.NewServer(svc.Handler())
@@ -534,11 +595,11 @@ func TestHTTPLifecycle(t *testing.T) {
 // Retry-After on a full queue, 503 from submit and readyz once draining.
 func TestHTTPBackpressureAndDrain(t *testing.T) {
 	started := make(chan struct{}, 1)
-	registerTestStudy(t, "block", study{run: func(o experiment.Options, sp Spec, w io.Writer) error {
+	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		started <- struct{}{}
 		<-o.Ctx.Done()
 		return o.Ctx.Err()
-	}})
+	})
 	svc := newService(t, func(c *Config) {
 		c.MaxConcurrent = 1
 		c.QueueDepth = 1
@@ -548,7 +609,7 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 
 	post := func() *http.Response {
 		t.Helper()
-		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(`{"study":"block"}`))
+		resp, err := http.Post(ts.URL+"/campaigns", "application/json", strings.NewReader(`{"study":"`+stubbed+`"}`))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -588,19 +649,39 @@ func TestHTTPBackpressureAndDrain(t *testing.T) {
 	}
 }
 
-func TestStudyRegistryCoversCLIStudies(t *testing.T) {
-	for _, name := range []string{"table1", "fig8", "errors", "edf", "reliability", "fleet", "state", "verify"} {
-		if _, ok := studies[name]; !ok {
-			t.Errorf("study registry missing %q", name)
+// TestEveryStudyValidates: every registry entry has a unique name and a
+// help line, and the service accepts a spec for it under the same app and
+// recovery rules as the CLI's flags.
+func TestEveryStudyValidates(t *testing.T) {
+	seen := map[string]bool{}
+	for _, st := range experiment.Studies() {
+		if seen[st.Name] {
+			t.Errorf("study %q registered twice", st.Name)
 		}
-		if StudyHelp(name) == "" && name != "block" {
-			t.Errorf("study %q has no help text", name)
+		seen[st.Name] = true
+		if st.Help == "" {
+			t.Errorf("study %q has no help text", st.Name)
+		}
+		sp := Spec{Study: st.Name}
+		if st.NeedsApp {
+			if err := sp.Validate(); err == nil {
+				t.Errorf("%s: accepted a spec without the app it needs", st.Name)
+			}
+			sp.App = "nat"
+		}
+		if err := sp.Validate(); err != nil {
+			t.Errorf("%s: %v", st.Name, err)
+		}
+		withApp := Spec{Study: st.Name, App: "crc"}
+		if err := withApp.Validate(); (err == nil) != st.ReadsApp() {
+			t.Errorf("%s: app accepted = %v, study reads an app = %v", st.Name, err == nil, st.ReadsApp())
+		}
+		withRecovery := Spec{Study: st.Name, App: sp.App, Recovery: "drop"}
+		if err := withRecovery.Validate(); (err == nil) != st.Recovery {
+			t.Errorf("%s: recovery accepted = %v, study takes one = %v", st.Name, err == nil, st.Recovery)
 		}
 	}
-	names := StudyNames()
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("StudyNames not sorted: %v", names)
-		}
+	if len(seen) != 28 {
+		t.Errorf("registry holds %d studies, want the 28 the CLI and the service accept", len(seen))
 	}
 }
