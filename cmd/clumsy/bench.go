@@ -17,9 +17,6 @@ func benchCommand(o cliOpts, w io.Writer) error {
 	if o.compare {
 		return benchCompare(o, w)
 	}
-	if len(o.args) != 0 {
-		return fmt.Errorf("bench: unexpected arguments %v (snapshot comparison needs -compare)", o.args)
-	}
 	opts := bench.Options{Quick: o.quick}
 	if o.progress {
 		opts.Progress = os.Stderr
@@ -28,7 +25,7 @@ func benchCommand(o cliOpts, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	path := o.out
+	path := o.snapshot
 	if path == "" {
 		path, err = bench.NextSnapshotPath(".")
 		if err != nil {

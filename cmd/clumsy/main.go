@@ -53,36 +53,20 @@ func main() {
 // defines only the flags that command reads; the others keep their zero
 // values.
 type cliOpts struct {
-	opt    experiment.Options // -packets -trials -scale -seed -recovery -max-drop-rate, campaign knobs
+	opt    experiment.Options // a study's scale and campaign knobs
+	run    clumsy.Config      // one simulation's flags (run, stats)
+	fleet  cluster.Config     // the flags only fleet -faulty N reads
+	wl     workload.Spec      // the workload-v2 flags
 	app    string
 	format string
 	out    string
+	parity bool
 
 	journalPath string
 	resume      bool
-
-	// One simulation (run, stats, fleet -faulty).
-	cr          float64
-	dynamic     bool
-	parity      bool
-	strikes     int
-	regime      clumsy.FaultRegime
-	watchdog    float64
-	tracePath   string
+	tracePath   string // run/stats -trace input, trace -out output
 	describe    bool
-	scrub       int
-	stateStr    int
-	shape       string
-	shape2      string
-	periods2    int
-	adversarial float64
-	churn       float64
-	wl          *workload.Spec // workload-v2 spec, nil = canonical trace
-
-	// fleet -faulty N.
-	faulty   int
-	nodes    int
-	dispatch cluster.DispatchPolicy
+	snapshot    string // bench -out
 
 	// bench.
 	quick     bool
@@ -103,65 +87,52 @@ type cliOpts struct {
 // runs before anything is opened or simulated, and its action.
 type command struct {
 	fs    *flag.FlagSet
+	help  string
 	check func() error
 	exec  func(w io.Writer) error
 }
 
-// helps describes the commands that are not studies of the registry.
-var helps = []struct{ name, help string }{
-	{"run", "one simulation with a full report"},
-	{"stats", "one simulation like run, then the telemetry counter registry"},
-	{"trace", "dump an application's workload (text, or a binary trace file with -out)"},
-	{"fleet -faulty N", "one fleet simulation with an SLO report"},
-	{"bench", "performance benchmark snapshot, or bench -compare OLD NEW"},
-	{"list", "this text"},
-}
+// tools are the commands that are not studies of the registry.
+var tools = []string{"run", "stats", "trace", "bench", "list"}
 
 // newCommand builds the named command over o, or reports it unknown.
 func newCommand(name string, o *cliOpts) (command, bool) {
 	fs := flag.NewFlagSet(name, flag.ContinueOnError)
 	c := command{fs: fs, check: func() error { return nil }}
-	help := ""
-	for _, h := range helps {
-		if h.name == name {
-			help = h.help
-		}
-	}
 	switch name {
 	case "list":
+		c.help = "this text"
 		c.exec = func(w io.Writer) error {
 			usage(w)
 			return nil
 		}
 	case "run":
+		c.help = "one simulation with a full report"
 		o.runFlags(fs)
-		c.check = o.parseWorkload
-		c.exec = func(w io.Writer) error { return o.render(w, o.runAndReport) }
+		c.exec = o.report
 	case "stats":
+		c.help = "one simulation like run, then the telemetry counter registry"
 		o.runFlags(fs)
 		fs.StringVar(&o.format, "format", "text", "output format: text (Prometheus exposition) or json")
 		fs.BoolVar(&o.describe, "describe", false, "print the telemetry name registry instead of running a simulation")
-		c.check = func() error {
-			if o.format != "text" && o.format != "json" {
-				return fmt.Errorf("stats: unknown format %q (want text or json)", o.format)
-			}
-			return o.parseWorkload()
-		}
-		c.exec = func(w io.Writer) error { return o.render(w, o.stats) }
+		c.check = func() error { return textOrJSON("stats", o.format) }
+		c.exec = o.stats
 	case "trace":
+		c.help = "dump an application's workload (text, or a binary trace file with -out)"
 		fs.StringVar(&o.app, "app", "route", "application whose workload to dump")
 		fs.IntVar(&o.opt.Packets, "packets", 0, "packets to generate (at least 20)")
 		fs.Uint64Var(&o.opt.Seed, "seed", 0, "workload seed (0 = 1)")
-		fs.StringVar(&o.out, "out", "", "write the workload as a binary trace file (replay it with run -trace)")
+		fs.StringVar(&o.tracePath, "out", "", "write the workload as a binary trace file (replay it with run -trace)")
 		c.exec = func(w io.Writer) error {
-			return dumpTrace(w, o.app, max(o.opt.Packets, 20), max64(o.opt.Seed, 1), o.out)
+			return dumpTrace(w, o.app, max(o.opt.Packets, 20), max(o.opt.Seed, 1), o.tracePath)
 		}
 	case "bench":
+		c.help = "performance benchmark snapshot, or bench -compare OLD NEW"
 		fs.BoolVar(&o.quick, "quick", false, "reduced matrix and packet counts (CI smoke-test scale)")
 		fs.BoolVar(&o.compare, "compare", false, "compare two snapshot files (bench -compare OLD NEW) instead of running")
 		fs.Float64Var(&o.threshold, "threshold", bench.DefaultThreshold, "with -compare: relative regression gate on tracked metrics")
 		fs.StringVar(&o.format, "format", "text", "with -compare: output format, text or json")
-		fs.StringVar(&o.out, "out", "", "snapshot path (default: the next free BENCH_<n>.json in the working directory)")
+		fs.StringVar(&o.snapshot, "out", "", "snapshot path (default: the next free BENCH_<n>.json in the working directory)")
 		o.observabilityFlags(fs)
 		c.exec = func(w io.Writer) error { return benchCommand(*o, w) }
 	default:
@@ -169,56 +140,51 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		if !ok {
 			return c, false
 		}
-		help = st.Help
+		c.help = st.Help
 		o.studyFlags(fs, st)
 		c.check = func() error { return st.Check(o.app, o.format) }
-		runStudy := func(w io.Writer) error {
-			return o.render(w, func(w io.Writer) error { return st.Run(o.opt, o.app, o.format, w) })
-		}
+		runStudy := func(w io.Writer) error { return st.Run(o.opt, o.app, o.format, w) }
 		c.exec = runStudy
 		if name == "fleet" {
 			// The fleet command is the fleet study, or with -faulty N one
 			// fleet simulation.
-			help += fmt.Sprintf("; with -faulty N, one fleet simulation instead.\n  Only a -faulty run reads -%s;\n  only the study reads -%s.",
+			c.help += fmt.Sprintf("; with -faulty N, one fleet simulation instead.\n  Only a -faulty run reads -%s;\n  only the study reads -%s.",
 				strings.Join(fleetRunFlags, " -"), strings.Join(fleetStudyFlags, " -"))
-			o.fleetFlags(fs)
+			fs.IntVar(&o.fleet.FaultyNodes, "faulty", -1, "run one fleet simulation with this many hostile nodes (-1 = run the degradation study)")
+			fs.IntVar(&o.fleet.Nodes, "nodes", 0, "-faulty run: node count (0 = 8)")
+			parsedFlag(fs, "dispatch", "-faulty run: dispatch policy, flow (the default) or least", &o.fleet.Dispatch, cluster.ParseDispatchPolicy)
+			fs.Float64Var(&o.fleet.CycleTime, "cr", 0, "-faulty run: relative cycle time of every node (0 = 0.5)")
+			fs.BoolVar(&o.fleet.Dynamic, "dynamic", false, "-faulty run: dynamic frequency control on every node")
+			parsedFlag(fs, "recovery", recoveryHelp, &o.fleet.Recovery, clumsy.ParseRecoveryPolicy)
+			o.workloadFlags(fs)
 			c.check = func() error { return o.checkFleet(fs, st) }
 			c.exec = func(w io.Writer) error {
-				if o.faulty < 0 {
+				if o.fleet.FaultyNodes < 0 {
 					return runStudy(w)
 				}
-				return o.render(w, o.fleetRun)
+				return o.fleetRun(w)
 			}
 		}
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: clumsy %s [flags]\n  %s\n\nflags:\n", name, help)
+		fmt.Fprintf(fs.Output(), "usage: clumsy %s [flags]\n  %s\n\nflags:\n", name, c.help)
 		fs.PrintDefaults()
 	}
 	return c, true
 }
 
-// studyFlags defines a study's flags: the campaign flags, -app where the
-// study reads one (defaulting to the study's app), and -recovery where the
-// study runs under the campaign-wide policy.
+// studyFlags defines a study's flags: scale, output and the
+// resilient-campaign knobs, -app where the study reads one (defaulting to
+// the study's app), and -recovery where the study runs under the
+// campaign-wide policy.
 func (o *cliOpts) studyFlags(fs *flag.FlagSet, st experiment.Study) {
-	o.campaignFlags(fs)
-	o.observabilityFlags(fs)
 	if st.ReadsApp() {
-		appHelp := "application"
-		if st.NeedsApp {
-			appHelp = "application (required)"
-		}
-		fs.StringVar(&o.app, "app", st.App, appHelp)
+		fs.StringVar(&o.app, "app", st.App, "application")
 	}
 	if st.Recovery {
-		o.recoveryFlag(fs)
+		parsedFlag(fs, "recovery", recoveryHelp, &o.opt.Recovery, clumsy.ParseRecoveryPolicy)
 	}
-}
-
-// campaignFlags defines the flags of a study campaign: scale, output and
-// the resilient-campaign knobs.
-func (o *cliOpts) campaignFlags(fs *flag.FlagSet) {
+	o.observabilityFlags(fs)
 	fs.IntVar(&o.opt.Packets, "packets", 0, "packets per run (0 = default)")
 	fs.IntVar(&o.opt.Trials, "trials", 0, "trials per configuration (0 = default)")
 	fs.Float64Var(&o.opt.FaultScale, "scale", 0, "fault-rate multiplier (0 = default)")
@@ -233,36 +199,35 @@ func (o *cliOpts) campaignFlags(fs *flag.FlagSet) {
 	fs.DurationVar(&o.opt.RetryBackoff, "retry-backoff", 0, "base retry delay, doubled per attempt (0 = default 100ms)")
 }
 
-// recoveryFlag defines -recovery, the fatal-error policy.
-func (o *cliOpts) recoveryFlag(fs *flag.FlagSet) {
-	fs.Func("recovery", "fatal-error policy: abort (the default; a fatal error ends the run, the paper's semantics), drop (drop the packet, roll memory back to the packet boundary, continue), or degrade (drop plus the escalating recovery ladder)",
-		func(s string) (err error) {
-			o.opt.Recovery, err = clumsy.ParseRecoveryPolicy(s)
-			return err
-		})
+// recoveryHelp documents -recovery, the fatal-error policy.
+const recoveryHelp = "fatal-error policy: abort (the default; a fatal error ends the run, the paper's semantics), drop (drop the packet, roll memory back to the packet boundary, continue), or degrade (drop plus the escalating recovery ladder)"
+
+// parsedFlag defines a flag whose value parse turns into *dst.
+func parsedFlag[T any](fs *flag.FlagSet, name, help string, dst *T, parse func(string) (T, error)) {
+	fs.Func(name, help, func(s string) (err error) {
+		*dst, err = parse(s)
+		return err
+	})
 }
 
 // runFlags defines the flags of one simulation (run, stats).
 func (o *cliOpts) runFlags(fs *flag.FlagSet) {
-	fs.StringVar(&o.app, "app", "route", "application")
-	fs.IntVar(&o.opt.Packets, "packets", 0, "packets (at least 1000)")
-	fs.Uint64Var(&o.opt.Seed, "seed", 0, "seed (0 = 1)")
-	fs.Float64Var(&o.opt.FaultScale, "scale", 0, "fault-rate multiplier (at least 1)")
-	fs.Float64Var(&o.cr, "cr", 1, "relative cycle time")
-	fs.BoolVar(&o.dynamic, "dynamic", false, "use the dynamic frequency controller")
+	fs.StringVar(&o.run.App, "app", "route", "application")
+	fs.IntVar(&o.run.Packets, "packets", 0, "packets (at least 1000)")
+	fs.Uint64Var(&o.run.Seed, "seed", 0, "seed (0 = 1)")
+	fs.Float64Var(&o.run.FaultScale, "scale", 0, "fault-rate multiplier (at least 1)")
+	fs.Float64Var(&o.run.CycleTime, "cr", 1, "relative cycle time")
+	fs.BoolVar(&o.run.Dynamic, "dynamic", false, "use the dynamic frequency controller")
 	fs.BoolVar(&o.parity, "parity", false, "enable parity detection")
-	fs.IntVar(&o.strikes, "strikes", 1, "recovery strikes under parity")
-	o.recoveryFlag(fs)
-	fs.Func("regime", "fault regime: paper (the default; memoryless), burst (Gilbert-Elliott droop episodes), or permanent (stuck-at cell map over the paper process)",
-		func(s string) (err error) {
-			o.regime, err = clumsy.ParseFaultRegime(s)
-			return err
-		})
-	fs.Float64Var(&o.opt.MaxDropRate, "max-drop-rate", 0, "under drop or degrade, fail the run once its dropped fraction exceeds this (0 = unlimited)")
-	fs.Float64Var(&o.watchdog, "watchdog", 0, "per-packet instruction budget as a multiple of the golden worst packet (0 = default 500)")
+	fs.IntVar(&o.run.Strikes, "strikes", 1, "recovery strikes under parity")
+	parsedFlag(fs, "recovery", recoveryHelp, &o.run.Recovery, clumsy.ParseRecoveryPolicy)
+	parsedFlag(fs, "regime", "fault regime: paper (the default; memoryless), burst (Gilbert-Elliott droop episodes), or permanent (stuck-at cell map over the paper process)",
+		&o.run.Regime, clumsy.ParseFaultRegime)
+	fs.Float64Var(&o.run.MaxDropRate, "max-drop-rate", 0, "under drop or degrade, fail the run once its dropped fraction exceeds this (0 = unlimited)")
+	fs.Float64Var(&o.run.WatchdogFactor, "watchdog", 0, "per-packet instruction budget as a multiple of the golden worst packet (0 = default 500)")
 	fs.StringVar(&o.tracePath, "trace", "", "replay this binary trace file (from clumsy trace -out) instead of generating one")
-	fs.IntVar(&o.scrub, "scrub", 0, "stateful apps: flow-table scrub interval in packets (0 = default 64, negative = disabled)")
-	fs.IntVar(&o.stateStr, "state-strikes", 0, "stateful apps: per-record corruption strikes before the run is unrecoverable (0 = default 4)")
+	fs.IntVar(&o.run.ScrubInterval, "scrub", 0, "stateful apps: flow-table scrub interval in packets (0 = default 64, negative = disabled)")
+	fs.IntVar(&o.run.StateStrikes, "state-strikes", 0, "stateful apps: per-record corruption strikes before the run is unrecoverable (0 = default 4)")
 	o.workloadFlags(fs)
 	fs.StringVar(&o.out, "out", "", "write the output to this file atomically instead of stdout")
 	o.observabilityFlags(fs)
@@ -270,11 +235,11 @@ func (o *cliOpts) runFlags(fs *flag.FlagSet) {
 
 // workloadFlags defines the workload-v2 flags.
 func (o *cliOpts) workloadFlags(fs *flag.FlagSet) {
-	fs.StringVar(&o.shape, "shape", "", "workload temporal shape: steady, diurnal, flash, or onoff (empty = canonical trace)")
-	fs.StringVar(&o.shape2, "shape2", "", "second shape multiplied onto -shape, mean rate renormalized to 1 (empty = no stacking)")
-	fs.IntVar(&o.periods2, "periods2", 0, "cycle count of the -shape2 profile (0 = that shape's default)")
-	fs.Float64Var(&o.adversarial, "adversarial", 0, "fraction of packets replaced by malformed wire images")
-	fs.Float64Var(&o.churn, "churn", 0, "fraction of packets rewritten into fresh one-packet flows")
+	parsedFlag(fs, "shape", "workload temporal shape: steady, diurnal, flash, or onoff (unset = canonical trace)", &o.wl.Shape, workload.ParseShape)
+	parsedFlag(fs, "shape2", "second shape multiplied onto -shape, mean rate renormalized to 1 (unset = no stacking)", &o.wl.Shape2, workload.ParseShape)
+	fs.IntVar(&o.wl.Periods2, "periods2", 0, "cycle count of the -shape2 profile (0 = that shape's default)")
+	fs.Float64Var(&o.wl.Adversarial, "adversarial", 0, "fraction of packets replaced by malformed wire images")
+	fs.Float64Var(&o.wl.Churn, "churn", 0, "fraction of packets rewritten into fresh one-packet flows")
 }
 
 // observabilityFlags defines the host-side observability flags.
@@ -292,94 +257,32 @@ var (
 	fleetStudyFlags = []string{"trials", "journal", "resume", "run-timeout", "retries", "retry-backoff"}
 )
 
-// fleetFlags adds the single-run flags to the fleet study's flags.
-func (o *cliOpts) fleetFlags(fs *flag.FlagSet) {
-	fs.IntVar(&o.faulty, "faulty", -1, "run one fleet simulation with this many hostile nodes (-1 = run the degradation study)")
-	fs.IntVar(&o.nodes, "nodes", 0, "-faulty run: node count (0 = 8)")
-	fs.Func("dispatch", "-faulty run: dispatch policy, flow (the default) or least", func(s string) (err error) {
-		o.dispatch, err = cluster.ParseDispatchPolicy(s)
-		return err
-	})
-	fs.Float64Var(&o.cr, "cr", 0, "-faulty run: relative cycle time of every node (0 = 0.5)")
-	fs.BoolVar(&o.dynamic, "dynamic", false, "-faulty run: dynamic frequency control on every node")
-	o.recoveryFlag(fs)
-	o.workloadFlags(fs)
-}
-
 // checkFleet rejects the flags the chosen fleet mode does not read.
-func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) error {
-	var misuse error
+func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) {
+	unread, only := fleetRunFlags, "one fleet simulation (-faulty N)"
+	if o.fleet.FaultyNodes >= 0 {
+		unread, only = fleetStudyFlags, "the degradation study (no -faulty)"
+	}
 	fs.Visit(func(f *flag.Flag) {
-		switch {
-		case misuse != nil:
-		case o.faulty < 0 && slices.Contains(fleetRunFlags, f.Name):
-			misuse = fmt.Errorf("fleet: -%s applies only to one fleet simulation (-faulty N)", f.Name)
-		case o.faulty >= 0 && slices.Contains(fleetStudyFlags, f.Name):
-			misuse = fmt.Errorf("fleet: -%s applies only to the degradation study (no -faulty)", f.Name)
+		if err == nil && slices.Contains(unread, f.Name) {
+			err = fmt.Errorf("fleet: -%s applies only to %s", f.Name, only)
 		}
 	})
-	if misuse != nil {
-		return misuse
-	}
-	if o.faulty < 0 {
+	switch {
+	case err != nil:
+		return err
+	case o.fleet.FaultyNodes < 0:
 		return st.Check(o.app, o.format)
 	}
-	if o.format != "text" && o.format != "json" {
-		return fmt.Errorf("fleet -faulty: unknown format %q (want text or json)", o.format)
-	}
-	return o.parseWorkload()
+	return textOrJSON("fleet -faulty", o.format)
 }
 
-// parseWorkload builds the workload-v2 spec from the workload flags.
-func (o *cliOpts) parseWorkload() error {
-	if o.shape == "" && o.shape2 == "" && o.adversarial <= 0 && o.churn <= 0 {
-		return nil
+// textOrJSON rejects an output format other than text or json.
+func textOrJSON(cmd, format string) error {
+	if format != "text" && format != "json" {
+		return fmt.Errorf("%s: unknown format %q (want text or json)", cmd, format)
 	}
-	sh, sh2 := workload.ShapeSteady, workload.ShapeSteady
-	var err error
-	if o.shape != "" {
-		if sh, err = workload.ParseShape(o.shape); err != nil {
-			return err
-		}
-	}
-	if o.shape2 != "" {
-		if sh2, err = workload.ParseShape(o.shape2); err != nil {
-			return err
-		}
-	}
-	o.wl = &workload.Spec{Shape: sh, Shape2: sh2, Periods2: o.periods2,
-		Adversarial: o.adversarial, Churn: o.churn}
 	return nil
-}
-
-// runConfig builds the single-run configuration of the run/stats commands.
-func (o *cliOpts) runConfig() clumsy.Config {
-	return clumsy.Config{
-		App:            o.app,
-		Packets:        max(o.opt.Packets, 1000),
-		Seed:           max64(o.opt.Seed, 1),
-		CycleTime:      o.cr,
-		Dynamic:        o.dynamic,
-		Detection:      detectionOf(o.parity),
-		Strikes:        o.strikes,
-		FaultScale:     maxf(o.opt.FaultScale, 1),
-		Regime:         o.regime,
-		Recovery:       o.opt.Recovery,
-		MaxDropRate:    o.opt.MaxDropRate,
-		WatchdogFactor: o.watchdog,
-		ScrubInterval:  o.scrub,
-		StateStrikes:   o.stateStr,
-		Workload:       o.wl,
-	}
-}
-
-// runAndReport executes one run and prints its full report.
-func (o *cliOpts) runAndReport(w io.Writer) error {
-	res, err := runOne(o.runConfig(), o.tracePath)
-	if err != nil {
-		return err
-	}
-	return report(w, res)
 }
 
 // stats executes one run exactly like `run` (same defaults and seeding, so
@@ -389,7 +292,7 @@ func (o *cliOpts) stats(w io.Writer) error {
 	if o.describe {
 		return describeNames(w)
 	}
-	if _, err := runOne(o.runConfig(), o.tracePath); err != nil {
+	if _, err := o.runOne(); err != nil {
 		return err
 	}
 	if o.format == "json" {
@@ -401,21 +304,17 @@ func (o *cliOpts) stats(w io.Writer) error {
 // fleetRun runs one fleet simulation: N nodes, the given hostile count,
 // full health lifecycle, SLO report (text, or -format json).
 func (o *cliOpts) fleetRun(w io.Writer) error {
-	r, err := cluster.Run(cluster.Config{
-		App:             o.app,
-		Nodes:           o.nodes,
-		Packets:         o.opt.Packets,
-		Seed:            o.opt.Seed,
-		Dispatch:        o.dispatch,
-		FaultyNodes:     o.faulty,
-		FaultScale:      o.opt.FaultScale,
-		CycleTime:       o.cr,
-		Dynamic:         o.dynamic,
-		Recovery:        o.opt.Recovery,
-		NodeMaxDropRate: o.opt.MaxDropRate,
-		Workload:        o.wl,
-		Telemetry:       o.tel,
-	})
+	cfg := o.fleet
+	cfg.App = o.app
+	cfg.Packets = o.opt.Packets
+	cfg.Seed = o.opt.Seed
+	cfg.FaultScale = o.opt.FaultScale
+	cfg.NodeMaxDropRate = o.opt.MaxDropRate
+	if !o.wl.IsZero() {
+		cfg.Workload = &o.wl
+	}
+	cfg.Telemetry = o.tel
+	r, err := cluster.Run(cfg)
 	if err != nil {
 		return err
 	}
@@ -423,15 +322,6 @@ func (o *cliOpts) fleetRun(w io.Writer) error {
 		return r.WriteJSON(w)
 	}
 	return r.WriteText(w)
-}
-
-// render writes fn's output to w, or atomically to the -out file, so a
-// cancelled or failed command leaves no partial file.
-func (o *cliOpts) render(w io.Writer, fn func(io.Writer) error) error {
-	if o.out == "" {
-		return fn(w)
-	}
-	return atomicio.WriteFile(o.out, fn)
 }
 
 // run parses the command's flags, stands up the observability stack
@@ -455,7 +345,7 @@ func run(args []string, w io.Writer) (err error) {
 		return err
 	}
 	o.args = c.fs.Args()
-	if len(o.args) > 0 && args[0] != "bench" {
+	if len(o.args) > 0 && !o.compare {
 		return fmt.Errorf("%s: unexpected arguments %v (flags go before arguments)", args[0], o.args)
 	}
 	if o.resume && o.journalPath == "" {
@@ -542,7 +432,12 @@ func run(args []string, w io.Writer) (err error) {
 	if o.memprofile != "" {
 		defer writeHeapProfile(o.memprofile)
 	}
-	err = c.exec(w)
+	if o.out != "" {
+		// Atomic: a cancelled or failed command leaves no partial file.
+		err = atomicio.WriteFile(o.out, c.exec)
+	} else {
+		err = c.exec(w)
+	}
 	if errors.Is(err, context.Canceled) {
 		// Interrupted: report how much of the campaign survives, and how to
 		// pick it back up.
@@ -603,34 +498,6 @@ func describeNames(w io.Writer) error {
 	return tw.Flush()
 }
 
-func detectionOf(parity bool) cache.Detection {
-	if parity {
-		return cache.DetectionParity
-	}
-	return cache.DetectionNone
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // dumpTrace generates an application's workload and either writes it as a
 // binary trace file or prints a human-readable summary.
 func dumpTrace(w io.Writer, appName string, packets int, seed uint64, out string) error {
@@ -674,13 +541,23 @@ func ipString(a uint32) string {
 	return fmt.Sprintf("%d.%d.%d.%d", a>>24, a>>16&0xff, a>>8&0xff, a&0xff)
 }
 
-// runOne executes one configuration. If tracePath is non-empty, the stored
-// trace is replayed instead of generating one.
-func runOne(cfg clumsy.Config, tracePath string) (*clumsy.Result, error) {
-	if tracePath == "" {
+// runOne executes the one simulation the run/stats flags configure. With
+// -trace, the stored trace is replayed instead of generating one.
+func (o *cliOpts) runOne() (*clumsy.Result, error) {
+	cfg := o.run
+	cfg.Packets = max(cfg.Packets, 1000)
+	cfg.Seed = max(cfg.Seed, 1)
+	cfg.FaultScale = max(cfg.FaultScale, 1)
+	if o.parity {
+		cfg.Detection = cache.DetectionParity
+	}
+	if !o.wl.IsZero() {
+		cfg.Workload = &o.wl
+	}
+	if o.tracePath == "" {
 		return clumsy.Run(cfg)
 	}
-	f, err := os.Open(tracePath)
+	f, err := os.Open(o.tracePath)
 	if err != nil {
 		return nil, err
 	}
@@ -692,8 +569,12 @@ func runOne(cfg clumsy.Config, tracePath string) (*clumsy.Result, error) {
 	return clumsy.RunWithTrace(cfg, tr)
 }
 
-// report prints the full human-readable report of one run.
-func report(w io.Writer, res *clumsy.Result) error {
+// report executes one run and prints its full human-readable report.
+func (o *cliOpts) report(w io.Writer) error {
+	res, err := o.runOne()
+	if err != nil {
+		return err
+	}
 	cfg := res.Config
 	e := metrics.DefaultExponents()
 	fmt.Fprintf(w, "app %s  Cr=%g dynamic=%v detection=%v strikes=%d scale=%g\n",
@@ -770,8 +651,9 @@ studies (-format text|csv; resumable with -journal f.jsonl -resume):
 	for _, st := range experiment.Studies() {
 		fmt.Fprintf(w, "  %-16s %s\n", st.Name, st.Help)
 	}
-	fmt.Fprintf(w, "\nsingle runs and tools:\n")
-	for _, h := range helps {
-		fmt.Fprintf(w, "  %-16s %s\n", h.name, h.help)
+	fmt.Fprint(w, "\nsingle runs and tools:\n  fleet -faulty N  one fleet simulation with an SLO report\n")
+	for _, name := range tools {
+		c, _ := newCommand(name, &cliOpts{})
+		fmt.Fprintf(w, "  %-16s %s\n", name, c.help)
 	}
 }

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"clumsy/internal/apps"
 )
@@ -28,7 +29,7 @@ type Study struct {
 }
 
 // studyFunc runs a study for app and renders it to out.
-type studyFunc func(o Options, app string, out output) error
+type studyFunc func(o Options, app string, out *output) error
 
 // ReadsApp reports whether the study takes an application.
 func (s Study) ReadsApp() bool { return s.App != "" || s.NeedsApp }
@@ -36,12 +37,9 @@ func (s Study) ReadsApp() bool { return s.App != "" || s.NeedsApp }
 // Check reports whether the study accepts app (empty = the study's
 // default) and the output format (empty = text).
 func (s Study) Check(app, format string) error {
-	switch format {
-	case "", "text", "csv":
-	default:
-		return fmt.Errorf("%s: unknown format %q (want text or csv)", s.Name, format)
-	}
 	switch {
+	case format != "" && format != "text" && format != "csv":
+		return fmt.Errorf("%s: unknown format %q (want text or csv)", s.Name, format)
 	case app == "" && s.NeedsApp:
 		return fmt.Errorf("%s: needs an app", s.Name)
 	case app == "":
@@ -62,20 +60,23 @@ func (s Study) Run(o Options, app, format string, w io.Writer) error {
 	if app == "" {
 		app = s.App
 	}
-	return s.run(o, app, output{w: w, csv: format == "csv"})
+	out := &output{w: w, csv: format == "csv"}
+	if err := s.run(o, app, out); err != nil {
+		return err
+	}
+	return out.err
 }
 
 // Studies returns the registry in listing order.
-func Studies() []Study { return append([]Study(nil), studies...) }
+func Studies() []Study { return slices.Clone(studies) }
 
 // LookupStudy returns the registry entry of a study name.
 func LookupStudy(name string) (Study, bool) {
-	for _, s := range studies {
-		if s.Name == name {
-			return s, true
-		}
+	i := slices.IndexFunc(studies, func(s Study) bool { return s.Name == name })
+	if i < 0 {
+		return Study{}, false
 	}
-	return Study{}, false
+	return studies[i], true
 }
 
 // studies is the registry. The per-study journal keys live in the study
@@ -91,14 +92,14 @@ var studies = []Study{
 	{Name: "fig6", Help: "error probabilities per plane (control/data/both); route by default", App: "route", Recovery: true, run: runFig6},
 	{Name: "fig7", Help: "error probabilities per plane (control/data/both); nat by default", App: "nat", Recovery: true, run: runFig7},
 	{Name: "fig8", Help: "fatal error probabilities per application", Recovery: true, run: runFig8},
-	{Name: "fig9", Help: "EDF^2 panels: route, crc", Recovery: true, run: runEDFPanels(0, 1)},
-	{Name: "fig10", Help: "EDF^2 panels: md5, tl", Recovery: true, run: runEDFPanels(2, 3)},
-	{Name: "fig11", Help: "EDF^2 panels: drr, nat", Recovery: true, run: runEDFPanels(4, 5)},
-	{Name: "fig12", Help: "EDF^2 panels: url, average of all applications", Recovery: true, run: runEDFPanels(6, 7)},
+	{Name: "fig9", Help: "EDF^2 panels: route, crc", Recovery: true, run: runEDFPanels("route", "crc")},
+	{Name: "fig10", Help: "EDF^2 panels: md5, tl", Recovery: true, run: runEDFPanels("md5", "tl")},
+	{Name: "fig11", Help: "EDF^2 panels: drr, nat", Recovery: true, run: runEDFPanels("drr", "nat")},
+	{Name: "fig12", Help: "EDF^2 panels: url, average of all applications", Recovery: true, run: runEDFPanels("url", "average")},
 	{Name: "all", Help: "every paper figure and table in paper order, then the claims verdict", Recovery: true, run: runAll},
 	{Name: "verify", Help: "check the paper's headline claims (fails if one does not hold)", Recovery: true, run: runVerify},
 	{Name: "errors", Help: "per-plane error behaviour sweep for one app (fig6/fig7 without their titles)", NeedsApp: true, Recovery: true, run: runErrorSweep("Service error sweep")},
-	{Name: "edf", Help: "EDF^2 recovery x operating-point grid for one app", NeedsApp: true, Recovery: true, run: runEDF},
+	{Name: "edf", Help: "EDF^2 recovery x operating-point grid for one app", NeedsApp: true, Recovery: true, run: edfTable("Service EDF grid")},
 	{Name: "ecc", Help: "SEC-DED error correction vs parity vs no detection", App: "route", Recovery: true, run: runECC},
 	{Name: "subblock", Help: "sub-block (per-word) recovery vs full-line invalidation", App: "route", Recovery: true, run: runSubBlock},
 	{Name: "exponents", Help: "sensitivity of the winner to the EDF metric weights", App: "route", Recovery: true, run: runExponents},
@@ -113,10 +114,12 @@ var studies = []Study{
 }
 
 // output is the one render path of every study: tables and figures as
-// aligned text or CSV, separated by blank lines.
+// aligned text or CSV, separated by blank lines. It keeps the first write
+// error, which Study.Run reports, and writes nothing after it.
 type output struct {
 	w   io.Writer
 	csv bool
+	err error
 }
 
 // renderer is a Table or a Figure.
@@ -125,141 +128,133 @@ type renderer interface {
 	RenderCSV(io.Writer) error
 }
 
-func (out output) emit(r renderer) error {
-	if out.csv {
-		return r.RenderCSV(out.w)
+// emit renders r in the output's format.
+func (out *output) emit(r renderer) {
+	switch {
+	case out.err != nil:
+	case out.csv:
+		out.err = r.RenderCSV(out.w)
+	default:
+		r.Render(out.w)
 	}
-	r.Render(out.w)
-	return nil
 }
 
 // blank writes the blank line that separates renderings.
-func (out output) blank() error {
-	_, err := fmt.Fprintln(out.w)
-	return err
+func (out *output) blank() {
+	if out.err == nil {
+		_, out.err = fmt.Fprintln(out.w)
+	}
 }
 
-// each emits every table, each followed by a blank line.
-func (out output) each(tables []*Table) error {
-	for _, t := range tables {
-		if err := out.emit(t); err != nil {
-			return err
-		}
-		if err := out.blank(); err != nil {
-			return err
-		}
+// spaced emits every rendering, each followed by a blank line.
+func spaced[R renderer](out *output, rs ...R) {
+	for _, r := range rs {
+		out.emit(r)
+		out.blank()
 	}
-	return nil
 }
 
 func runFigure(f func() *Figure) studyFunc {
-	return func(_ Options, _ string, out output) error { return out.emit(f()) }
+	return func(_ Options, _ string, out *output) error {
+		out.emit(f())
+		return nil
+	}
+}
+
+// table adapts a study that reads no app and renders one table.
+func table[T any](compute func(Options) (T, error), render func(T, Options) *Table) studyFunc {
+	return appTable(func(_ string, o Options) (T, error) { return compute(o) },
+		func(_ string, v T, o Options) *Table { return render(v, o) })
 }
 
 // appTable adapts a per-app study that renders one table.
 func appTable[T any](compute func(string, Options) (T, error), render func(string, T, Options) *Table) studyFunc {
-	return func(o Options, app string, out output) error {
+	return func(o Options, app string, out *output) error {
 		v, err := compute(app, o)
-		if err != nil {
-			return err
+		if err == nil {
+			out.emit(render(app, v, o))
 		}
-		return out.emit(render(app, v, o))
-	}
-}
-
-func runTable1(o Options, _ string, out output) error {
-	rows, err := Table1(o)
-	if err != nil {
 		return err
 	}
-	return out.emit(Table1Render(rows, o))
 }
 
+// The studies that other studies reuse.
 var (
-	runFig6 = runErrorSweep("Figure 6")
-	runFig7 = runErrorSweep("Figure 7")
+	runTable1    = table(Table1, Table1Render)
+	runFig6      = runErrorSweep("Figure 6")
+	runFig7      = runErrorSweep("Figure 7")
+	runFig8      = table(Fig8, Fig8Render)
+	runECC       = appTable(ExtDetection, ExtDetectionRender)
+	runSubBlock  = appTable(ExtSubBlock, ExtSubBlockRender)
+	runExponents = appTable(ExtExponents, ExtExponentsRender)
+	runDVS       = appTable(ExtDVS, ExtDVSRender)
+	runGeometry  = appTable(ExtGeometry, ExtGeometryRender)
+	runTuning    = appTable(ExtTuning, ExtTuningRender)
 )
 
 func runErrorSweep(label string) studyFunc {
-	return func(o Options, app string, out output) error {
+	return func(o Options, app string, out *output) error {
 		sweeps, err := ErrorBehaviour(app, o)
 		if err != nil {
 			return err
 		}
-		return out.each(ErrorBehaviourRender(sweeps, label, o))
+		spaced(out, ErrorBehaviourRender(sweeps, label, o)...)
+		return nil
 	}
-}
-
-func runFig8(o Options, _ string, out output) error {
-	rows, err := Fig8(o)
-	if err != nil {
-		return err
-	}
-	return out.emit(Fig8Render(rows, o))
 }
 
 // edfPanelApps are the applications of the Figure 9–12 panels in order,
 // two panels per figure.
 var edfPanelApps = []string{"route", "crc", "md5", "tl", "drr", "nat", "url", "average"}
 
-// edfPanelTitle names the i-th Figure 9–12 panel, e.g. "Figure 9(a)".
-func edfPanelTitle(i int) string { return fmt.Sprintf("Figure %d(%c)", 9+i/2, 'a'+i%2) }
+// edfPanelTitle names the panel of an app in edfPanelApps, e.g. "Figure 9(a)".
+func edfPanelTitle(app string) string {
+	i := slices.Index(edfPanelApps, app)
+	return fmt.Sprintf("Figure %d(%c)", 9+i/2, 'a'+i%2)
+}
 
-// runEDFPanels renders the given Figure 9–12 panels, each from its own grid.
-func runEDFPanels(panels ...int) studyFunc {
-	return func(o Options, _ string, out output) error {
-		for _, i := range panels {
-			var r *EDFResult
-			var err error
-			if app := edfPanelApps[i]; app == "average" {
-				var rs []*EDFResult
-				rs, err = AllEDF(o)
-				if err == nil {
-					r = rs[len(rs)-1]
-				}
-			} else {
-				r, err = EDFGrid(app, o)
-			}
+// runEDFPanels renders the Figure 9–12 panels of the given apps.
+func runEDFPanels(panelApps ...string) studyFunc {
+	return func(o Options, _ string, out *output) error {
+		for _, app := range panelApps {
+			r, err := edfPanel(app, o)
 			if err != nil {
 				return err
 			}
-			if err := out.emit(EDFRender(r, edfPanelTitle(i), o)); err != nil {
-				return err
-			}
-			if err := out.blank(); err != nil {
-				return err
-			}
+			out.emit(EDFRender(r, edfPanelTitle(app), o))
+			out.blank()
 		}
 		return nil
 	}
 }
 
-func runEDF(o Options, app string, out output) error {
-	r, err := EDFGrid(app, o)
-	if err != nil {
-		return err
+// edfPanel computes one Figure 9–12 panel: an app's grid, or for "average"
+// the mean over every application's grid.
+func edfPanel(app string, o Options) (*EDFResult, error) {
+	if app != "average" {
+		return EDFGrid(app, o)
 	}
-	return out.emit(EDFRender(r, "Service EDF grid", o))
+	rs, err := AllEDF(o)
+	if err != nil {
+		return nil, err
+	}
+	return rs[len(rs)-1], nil
+}
+
+// edfTable renders an app's EDF grid under a fixed title.
+func edfTable(title string) studyFunc {
+	return appTable(EDFGrid, func(_ string, r *EDFResult, o Options) *Table { return EDFRender(r, title, o) })
 }
 
 // runAll renders the paper's evaluation in paper order. The Figure 9–12
 // panels come from one AllEDF pass and render in its (Table I) order; the
 // claims table closes the campaign as a verdict, not a gate.
-func runAll(o Options, _ string, out output) error {
-	for _, f := range []func() *Figure{Fig1b, Fig2b, Fig3, Fig4, Fig5} {
-		if err := out.emit(f()); err != nil {
-			return err
-		}
-		if err := out.blank(); err != nil {
-			return err
-		}
-	}
+func runAll(o Options, _ string, out *output) error {
+	spaced(out, Fig1b(), Fig2b(), Fig3(), Fig4(), Fig5())
 	if err := runTable1(o, "", out); err != nil {
 		return err
 	}
-	if err := out.blank(); err != nil {
-		return err
-	}
+	out.blank()
 	if err := runFig6(o, "route", out); err != nil {
 		return err
 	}
@@ -269,41 +264,28 @@ func runAll(o Options, _ string, out output) error {
 	if err := runFig8(o, "", out); err != nil {
 		return err
 	}
-	if err := out.blank(); err != nil {
-		return err
-	}
+	out.blank()
 	results, err := AllEDF(o)
 	if err != nil {
 		return err
 	}
 	for _, r := range results {
-		for i, app := range edfPanelApps {
-			if app != r.App {
-				continue
-			}
-			if err := out.emit(EDFRender(r, edfPanelTitle(i), o)); err != nil {
-				return err
-			}
-			if err := out.blank(); err != nil {
-				return err
-			}
-		}
+		out.emit(EDFRender(r, edfPanelTitle(r.App), o))
+		out.blank()
 	}
 	claims, err := VerifyClaims(o)
-	if err != nil {
-		return err
+	if err == nil {
+		out.emit(VerifyRender(claims, o))
 	}
-	return out.emit(VerifyRender(claims, o))
+	return err
 }
 
-func runVerify(o Options, _ string, out output) error {
+func runVerify(o Options, _ string, out *output) error {
 	claims, err := VerifyClaims(o)
 	if err != nil {
 		return err
 	}
-	if err := out.emit(VerifyRender(claims, o)); err != nil {
-		return err
-	}
+	out.emit(VerifyRender(claims, o))
 	for _, c := range claims {
 		if !c.Pass {
 			return fmt.Errorf("claim %q failed", c.Name)
@@ -312,72 +294,47 @@ func runVerify(o Options, _ string, out output) error {
 	return nil
 }
 
-// runMedia runs the EDF grid on the IMA ADPCM codec: the paper notes its ideas
-// apply "to any type of processor that executes applications with fault
-// resiliency (e.g., media processors)".
-func runMedia(o Options, _ string, out output) error {
-	r, err := EDFGrid("adpcm", o)
-	if err != nil {
-		return err
-	}
-	return out.emit(EDFRender(r, "Extension: media processor (adpcm)", o))
+// runMedia runs the EDF grid on the IMA ADPCM codec: the paper notes its
+// ideas apply "to any type of processor that executes applications with
+// fault resiliency (e.g., media processors)".
+func runMedia(o Options, _ string, out *output) error {
+	return edfTable("Extension: media processor (adpcm)")(o, "adpcm", out)
 }
-
-// The extension studies that render one table for their app.
-var (
-	runECC       = appTable(ExtDetection, ExtDetectionRender)
-	runSubBlock  = appTable(ExtSubBlock, ExtSubBlockRender)
-	runExponents = appTable(ExtExponents, ExtExponentsRender)
-	runDVS       = appTable(ExtDVS, ExtDVSRender)
-	runGeometry  = appTable(ExtGeometry, ExtGeometryRender)
-	runTuning    = appTable(ExtTuning, ExtTuningRender)
-)
 
 // runExtensions runs every extension study in turn on app; media keeps
 // its codec.
-func runExtensions(o Options, app string, out output) error {
-	for _, run := range []studyFunc{
-		runECC, runSubBlock, runExponents, runDVS, runGeometry, runTuning, runMedia,
-	} {
+func runExtensions(o Options, app string, out *output) error {
+	for _, run := range []studyFunc{runECC, runSubBlock, runExponents, runDVS, runGeometry, runTuning, runMedia} {
 		if err := run(o, app, out); err != nil {
 			return err
 		}
-		if err := out.blank(); err != nil {
-			return err
-		}
+		out.blank()
 	}
 	return nil
 }
 
 // runReliability renders the regime x policy sweep over every application,
 // then the degradation curve for app.
-func runReliability(o Options, app string, out output) error {
+func runReliability(o Options, app string, out *output) error {
 	cells, err := Reliability(o)
 	if err != nil {
 		return err
 	}
-	if err := out.each(ReliabilityRender(cells, o)); err != nil {
-		return err
-	}
+	spaced(out, ReliabilityRender(cells, o)...)
 	points, err := ReliabilityCurve(app, o)
-	if err != nil {
-		return err
+	if err == nil {
+		out.emit(ReliabilityCurveRender(app, points, o))
 	}
-	return out.emit(ReliabilityCurveRender(app, points, o))
+	return err
 }
 
-func runState(o Options, _ string, out output) error {
+func runState(o Options, _ string, out *output) error {
+	run := appTable(StateIntegrity, StateIntegrityRender)
 	for i, app := range StateApps() {
 		if i > 0 {
-			if err := out.blank(); err != nil {
-				return err
-			}
+			out.blank()
 		}
-		cells, err := StateIntegrity(app, o)
-		if err != nil {
-			return err
-		}
-		if err := out.emit(StateIntegrityRender(app, cells, o)); err != nil {
+		if err := run(o, app, out); err != nil {
 			return err
 		}
 	}

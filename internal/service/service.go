@@ -149,14 +149,9 @@ func New(cfg Config) (*Service, error) {
 			// A spec that does not validate (edited on disk, or naming a
 			// study this build lacks) would fail every attempt: record it
 			// failed without opening its journal.
-			c.state = StateFailed
 			c.adopted = false
-			c.errMsg = err.Error()
+			s.finish(c, StateFailed, err)
 			close(c.done)
-			if perr := c.persistTerminal(); perr != nil {
-				s.logf("campaign %s: recording terminal state: %v", c.ID, perr)
-			}
-			s.logf("campaign %s: not adopted, invalid spec: %v", c.ID, err)
 			continue
 		}
 		// Adoption bypasses the queue bound: recovered work is never
@@ -469,10 +464,7 @@ func (s *Service) runAttempt(ctx context.Context, c *Campaign, resume bool) (err
 	c.journal = j
 	c.cellsDone = loaded
 	c.mu.Unlock()
-	opt, err := c.Spec.options()
-	if err != nil {
-		return err
-	}
+	opt := c.Spec.options()
 	opt.Ctx = actx
 	opt.Journal = j
 	opt.RunTimeout = s.cfg.CellTimeout

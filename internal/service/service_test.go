@@ -73,13 +73,9 @@ func smallSpec() Spec {
 // would, for byte-identity comparisons.
 func renderDirect(t *testing.T, sp Spec) []byte {
 	t.Helper()
-	o, err := sp.options()
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, _ := experiment.LookupStudy(sp.Study)
 	var buf bytes.Buffer
-	if err := st.Run(o, sp.App, sp.Format, &buf); err != nil {
+	if err := st.Run(sp.options(), sp.App, sp.Format, &buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()

@@ -48,13 +48,11 @@ func (sp Spec) Validate() error {
 	if !ok {
 		return fmt.Errorf("service: unknown study %q (clumsyd -h lists the studies)", sp.Study)
 	}
-	if sp.Recovery != "" {
-		if !st.Recovery {
-			return fmt.Errorf("service: study %q sets its own recovery policy", sp.Study)
-		}
-		if _, err := clumsy.ParseRecoveryPolicy(sp.Recovery); err != nil {
-			return err
-		}
+	if sp.Recovery != "" && !st.Recovery {
+		return fmt.Errorf("service: study %q sets its own recovery policy", sp.Study)
+	}
+	if _, err := clumsy.ParseRecoveryPolicy(sp.Recovery); err != nil {
+		return err
 	}
 	if err := st.Check(sp.App, sp.Format); err != nil {
 		return fmt.Errorf("service: %w", err)
@@ -65,24 +63,19 @@ func (sp Spec) Validate() error {
 	return nil
 }
 
-// options maps the spec onto experiment.Options. Context, journal, and
-// supervision knobs are filled in by the supervisor per attempt.
-func (sp Spec) options() (experiment.Options, error) {
-	o := experiment.Options{
+// options maps a validated spec onto experiment.Options. Context,
+// journal, and supervision knobs are filled in by the supervisor per
+// attempt.
+func (sp Spec) options() experiment.Options {
+	pol, _ := clumsy.ParseRecoveryPolicy(sp.Recovery) // Validate rejected any other spelling
+	return experiment.Options{
 		Packets:     sp.Packets,
 		Trials:      sp.Trials,
 		FaultScale:  sp.FaultScale,
 		Seed:        sp.Seed,
+		Recovery:    pol,
 		MaxDropRate: sp.MaxDropRate,
 	}
-	if sp.Recovery != "" {
-		pol, err := clumsy.ParseRecoveryPolicy(sp.Recovery)
-		if err != nil {
-			return o, err
-		}
-		o.Recovery = pol
-	}
-	return o, nil
 }
 
 // runStudy renders a validated spec's study into w. It is a variable so
