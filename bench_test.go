@@ -39,7 +39,7 @@ func BenchmarkStudy(b *testing.B) {
 		}
 		printed := !*renderOutput
 		b.Run(st.Name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
+			for b.Loop() {
 				w := io.Discard
 				if !printed {
 					w, printed = os.Stdout, true

@@ -146,8 +146,6 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		runStudy := func(w io.Writer) error { return st.Run(o.opt, o.app, o.format, w) }
 		c.exec = runStudy
 		if name == "fleet" {
-			// The fleet command is the fleet study, or with -faulty N one
-			// fleet simulation.
 			c.help += fmt.Sprintf("; with -faulty N, one fleet simulation instead.\n  Only a -faulty run reads -%s;\n  only the study reads -%s.",
 				strings.Join(fleetRunFlags, " -"), strings.Join(fleetStudyFlags, " -"))
 			fs.IntVar(&o.fleet.FaultyNodes, "faulty", -1, "run one fleet simulation with this many hostile nodes (-1 = run the degradation study)")

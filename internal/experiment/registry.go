@@ -79,27 +79,30 @@ func LookupStudy(name string) (Study, bool) {
 	return studies[i], true
 }
 
-// studies is the registry. The per-study journal keys live in the study
-// functions themselves, so renaming or reordering entries here leaves
-// existing journals resumable.
+// studies is the registry. It holds only functions known at compile
+// time, so a program that never looks a study up links none of them. The
+// per-study journal keys live in the study functions themselves, so
+// renaming or reordering entries here leaves existing journals resumable.
 var studies = []Study{
-	{Name: "fig1b", Help: "voltage swing vs cycle time (circuit model)", run: runFigure(Fig1b)},
-	{Name: "fig2b", Help: "SRAM noise-immunity curves", run: runFigure(Fig2b)},
-	{Name: "fig3", Help: "switching-combination noise distribution", run: runFigure(Fig3)},
-	{Name: "fig4", Help: "fault probability vs voltage swing", run: runFigure(Fig4)},
-	{Name: "fig5", Help: "fault probability vs cycle time + fitted formula (Eq. 4)", run: runFigure(Fig5)},
+	{Name: "fig1b", Help: "voltage swing vs cycle time (circuit model)", run: func(_ Options, _ string, out *output) error { return figure(out, Fig1b) }},
+	{Name: "fig2b", Help: "SRAM noise-immunity curves", run: func(_ Options, _ string, out *output) error { return figure(out, Fig2b) }},
+	{Name: "fig3", Help: "switching-combination noise distribution", run: func(_ Options, _ string, out *output) error { return figure(out, Fig3) }},
+	{Name: "fig4", Help: "fault probability vs voltage swing", run: func(_ Options, _ string, out *output) error { return figure(out, Fig4) }},
+	{Name: "fig5", Help: "fault probability vs cycle time + fitted formula (Eq. 4)", run: func(_ Options, _ string, out *output) error { return figure(out, Fig5) }},
 	{Name: "table1", Help: "application properties and fallibility factors", Recovery: true, run: runTable1},
 	{Name: "fig6", Help: "error probabilities per plane (control/data/both); route by default", App: "route", Recovery: true, run: runFig6},
 	{Name: "fig7", Help: "error probabilities per plane (control/data/both); nat by default", App: "nat", Recovery: true, run: runFig7},
 	{Name: "fig8", Help: "fatal error probabilities per application", Recovery: true, run: runFig8},
-	{Name: "fig9", Help: "EDF^2 panels: route, crc", Recovery: true, run: runEDFPanels("route", "crc")},
-	{Name: "fig10", Help: "EDF^2 panels: md5, tl", Recovery: true, run: runEDFPanels("md5", "tl")},
-	{Name: "fig11", Help: "EDF^2 panels: drr, nat", Recovery: true, run: runEDFPanels("drr", "nat")},
-	{Name: "fig12", Help: "EDF^2 panels: url, average of all applications", Recovery: true, run: runEDFPanels("url", "average")},
+	{Name: "fig9", Help: "EDF^2 panels: route, crc", Recovery: true, run: func(o Options, _ string, out *output) error { return edfPanels(o, out, "route", "crc") }},
+	{Name: "fig10", Help: "EDF^2 panels: md5, tl", Recovery: true, run: func(o Options, _ string, out *output) error { return edfPanels(o, out, "md5", "tl") }},
+	{Name: "fig11", Help: "EDF^2 panels: drr, nat", Recovery: true, run: func(o Options, _ string, out *output) error { return edfPanels(o, out, "drr", "nat") }},
+	{Name: "fig12", Help: "EDF^2 panels: url, average of all applications", Recovery: true, run: func(o Options, _ string, out *output) error { return edfPanels(o, out, "url", "average") }},
 	{Name: "all", Help: "every paper figure and table in paper order, then the claims verdict", Recovery: true, run: runAll},
 	{Name: "verify", Help: "check the paper's headline claims (fails if one does not hold)", Recovery: true, run: runVerify},
-	{Name: "errors", Help: "per-plane error behaviour sweep for one app (fig6/fig7 without their titles)", NeedsApp: true, Recovery: true, run: runErrorSweep("Service error sweep")},
-	{Name: "edf", Help: "EDF^2 recovery x operating-point grid for one app", NeedsApp: true, Recovery: true, run: edfTable("Service EDF grid")},
+	{Name: "errors", Help: "per-plane error behaviour sweep for one app (fig6/fig7 without their titles)", NeedsApp: true, Recovery: true,
+		run: func(o Options, app string, out *output) error { return errorSweep(o, app, out, "Service error sweep") }},
+	{Name: "edf", Help: "EDF^2 recovery x operating-point grid for one app", NeedsApp: true, Recovery: true,
+		run: func(o Options, app string, out *output) error { return edfTable(o, app, out, "Service EDF grid") }},
 	{Name: "ecc", Help: "SEC-DED error correction vs parity vs no detection", App: "route", Recovery: true, run: runECC},
 	{Name: "subblock", Help: "sub-block (per-word) recovery vs full-line invalidation", App: "route", Recovery: true, run: runSubBlock},
 	{Name: "exponents", Help: "sensitivity of the winner to the EDF metric weights", App: "route", Recovery: true, run: runExponents},
@@ -109,7 +112,8 @@ var studies = []Study{
 	{Name: "media", Help: "the claim beyond networking: EDF grid for an IMA ADPCM codec", Recovery: true, run: runMedia},
 	{Name: "extensions", Help: "ecc, subblock, exponents, dvs, geometry, tuning and media in turn", App: "route", Recovery: true, run: runExtensions},
 	{Name: "reliability", Help: "fault regime x recovery policy sweep, plus the degradation curve for one app", App: "route", run: runReliability},
-	{Name: "fleet", Help: "fleet degradation study: faulty-node fraction sweep of an 8-node fleet", App: "route", run: appTable(Fleet, FleetRender)},
+	{Name: "fleet", Help: "fleet degradation study: faulty-node fraction sweep of an 8-node fleet", App: "route",
+		run: func(o Options, app string, out *output) error { return table(o, app, out, Fleet, FleetRender) }},
 	{Name: "state", Help: "state-integrity study for the stateful apps (fw, flowtrack)", run: runState},
 }
 
@@ -154,53 +158,61 @@ func spaced[R renderer](out *output, rs ...R) {
 	}
 }
 
-func runFigure(f func() *Figure) studyFunc {
-	return func(_ Options, _ string, out *output) error {
-		out.emit(f())
-		return nil
+func figure(out *output, f func() *Figure) error {
+	out.emit(f())
+	return nil
+}
+
+// table computes a per-app study and renders it as one table.
+func table[T any](o Options, app string, out *output, compute func(string, Options) (T, error), render func(string, T, Options) *Table) error {
+	v, err := compute(app, o)
+	if err == nil {
+		out.emit(render(app, v, o))
 	}
+	return err
 }
 
-// table adapts a study that reads no app and renders one table.
-func table[T any](compute func(Options) (T, error), render func(T, Options) *Table) studyFunc {
-	return appTable(func(_ string, o Options) (T, error) { return compute(o) },
-		func(_ string, v T, o Options) *Table { return render(v, o) })
-}
-
-// appTable adapts a per-app study that renders one table.
-func appTable[T any](compute func(string, Options) (T, error), render func(string, T, Options) *Table) studyFunc {
-	return func(o Options, app string, out *output) error {
-		v, err := compute(app, o)
-		if err == nil {
-			out.emit(render(app, v, o))
-		}
-		return err
+// tableOf computes a study that reads no app and renders it as one table.
+func tableOf[T any](o Options, out *output, compute func(Options) (T, error), render func(T, Options) *Table) error {
+	v, err := compute(o)
+	if err == nil {
+		out.emit(render(v, o))
 	}
+	return err
 }
 
-// The studies that other studies reuse.
-var (
-	runTable1    = table(Table1, Table1Render)
-	runFig6      = runErrorSweep("Figure 6")
-	runFig7      = runErrorSweep("Figure 7")
-	runFig8      = table(Fig8, Fig8Render)
-	runECC       = appTable(ExtDetection, ExtDetectionRender)
-	runSubBlock  = appTable(ExtSubBlock, ExtSubBlockRender)
-	runExponents = appTable(ExtExponents, ExtExponentsRender)
-	runDVS       = appTable(ExtDVS, ExtDVSRender)
-	runGeometry  = appTable(ExtGeometry, ExtGeometryRender)
-	runTuning    = appTable(ExtTuning, ExtTuningRender)
-)
+func runTable1(o Options, _ string, out *output) error { return tableOf(o, out, Table1, Table1Render) }
+func runFig8(o Options, _ string, out *output) error   { return tableOf(o, out, Fig8, Fig8Render) }
 
-func runErrorSweep(label string) studyFunc {
-	return func(o Options, app string, out *output) error {
-		sweeps, err := ErrorBehaviour(app, o)
-		if err != nil {
-			return err
-		}
+func runFig6(o Options, app string, out *output) error { return errorSweep(o, app, out, "Figure 6") }
+func runFig7(o Options, app string, out *output) error { return errorSweep(o, app, out, "Figure 7") }
+
+func errorSweep(o Options, app string, out *output, label string) error {
+	sweeps, err := ErrorBehaviour(app, o)
+	if err == nil {
 		spaced(out, ErrorBehaviourRender(sweeps, label, o)...)
-		return nil
 	}
+	return err
+}
+
+// The extension studies, which extensions also runs in turn.
+func runECC(o Options, app string, out *output) error {
+	return table(o, app, out, ExtDetection, ExtDetectionRender)
+}
+func runSubBlock(o Options, app string, out *output) error {
+	return table(o, app, out, ExtSubBlock, ExtSubBlockRender)
+}
+func runExponents(o Options, app string, out *output) error {
+	return table(o, app, out, ExtExponents, ExtExponentsRender)
+}
+func runDVS(o Options, app string, out *output) error {
+	return table(o, app, out, ExtDVS, ExtDVSRender)
+}
+func runGeometry(o Options, app string, out *output) error {
+	return table(o, app, out, ExtGeometry, ExtGeometryRender)
+}
+func runTuning(o Options, app string, out *output) error {
+	return table(o, app, out, ExtTuning, ExtTuningRender)
 }
 
 // edfPanelApps are the applications of the Figure 9–12 panels in order,
@@ -213,19 +225,17 @@ func edfPanelTitle(app string) string {
 	return fmt.Sprintf("Figure %d(%c)", 9+i/2, 'a'+i%2)
 }
 
-// runEDFPanels renders the Figure 9–12 panels of the given apps.
-func runEDFPanels(panelApps ...string) studyFunc {
-	return func(o Options, _ string, out *output) error {
-		for _, app := range panelApps {
-			r, err := edfPanel(app, o)
-			if err != nil {
-				return err
-			}
-			out.emit(EDFRender(r, edfPanelTitle(app), o))
-			out.blank()
+// edfPanels renders the Figure 9–12 panels of the given apps.
+func edfPanels(o Options, out *output, panelApps ...string) error {
+	for _, app := range panelApps {
+		r, err := edfPanel(app, o)
+		if err != nil {
+			return err
 		}
-		return nil
+		out.emit(EDFRender(r, edfPanelTitle(app), o))
+		out.blank()
 	}
+	return nil
 }
 
 // edfPanel computes one Figure 9–12 panel: an app's grid, or for "average"
@@ -242,8 +252,12 @@ func edfPanel(app string, o Options) (*EDFResult, error) {
 }
 
 // edfTable renders an app's EDF grid under a fixed title.
-func edfTable(title string) studyFunc {
-	return appTable(EDFGrid, func(_ string, r *EDFResult, o Options) *Table { return EDFRender(r, title, o) })
+func edfTable(o Options, app string, out *output, title string) error {
+	r, err := EDFGrid(app, o)
+	if err == nil {
+		out.emit(EDFRender(r, title, o))
+	}
+	return err
 }
 
 // runAll renders the paper's evaluation in paper order. The Figure 9–12
@@ -273,11 +287,7 @@ func runAll(o Options, _ string, out *output) error {
 		out.emit(EDFRender(r, edfPanelTitle(r.App), o))
 		out.blank()
 	}
-	claims, err := VerifyClaims(o)
-	if err == nil {
-		out.emit(VerifyRender(claims, o))
-	}
-	return err
+	return tableOf(o, out, VerifyClaims, VerifyRender)
 }
 
 func runVerify(o Options, _ string, out *output) error {
@@ -298,7 +308,7 @@ func runVerify(o Options, _ string, out *output) error {
 // ideas apply "to any type of processor that executes applications with
 // fault resiliency (e.g., media processors)".
 func runMedia(o Options, _ string, out *output) error {
-	return edfTable("Extension: media processor (adpcm)")(o, "adpcm", out)
+	return edfTable(o, "adpcm", out, "Extension: media processor (adpcm)")
 }
 
 // runExtensions runs every extension study in turn on app; media keeps
@@ -321,20 +331,15 @@ func runReliability(o Options, app string, out *output) error {
 		return err
 	}
 	spaced(out, ReliabilityRender(cells, o)...)
-	points, err := ReliabilityCurve(app, o)
-	if err == nil {
-		out.emit(ReliabilityCurveRender(app, points, o))
-	}
-	return err
+	return table(o, app, out, ReliabilityCurve, ReliabilityCurveRender)
 }
 
 func runState(o Options, _ string, out *output) error {
-	run := appTable(StateIntegrity, StateIntegrityRender)
 	for i, app := range StateApps() {
 		if i > 0 {
 			out.blank()
 		}
-		if err := run(o, app, out); err != nil {
+		if err := table(o, app, out, StateIntegrity, StateIntegrityRender); err != nil {
 			return err
 		}
 	}
