@@ -21,8 +21,8 @@ type Study struct {
 	App      string
 	NeedsApp bool
 	// Recovery reports whether the study runs under the campaign-wide
-	// Options.Recovery. Studies that choose their recovery policies
-	// themselves do not take one.
+	// Options.Recovery. The circuit figures and the fleet study never read
+	// it, and reliability and state choose their policies themselves.
 	Recovery bool
 
 	run studyFunc

@@ -49,7 +49,7 @@ func (sp Spec) Validate() error {
 		return fmt.Errorf("service: unknown study %q (clumsyd -h lists the studies)", sp.Study)
 	}
 	if sp.Recovery != "" && !st.Recovery {
-		return fmt.Errorf("service: study %q sets its own recovery policy", sp.Study)
+		return fmt.Errorf("service: study %q takes no recovery policy", sp.Study)
 	}
 	if _, err := clumsy.ParseRecoveryPolicy(sp.Recovery); err != nil {
 		return err
