@@ -244,27 +244,6 @@ func TestL2SharedBetweenL1s(t *testing.T) {
 	}
 }
 
-func TestHierarchyInvalidateAll(t *testing.T) {
-	h := quiet(t)
-	a := h.Space.MustAlloc(64, 4)
-	if err := h.L1D.Store32(a, 42); err != nil {
-		t.Fatal(err)
-	}
-	h.InvalidateAll()
-	// Dirty data dropped without write-back: backing store still zero.
-	v, err := h.Space.Load32(a)
-	if err != nil || v != 0 {
-		t.Fatalf("backing store after invalidate = %v, %v", v, err)
-	}
-	misses := h.L1D.Stats.ReadMisses
-	if _, err := h.L1D.Load32(a); err != nil {
-		t.Fatal(err)
-	}
-	if h.L1D.Stats.ReadMisses != misses+1 {
-		t.Fatal("access after invalidate should miss")
-	}
-}
-
 func TestAccessorGetters(t *testing.T) {
 	h := quiet(t)
 	if h.L1D.CycleTime() != 1 {

@@ -12,12 +12,12 @@ import (
 // write-path fault left behind in the array (parity goes stale).
 func corruptWord(t *testing.T, h *Hierarchy, a simmem.Addr) {
 	t.Helper()
-	ln := h.L1D.tab.lookup(a)
-	if ln == nil {
+	b := h.L1D.tab.cachedBytes(a)
+	if b == nil {
 		t.Fatalf("address %#x not cached", a)
 	}
 	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x01
+	b[w] ^= 0x01
 }
 
 // strike forces one uncorrected parity strike on the frame holding a: the
@@ -138,7 +138,7 @@ func TestLineDisableDormantByDefault(t *testing.T) {
 
 func TestForceDisableFractionAndPinning(t *testing.T) {
 	h := newParityHierarchy(t)
-	total := len(h.L1D.tab.sets) * DefaultL1D.Assoc
+	total := len(h.L1D.tab.lines)
 	h.L1D.ForceDisable(0.25)
 	want := total / 4
 	if h.L1D.DisabledLines() != want {
@@ -250,7 +250,7 @@ func TestDisableSnapshotRestore(t *testing.T) {
 		if err := h.L1D.Store32(b, 1); err != nil {
 			t.Fatal(err)
 		}
-		if h.L1D.tab.lookup(b) != nil {
+		if h.L1D.tab.lookup(b) >= 0 {
 			break
 		}
 		b += simmem.Addr(DefaultL1D.BlockSize)

@@ -53,9 +53,8 @@ func TestECCCorrectsSingleBitWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one stored bit by hand (a write-path fault left it behind).
-	ln := h.L1D.tab.lookup(a)
 	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x04
+	h.L1D.tab.cachedBytes(a)[w] ^= 0x04
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)
@@ -86,9 +85,8 @@ func TestECCDetectsDoubleBitAndRecovers(t *testing.T) {
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	ln := h.L1D.tab.lookup(a)
 	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x03 // two bits: uncorrectable, detectable
+	h.L1D.tab.cachedBytes(a)[w] ^= 0x03 // two bits: uncorrectable, detectable
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)
@@ -128,9 +126,8 @@ func TestSubBlockRecoveryKeepsDirtyNeighbours(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt word 0 with stale parity.
-	ln := h.L1D.tab.lookup(a)
 	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x01
+	h.L1D.tab.cachedBytes(a)[w] ^= 0x01
 	wbBefore := h.L1D.Stats.Writebacks
 	v, err := h.L1D.Load32(a)
 	if err != nil {

@@ -124,13 +124,13 @@ func TestRecoveryRestoresCorrectData(t *testing.T) {
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	ln := h.L1D.tab.lookup(a)
-	if ln == nil {
+	i := h.L1D.tab.lookup(a)
+	if i < 0 {
 		t.Fatal("line not resident")
 	}
 	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x01
-	ln.dirty = false // pretend the corrupt value was never legitimately dirtied
+	h.L1D.tab.lineBytes(i)[w] ^= 0x01
+	h.L1D.tab.lines[i].dirty = false // pretend the corrupt value was never legitimately dirtied
 
 	v, err := h.L1D.Load32(a)
 	if err != nil {
@@ -148,19 +148,27 @@ func TestRecoveryRestoresCorrectData(t *testing.T) {
 // Test helper: exercises the write-back path deterministically.
 func (c *L1Data) InvalidateAllWriteback(t *testing.T) {
 	t.Helper()
-	for s := range c.tab.sets {
-		for w := range c.tab.sets[s] {
-			ln := &c.tab.sets[s][w]
-			if ln.valid && ln.dirty {
-				base := simmem.Addr(ln.tag) << c.tab.setShift
-				if _, err := c.next.StoreLine(base, ln.data); err != nil {
-					t.Fatal(err)
-				}
+	for i := range c.tab.lines {
+		ln := &c.tab.lines[i]
+		if ln.valid && ln.dirty {
+			base := simmem.Addr(ln.tag) << c.tab.setShift
+			if _, err := c.next.StoreLine(base, c.tab.lineBytes(i)); err != nil {
+				t.Fatal(err)
 			}
-			ln.valid = false
-			ln.dirty = false
 		}
+		ln.valid = false
+		ln.dirty = false
+		c.tab.mark(i)
 	}
+}
+
+// cachedBytes returns the data of the frame holding addr, or nil when addr
+// is not cached. Like any lookup, it counts as a hit.
+func (t *table) cachedBytes(addr simmem.Addr) []byte {
+	if i := t.lookup(addr); i >= 0 {
+		return t.lineBytes(i)
+	}
+	return nil
 }
 
 func TestEvenBitFaultEscapesParity(t *testing.T) {
@@ -177,9 +185,8 @@ func TestEvenBitFaultEscapesParity(t *testing.T) {
 	if err := h.L1D.Store32(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	ln := h.L1D.tab.lookup(a)
 	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	ln.data[w] ^= 0x03 // two bits: even parity preserved
+	h.L1D.tab.cachedBytes(a)[w] ^= 0x03 // two bits: even parity preserved
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)

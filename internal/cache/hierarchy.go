@@ -119,15 +119,20 @@ func (h *Hierarchy) CoherentDMA(addr simmem.Addr, data []byte) error {
 	return h.DMA(addr, data)
 }
 
-// Snapshot is a deep copy of the restorable state of every cache level —
-// line payloads, tags, valid/dirty bits, parity/ECC check bits, and LRU
-// order. Together with a simmem.Checkpoint of the backing space it captures
-// the complete architectural memory state of the machine; statistics and
-// energy accounting are excluded (a rollback rewinds contents, not
-// measurements). Snapshots must be restored into the hierarchy they were
-// taken from.
+// Snapshot is a copy of the restorable state of every cache level — line
+// payloads, tags, valid/dirty bits, parity/ECC check bits, strike state,
+// and LRU order. Together with a simmem.Checkpoint of the backing space it
+// captures the complete architectural memory state of the machine;
+// statistics and energy accounting are excluded (a rollback rewinds
+// contents, not measurements). A snapshot belongs to the hierarchy it was
+// taken from: only that hierarchy may retake or restore it.
+//
+// The snapshot last taken or restored is the tracked one: taking or
+// restoring it again copies only the frames changed since, the way a
+// simmem.Checkpoint copies only dirty pages. Any other snapshot, or nil,
+// takes a full copy and becomes the tracked one.
 type Snapshot struct {
-	l1d, l1i, l2 *tableSnap
+	l1d, l1i, l2 *frames
 }
 
 // Snapshot copies the current cache state into snap, reusing its buffers
@@ -136,13 +141,20 @@ type Snapshot struct {
 //
 //lint:hot-path
 func (h *Hierarchy) Snapshot(snap *Snapshot) *Snapshot {
+	snap, _ = h.snapshot(snap)
+	return snap
+}
+
+// snapshot is Snapshot, also returning the number of frames it copied.
+func (h *Hierarchy) snapshot(snap *Snapshot) (*Snapshot, int) {
 	if snap == nil {
 		snap = &Snapshot{} //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
 	}
-	snap.l1d = h.L1D.tab.snapshot(snap.l1d)
-	snap.l1i = h.L1I.tab.snapshot(snap.l1i)
-	snap.l2 = h.L2.tab.snapshot(snap.l2)
-	return snap
+	var n1, n2, n3 int
+	snap.l1d, n1 = h.L1D.tab.snapshot(snap.l1d)
+	snap.l1i, n2 = h.L1I.tab.snapshot(snap.l1i)
+	snap.l2, n3 = h.L2.tab.snapshot(snap.l2)
+	return snap, n1 + n2 + n3
 }
 
 // RestoreSnapshot copies a snapshot back into the hierarchy. Afterwards
@@ -156,11 +168,4 @@ func (h *Hierarchy) RestoreSnapshot(snap *Snapshot) {
 	h.L1I.tab.restore(snap.l1i)
 	h.L2.tab.restore(snap.l2)
 	h.L1D.syncDisabled()
-}
-
-// InvalidateAll flushes every level without write-back.
-func (h *Hierarchy) InvalidateAll() {
-	h.L1D.InvalidateAll()
-	h.L1I.InvalidateAll()
-	h.L2.InvalidateAll()
 }

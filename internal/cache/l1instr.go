@@ -14,7 +14,7 @@ type L1Instr struct {
 	tab *table
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
-	//lint:ephemeral scratch buffer, dead outside a single fetch
+	//lint:ephemeral scratch buffer for the fetched line, which the cache does not keep
 	fill []byte
 	//lint:ephemeral measurement; a rollback rewinds contents, not measurements
 	Stats Stats
@@ -32,7 +32,7 @@ func (c *L1Instr) chargeStall(cyc float64) { c.Cycles += cyc }
 
 // NewL1Instr builds the instruction cache over next.
 func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
-	tab, err := newTable(cfg)
+	tab, err := newTable(cfg, false)
 	if err != nil {
 		return nil, err
 	}
@@ -44,13 +44,13 @@ func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
 // latency.
 func (c *L1Instr) Fetch(pc simmem.Addr) error {
 	c.Stats.Reads++
-	if ln := c.tab.lookup(pc); ln != nil {
+	if c.tab.lookup(pc) >= 0 {
 		return nil
 	}
 	c.Stats.ReadMisses++
-	victim := c.tab.victim(pc)
+	victim := &c.tab.lines[c.tab.victim(pc)]
 	base := c.tab.lineBase(pc)
-	cyc, err := c.next.FetchLine(base, victim.data)
+	cyc, err := c.next.FetchLine(base, c.fill)
 	if err != nil {
 		return err
 	}
@@ -62,6 +62,3 @@ func (c *L1Instr) Fetch(pc simmem.Addr) error {
 	victim.lru = c.tab.tick
 	return nil
 }
-
-// InvalidateAll drops all lines (experiment reset).
-func (c *L1Instr) InvalidateAll() { c.tab.invalidateAll() }

@@ -148,3 +148,56 @@ func TestSnapshotRestoresLRUDeterminism(t *testing.T) {
 		t.Fatalf("replays from the same snapshot diverge: %d vs %d misses", first, second)
 	}
 }
+
+// TestTrackedCommitCopiesTouchedFrames pins the work of a checkpoint as a
+// count: committing the tracked snapshot copies the frames changed since
+// its moment, not the table. Full copies are correct too, so the oracle
+// cannot see a silent fallback to them; this count can.
+func TestTrackedCommitCopiesTouchedFrames(t *testing.T) {
+	h := newQuietHierarchy(t)
+	a := h.Space.MustAlloc(16<<10, 32)
+	all := len(h.L1D.tab.lines) + len(h.L1I.tab.lines) + len(h.L2.tab.lines)
+	commit := func(snap *Snapshot, want int, what string) {
+		t.Helper()
+		if _, n := h.snapshot(snap); n != want {
+			t.Fatalf("%s: commit copied %d frames, want %d", what, n, want)
+		}
+	}
+	if err := h.L1D.Store32(a, 1); err != nil { // warm a's line in L1D and L2
+		t.Fatal(err)
+	}
+	snap, n := h.snapshot(nil)
+	if n != all {
+		t.Fatalf("fresh snapshot copied %d frames, want all %d", n, all)
+	}
+	commit(snap, 0, "nothing accessed")
+
+	if err := h.L1D.Store32(a+4, 2); err != nil {
+		t.Fatal(err)
+	}
+	commit(snap, 1, "warmed L1D store hit")
+
+	// b shares a's set in the direct-mapped L1D, so its fill evicts a's
+	// dirty line: the L1D frame, a's L2 frame (the write-back hits it) and
+	// the L2 frame b's fill takes.
+	b := a + simmem.Addr(DefaultL1D.SizeBytes)
+	if _, err := h.L1D.Load32(b); err != nil {
+		t.Fatal(err)
+	}
+	commit(snap, 3, "miss with a dirty victim")
+
+	// A DMA over b's line invalidates its L1D and L2 copies: cold-path
+	// changes that no hit stamps.
+	if err := h.DMA(b, []byte{1, 2, 3, 4}); err != nil {
+		t.Fatal(err)
+	}
+	commit(snap, 2, "DMA invalidate")
+
+	// Any snapshot other than the tracked one takes a full copy and
+	// becomes the tracked one.
+	other, _ := h.snapshot(nil)
+	commit(snap, all, "untracked snapshot")
+	commit(snap, 0, "re-tracked snapshot")
+	h.RestoreSnapshot(other)
+	commit(snap, all, "snapshot after restoring another")
+}
