@@ -88,6 +88,60 @@ func TestCampaignResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// TestEveryStudyResumesFromItsJournal: every registry study that simulates
+// journals its cells, and a resume from that journal renders the same
+// bytes and error while computing no cell and starting no clumsy.Run. The
+// circuit figures simulate nothing; the composites all and extensions are
+// covered through their parts.
+func TestEveryStudyResumesFromItsJournal(t *testing.T) {
+	o := Options{Packets: 120, Trials: 1} // the CLI output pins' scale
+	for _, st := range Studies() {
+		switch st.Name {
+		case "fig1b", "fig2b", "fig3", "fig4", "fig5", "all", "extensions":
+			continue
+		}
+		t.Run(st.Name, func(t *testing.T) {
+			app := ""
+			if st.NeedsApp {
+				app = "route"
+			}
+			path := filepath.Join(t.TempDir(), "j.jsonl")
+			var computed atomic.Int32
+			render := func(resume bool) (string, int, error) {
+				t.Helper()
+				j, loaded, err := OpenJournal(path, resume)
+				if err != nil {
+					t.Fatal(err)
+				}
+				oj := o
+				oj.Journal = j
+				oj.afterCell = func(string, int) { computed.Add(1) }
+				var buf bytes.Buffer
+				err = st.Run(oj, app, "", &buf)
+				return buf.String(), loaded, err
+			}
+			want, _, wantErr := render(false)
+			computed.Store(0)
+			tel := telemetry.New()
+			clumsy.SetDefaultTelemetry(tel)
+			defer clumsy.SetDefaultTelemetry(nil)
+			got, loaded, gotErr := render(true)
+			if loaded == 0 {
+				t.Fatal("a journaled run left an empty journal")
+			}
+			if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+				t.Errorf("resume rendered differently:\n--- journaled (%v) ---\n%s--- resumed (%v) ---\n%s", wantErr, want, gotErr, got)
+			}
+			if n := computed.Load(); n != 0 {
+				t.Errorf("resume computed %d cells", n)
+			}
+			if n := tel.Registry.Counter(telemetry.CtrRunCount).Load(); n != 0 {
+				t.Errorf("resume started %d simulations", n)
+			}
+		})
+	}
+}
+
 // TestRunCellRetryTransient: an unclassified host failure is retried with
 // backoff until it succeeds, within the configured budget.
 func TestRunCellRetryTransient(t *testing.T) {

@@ -42,15 +42,21 @@ func ExtDVS(app string, o Options) ([]DVSRow, error) {
 	}
 	o = o.withDefaults()
 
-	// Baseline run: full frequency, no detection, negligible faults.
-	base, err := o.run(clumsy.Config{
-		App: app, Packets: o.Packets, Seed: o.trialSeed(0), FaultScale: 1e-12,
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ext-dvs baseline: %w", err)
+	// Baseline run: full frequency, no detection, negligible faults. Like
+	// tuning's, it is its own journal cell and runs before the grid.
+	var base [2]float64 // energy, delay
+	if err := runCell(o, "dvs-"+app+"-baseline", 0, nil, &base, func() ([2]float64, error) {
+		res, err := o.run(clumsy.Config{
+			App: app, Packets: o.Packets, Seed: o.trialSeed(0), FaultScale: 1e-12,
+		})
+		if err != nil {
+			return base, fmt.Errorf("ext-dvs baseline: %w", err)
+		}
+		return [2]float64{res.Energy.Total(), res.Delay}, nil
+	}); err != nil {
+		return nil, err
 	}
-	baseE := base.Energy.Total()
-	baseD := base.Delay
+	baseE, baseD := base[0], base[1]
 	edf := func(e, d, f float64) float64 {
 		return o.Exponents.EDF(e, d, f)
 	}
@@ -78,32 +84,47 @@ func ExtDVS(app string, o Options) ([]DVSRow, error) {
 		})
 	}
 
-	// Clumsy points: measured simulation at the over-clocked settings.
-	for _, cr := range []float64{0.75, 0.5, 0.25} {
-		var eSum, dSum, fSum, edfSum float64
-		for trial := 0; trial < o.Trials; trial++ {
-			res, err := o.run(clumsy.Config{
-				App: app, Packets: o.Packets, Seed: o.trialSeed(trial),
-				CycleTime: cr, Detection: cache.DetectionParity, Strikes: 2,
-				FaultScale: o.FaultScale,
-			})
-			if err != nil {
-				return nil, fmt.Errorf("ext-dvs clumsy cr=%v: %w", cr, err)
+	// Clumsy points: measured simulation at the over-clocked settings,
+	// journaled raw and normalised after the grid.
+	crs := []float64{0.75, 0.5, 0.25}
+	measured := make([]DVSRow, len(crs))
+	err := parallelFor(o.ctx(), len(measured), func(idx int) error {
+		cr := crs[idx]
+		return runCell(o, "dvs-"+app, idx, cr, &measured[idx], func() (DVSRow, error) {
+			var eSum, dSum, fSum, edfSum float64
+			for trial := 0; trial < o.Trials; trial++ {
+				res, err := o.run(clumsy.Config{
+					App: app, Packets: o.Packets, Seed: o.trialSeed(trial),
+					CycleTime: cr, Detection: cache.DetectionParity, Strikes: 2,
+					FaultScale: o.FaultScale,
+				})
+				if err != nil {
+					return DVSRow{}, fmt.Errorf("ext-dvs clumsy cr=%v: %w", cr, err)
+				}
+				eSum += res.Energy.Total()
+				dSum += res.Delay
+				fSum += res.Fallibility()
+				edfSum += res.EDF(o.Exponents)
 			}
-			eSum += res.Energy.Total()
-			dSum += res.Delay
-			fSum += res.Fallibility()
-			edfSum += res.EDF(o.Exponents)
-		}
-		n := float64(o.Trials)
-		rows = append(rows, DVSRow{
-			Approach:    "clumsy",
-			Setting:     fmt.Sprintf("Cr=%g", cr),
-			EnergyRel:   eSum / n / baseE,
-			DelayRel:    dSum / n / baseD,
-			Fallibility: fSum / n,
-			EDFRel:      edfSum / n / baseEDF,
+			n := float64(o.Trials)
+			return DVSRow{
+				Approach:    "clumsy",
+				Setting:     fmt.Sprintf("Cr=%g", cr),
+				EnergyRel:   eSum / n,
+				DelayRel:    dSum / n,
+				Fallibility: fSum / n,
+				EDFRel:      edfSum / n,
+			}, nil
 		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range measured {
+		r.EnergyRel /= baseE
+		r.DelayRel /= baseD
+		r.EDFRel /= baseEDF
+		rows = append(rows, r)
 	}
 	return rows, nil
 }

@@ -132,8 +132,8 @@ func (o Options) trialSeed(trial int) uint64 {
 // run executes one configuration with the experiment-wide recovery policy
 // applied. Every experiment goes through this wrapper so a single Options
 // switch regenerates the whole evaluation under drop-and-continue, and a
-// cancelled campaign context stops every study between runs — including
-// the serial extension sweeps that never touch parallelFor.
+// cancelled campaign context stops every study between runs, including
+// between the trials of one cell.
 func (o Options) run(cfg clumsy.Config) (*clumsy.Result, error) {
 	if err := o.ctx().Err(); err != nil {
 		return nil, err

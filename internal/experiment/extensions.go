@@ -36,10 +36,12 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 	}
 	o = o.withDefaults()
 	detections := []cache.Detection{cache.DetectionNone, cache.DetectionParity, cache.DetectionECC}
-	var cells []DetectionCell
-	var baseline float64
-	for _, det := range detections {
-		for _, cr := range CycleTimes {
+	// Cells are journaled raw and normalised after the grid, as in EDFGrid.
+	cells := make([]DetectionCell, len(detections)*len(CycleTimes))
+	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+		det := detections[idx/len(CycleTimes)]
+		cr := CycleTimes[idx%len(CycleTimes)]
+		return runCell(o, "detection-"+app, idx, [2]string{det.String(), cycleTimeLabel(cr)}, &cells[idx], func() (DetectionCell, error) {
 			cell := DetectionCell{Detection: det, CycleTime: cr}
 			var edfSum, fallSum float64
 			for trial := 0; trial < o.Trials; trial++ {
@@ -53,7 +55,7 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 					FaultScale: o.FaultScale,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("ext-detection %s %v cr=%v: %w", app, det, cr, err)
+					return cell, fmt.Errorf("ext-detection %s %v cr=%v: %w", app, det, cr, err)
 				}
 				edfSum += res.EDF(o.Exponents)
 				fallSum += res.Fallibility()
@@ -61,14 +63,15 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 				cell.Recoveries += res.Recovery.Recoveries
 				cell.Fatal = cell.Fatal || res.Report.Fatal
 			}
-			cell.RelativeEDF = edfSum / float64(o.Trials)
+			cell.RelativeEDF = edfSum / float64(o.Trials) // normalised below
 			cell.Fallibility = fallSum / float64(o.Trials)
-			if det == cache.DetectionNone && cr == 1 {
-				baseline = cell.RelativeEDF
-			}
-			cells = append(cells, cell)
-		}
+			return cell, nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
+	baseline := cells[0].RelativeEDF // no detection, Cr = 1
 	for i := range cells {
 		cells[i].RelativeEDF /= baseline
 	}
@@ -134,46 +137,50 @@ func ExtSubBlock(app string, o Options) ([]SubBlockCell, error) {
 		o.FaultScale = EDFFaultScale
 	}
 	o = o.withDefaults()
-	var cells []SubBlockCell
-	var baseline float64
-	for _, cr := range CycleTimes {
-		cell := SubBlockCell{CycleTime: cr}
-		for _, sub := range []bool{false, true} {
-			var edfSum float64
-			var l2, rec uint64
-			for trial := 0; trial < o.Trials; trial++ {
-				res, err := o.run(clumsy.Config{
-					App:        app,
-					Packets:    o.Packets,
-					Seed:       o.trialSeed(trial),
-					CycleTime:  cr,
-					Detection:  cache.DetectionParity,
-					Strikes:    2,
-					SubBlock:   sub,
-					FaultScale: o.FaultScale,
-				})
-				if err != nil {
-					return nil, fmt.Errorf("ext-subblock %s cr=%v: %w", app, cr, err)
+	// Cells are journaled raw and normalised after the grid, as in EDFGrid.
+	cells := make([]SubBlockCell, len(CycleTimes))
+	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+		cr := CycleTimes[idx]
+		return runCell(o, "subblock-"+app, idx, cycleTimeLabel(cr), &cells[idx], func() (SubBlockCell, error) {
+			cell := SubBlockCell{CycleTime: cr}
+			for _, sub := range []bool{false, true} {
+				var edfSum float64
+				var l2, rec uint64
+				for trial := 0; trial < o.Trials; trial++ {
+					res, err := o.run(clumsy.Config{
+						App:        app,
+						Packets:    o.Packets,
+						Seed:       o.trialSeed(trial),
+						CycleTime:  cr,
+						Detection:  cache.DetectionParity,
+						Strikes:    2,
+						SubBlock:   sub,
+						FaultScale: o.FaultScale,
+					})
+					if err != nil {
+						return cell, fmt.Errorf("ext-subblock %s cr=%v: %w", app, cr, err)
+					}
+					edfSum += res.EDF(o.Exponents)
+					rec += res.Recovery.Recoveries
+					l2 += res.L1DStats.ReadMisses + res.L1DStats.WriteMisses + res.L1DStats.Writebacks + res.Recovery.Recoveries
 				}
-				edfSum += res.EDF(o.Exponents)
-				rec += res.Recovery.Recoveries
-				l2 += res.L1DStats.ReadMisses + res.L1DStats.WriteMisses + res.L1DStats.Writebacks + res.Recovery.Recoveries
+				if sub {
+					cell.SubEDF = edfSum / float64(o.Trials)
+					cell.SubL2 = l2
+					cell.SubRecovers = rec
+				} else {
+					cell.FullEDF = edfSum / float64(o.Trials)
+					cell.FullL2 = l2
+					cell.FullRecovers = rec
+				}
 			}
-			if sub {
-				cell.SubEDF = edfSum / float64(o.Trials)
-				cell.SubL2 = l2
-				cell.SubRecovers = rec
-			} else {
-				cell.FullEDF = edfSum / float64(o.Trials)
-				cell.FullL2 = l2
-				cell.FullRecovers = rec
-			}
-		}
-		if cr == 1 {
-			baseline = cell.FullEDF
-		}
-		cells = append(cells, cell)
+			return cell, nil
+		})
+	})
+	if err != nil {
+		return nil, err
 	}
+	baseline := cells[0].FullEDF // full-line recovery, Cr = 1
 	for i := range cells {
 		cells[i].FullEDF /= baseline
 		cells[i].SubEDF /= baseline

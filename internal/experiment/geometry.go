@@ -32,10 +32,12 @@ func ExtGeometry(app string, o Options) ([]GeometryCell, error) {
 	}
 	o = o.withDefaults()
 	sizes := []int{1024, 4096, 16384}
-	var cells []GeometryCell
-	for _, size := range sizes {
-		var baseline float64
-		for _, cr := range CycleTimes {
+	// Cells are journaled raw and normalised after the grid, as in EDFGrid.
+	cells := make([]GeometryCell, len(sizes)*len(CycleTimes))
+	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
+		size := sizes[idx/len(CycleTimes)]
+		cr := CycleTimes[idx%len(CycleTimes)]
+		return runCell(o, "geometry-"+app, idx, [2]float64{float64(size), cr}, &cells[idx], func() (GeometryCell, error) {
 			cell := GeometryCell{SizeBytes: size, CycleTime: cr}
 			var edfSum, missSum float64
 			for trial := 0; trial < o.Trials; trial++ {
@@ -50,21 +52,24 @@ func ExtGeometry(app string, o Options) ([]GeometryCell, error) {
 					L1DSize:    size,
 				})
 				if err != nil {
-					return nil, fmt.Errorf("ext-geometry %s size=%d cr=%v: %w", app, size, cr, err)
+					return cell, fmt.Errorf("ext-geometry %s size=%d cr=%v: %w", app, size, cr, err)
 				}
 				edfSum += res.EDF(o.Exponents)
 				missSum += res.GoldenL1DStats.MissRate()
 				cell.Fatal = cell.Fatal || res.Report.Fatal
 			}
-			cell.RelativeEDF = edfSum / float64(o.Trials)
+			cell.RelativeEDF = edfSum / float64(o.Trials) // normalised below
 			cell.MissRate = missSum / float64(o.Trials)
-			if cr == 1 {
-				baseline = cell.RelativeEDF
-			}
-			cells = append(cells, cell)
-		}
-		// Normalise this size's row against its own full-speed point.
-		for i := len(cells) - len(CycleTimes); i < len(cells); i++ {
+			return cell, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+	// Normalise each size's row against its own full-speed point.
+	for row := 0; row < len(cells); row += len(CycleTimes) {
+		baseline := cells[row].RelativeEDF
+		for i := row; i < row+len(CycleTimes); i++ {
 			cells[i].RelativeEDF /= baseline
 		}
 	}

@@ -21,6 +21,13 @@ type Claim struct {
 	Pass   bool
 }
 
+// claimRun is what the claims read of one simulation.
+type claimRun struct {
+	Fallibility              float64
+	Fatal                    bool
+	ParityErrors, Recoveries uint64
+}
+
 // VerifyClaims evaluates the headline claims. The simulation-backed checks
 // use a compact deterministic configuration (route/crc/md5 at the
 // exposure-equalised fault scale), so the whole run takes tens of seconds.
@@ -55,32 +62,40 @@ func VerifyClaims(o Options) ([]Claim, error) {
 	}
 	add("cache-energy reductions", redOK, "%s(paper: 6%%/19%%/45%%)", detail)
 
+	// C3 and C4 read three simulations, each its own journal cell.
+	configs := []clumsy.Config{
+		{App: "md5", Packets: o.Packets, Seed: o.trialSeed(0), CycleTime: 0.5, FaultScale: 1},
+		{App: "md5", Packets: o.Packets, Seed: o.trialSeed(0), CycleTime: 0.25, FaultScale: 1},
+		{App: "route", Packets: o.Packets, Seed: o.trialSeed(0), CycleTime: 0.25,
+			Detection: cache.DetectionParity, Strikes: 2, FaultScale: o.FaultScale},
+	}
+	runs := make([]claimRun, len(configs))
+	err := parallelFor(o.ctx(), len(runs), func(idx int) error {
+		return runCell(o, "verify", idx, nil, &runs[idx], func() (claimRun, error) {
+			res, err := o.run(configs[idx])
+			if err != nil {
+				return claimRun{}, err
+			}
+			return claimRun{Fallibility: res.Fallibility(), Fatal: res.Report.Fatal,
+				ParityErrors: res.Recovery.ParityErrors, Recoveries: res.Recovery.Recoveries}, nil
+		})
+	})
+	if err != nil {
+		return nil, err
+	}
+
 	// C3 — fallibility rises with frequency but stays bounded at the
 	// paper's physical rate (Table I band).
-	f50, err := o.run(clumsy.Config{App: "md5", Packets: o.Packets, Seed: o.trialSeed(0),
-		CycleTime: 0.5, FaultScale: 1})
-	if err != nil {
-		return nil, err
-	}
-	f25, err := o.run(clumsy.Config{App: "md5", Packets: o.Packets, Seed: o.trialSeed(0),
-		CycleTime: 0.25, FaultScale: 1})
-	if err != nil {
-		return nil, err
-	}
+	f50, f25, parity := runs[0], runs[1], runs[2]
 	add("fallibility band (md5)",
-		f25.Fallibility() > f50.Fallibility() && f25.Fallibility() < 1.5 && f50.Fallibility() < 1.1,
+		f25.Fallibility > f50.Fallibility && f25.Fallibility < 1.5 && f50.Fallibility < 1.1,
 		"fallibility %.3f @0.5, %.3f @0.25 (paper: 1.055 / 1.261)",
-		f50.Fallibility(), f25.Fallibility())
+		f50.Fallibility, f25.Fallibility)
 
 	// C4 — detection keeps runs alive at 4x over-clocking.
-	parity, err := o.run(clumsy.Config{App: "route", Packets: o.Packets, Seed: o.trialSeed(0),
-		CycleTime: 0.25, Detection: cache.DetectionParity, Strikes: 2, FaultScale: o.FaultScale})
-	if err != nil {
-		return nil, err
-	}
-	add("parity survives 4x", !parity.Report.Fatal && parity.Recovery.ParityErrors > 0,
+	add("parity survives 4x", !parity.Fatal && parity.ParityErrors > 0,
 		"fatal=%v, %d parity errors, %d recoveries",
-		parity.Report.Fatal, parity.Recovery.ParityErrors, parity.Recovery.Recoveries)
+		parity.Fatal, parity.ParityErrors, parity.Recoveries)
 
 	// C5/C6/C7 — the EDF landscape on a fast three-app subset.
 	subset := []string{"route", "crc", "md5"}
