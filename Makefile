@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race bench perfbench fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -44,12 +44,6 @@ lint-self:
 # removed switch arm — each must be caught by its analyzer).
 lint-mutation:
 	$(GO) test -run 'TestMutation|TestAnnotationRemoval' ./internal/lint/...
-
-# bench writes an auto-numbered BENCH_<n>.json performance snapshot of the
-# quick matrix (drop -quick for the full one). Diff two snapshots with
-# `go run ./cmd/clumsy bench -compare BENCH_0.json BENCH_1.json`.
-bench:
-	$(GO) run ./cmd/clumsy bench -quick -progress
 
 # perfbench vets and self-tests the repository benchmark. perfbench/ is its
 # own Go module, so the root `go vet ./...` and `go test ./...` skip it;

@@ -2,16 +2,16 @@
 // and figure of the paper's evaluation, and the extension studies, through
 // the study registry of internal/experiment: BenchmarkStudy/<name> times
 // one study. With -bench-render each benchmark prints the reproduced output
-// once (so `go test -bench . -bench-render | tee bench_output.txt` captures
-// it) in addition to timing it; by default the output stays clean for
-// benchmark tooling such as benchstat.
+// once (`go test -bench . -args -bench-render` captures it) in addition to
+// timing it; by default the output stays clean for benchmark tooling such
+// as benchstat.
 //
 // The benchmarks run at a reduced scale (fewer packets and trials than the
 // CLI defaults) to keep the suite fast; `cmd/clumsy <experiment>` with
 // default options is the canonical way to regenerate publication-scale
-// numbers, and EXPERIMENTS.md records a full run. For structured,
-// snapshot-diffable performance numbers use `clumsy bench` (internal/bench)
-// instead of this harness.
+// numbers, and EXPERIMENTS.md records a full run. The repository benchmark
+// in perfbench/ (BENCHMARK.json) is the measure of host cost, end to end
+// and layer by layer; this harness only times studies.
 package clumsy_test
 
 import (

@@ -7,10 +7,9 @@
 //	clumsy <command> [flags]
 //
 // The commands are the studies of the study registry in
-// internal/experiment, plus run, stats, trace, bench, list, and fleet
-// -faulty N for one fleet simulation. Each command defines only the flags
-// it reads; `clumsy <command> -h` lists them and `clumsy list` lists the
-// commands.
+// internal/experiment, plus run, stats, trace, list, and fleet -faulty N
+// for one fleet simulation. Each command defines only the flags it reads;
+// `clumsy <command> -h` lists them and `clumsy list` lists the commands.
 package main
 
 import (
@@ -31,7 +30,6 @@ import (
 
 	"clumsy/internal/apps"
 	"clumsy/internal/atomicio"
-	"clumsy/internal/bench"
 	"clumsy/internal/cache"
 	"clumsy/internal/clumsy"
 	"clumsy/internal/cluster"
@@ -66,12 +64,6 @@ type cliOpts struct {
 	resume      bool
 	tracePath   string // run/stats -trace input, trace -out output
 	describe    bool
-	snapshot    string // bench -out
-
-	// bench.
-	quick     bool
-	compare   bool
-	threshold float64
 
 	// Observability.
 	traceOut   string
@@ -79,8 +71,7 @@ type cliOpts struct {
 	memprofile string
 	progress   bool
 
-	args []string // positional arguments after the flags
-	tel  *telemetry.Telemetry
+	tel *telemetry.Telemetry
 }
 
 // command is one subcommand: its flags, a check of the parsed flags that
@@ -93,7 +84,7 @@ type command struct {
 }
 
 // tools are the commands that are not studies of the registry.
-var tools = []string{"run", "stats", "trace", "bench", "list"}
+var tools = []string{"run", "stats", "trace", "list"}
 
 // newCommand builds the named command over o, or reports it unknown.
 func newCommand(name string, o *cliOpts) (command, bool) {
@@ -126,15 +117,6 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		c.exec = func(w io.Writer) error {
 			return dumpTrace(w, o.app, max(o.opt.Packets, 20), max(o.opt.Seed, 1), o.tracePath)
 		}
-	case "bench":
-		c.help = "performance benchmark snapshot, or bench -compare OLD NEW"
-		fs.BoolVar(&o.quick, "quick", false, "reduced matrix and packet counts (CI smoke-test scale)")
-		fs.BoolVar(&o.compare, "compare", false, "compare two snapshot files (bench -compare OLD NEW) instead of running")
-		fs.Float64Var(&o.threshold, "threshold", bench.DefaultThreshold, "with -compare: relative regression gate on tracked metrics")
-		fs.StringVar(&o.format, "format", "text", "with -compare: output format, text or json")
-		fs.StringVar(&o.snapshot, "out", "", "snapshot path (default: the next free BENCH_<n>.json in the working directory)")
-		o.observabilityFlags(fs)
-		c.exec = func(w io.Writer) error { return benchCommand(*o, w) }
 	default:
 		st, ok := experiment.LookupStudy(name)
 		if !ok {
@@ -342,9 +324,8 @@ func run(args []string, w io.Writer) (err error) {
 		}
 		return err
 	}
-	o.args = c.fs.Args()
-	if len(o.args) > 0 && !o.compare {
-		return fmt.Errorf("%s: unexpected arguments %v (flags go before arguments)", args[0], o.args)
+	if rest := c.fs.Args(); len(rest) > 0 {
+		return fmt.Errorf("%s: unexpected arguments %v (flags go before arguments)", args[0], rest)
 	}
 	if o.resume && o.journalPath == "" {
 		return fmt.Errorf("-resume requires -journal")

@@ -32,10 +32,14 @@ func TestNoArgs(t *testing.T) {
 	}
 }
 
+// TestUnknownCommand: a name that is neither a study nor a tool fails,
+// bench included (perfbench/ is the repository's benchmark).
 func TestUnknownCommand(t *testing.T) {
-	var buf bytes.Buffer
-	if err := run([]string{"figZZ"}, &buf); err == nil {
-		t.Fatal("unknown experiment should error")
+	for _, name := range []string{"figZZ", "bench"} {
+		var buf bytes.Buffer
+		if err := run([]string{name}, &buf); err == nil {
+			t.Errorf("unknown command %q should error", name)
+		}
 	}
 }
 

@@ -43,9 +43,9 @@ func checkBreakdown(t *testing.T, res *Result) {
 	}
 }
 
-// TestBreakdownPartitionsCycles sweeps every application under every
-// recovery policy and fault regime and checks the attribution invariant on
-// each combination. This is the tentpole contract of the cycle-attribution
+// TestBreakdownPartitionsCycles sweeps every application, the stateful
+// ones included, under every recovery policy and fault regime and checks
+// the attribution invariant on each combination. This is the tentpole contract of the cycle-attribution
 // work: the buckets are a partition of the total, not an estimate of it.
 func TestBreakdownPartitionsCycles(t *testing.T) {
 	policies := []struct {
@@ -56,7 +56,7 @@ func TestBreakdownPartitionsCycles(t *testing.T) {
 		name string
 		reg  FaultRegime
 	}{{"paper", RegimePaper}, {"burst", RegimeBurst}, {"permanent", RegimePermanent}}
-	for _, app := range apps.Names() {
+	for _, app := range append(apps.Names(), "fw", "flowtrack") {
 		for _, pol := range policies {
 			for _, reg := range regimes {
 				t.Run(app+"/"+pol.name+"/"+reg.name, func(t *testing.T) {

@@ -13,8 +13,7 @@ import (
 // enabled fault process under parity detection, per-packet checkpoint
 // commits and cache snapshots for the containing policies, and the
 // line-disable ladder armed under degrade. It exists to pin the
-// allocation behaviour of the per-packet hot loop, which `clumsy bench`
-// reports as allocs_per_packet.
+// allocation behaviour of the per-packet hot loop.
 type zeroallocRig struct {
 	trace *packet.Trace
 	n     *Node
@@ -77,9 +76,9 @@ func (r *zeroallocRig) step() error {
 // TestSteadyStatePacketLoopZeroAlloc pins the steady-state packet loop at
 // zero heap allocations per packet under every app, recovery policy, and
 // fault regime — including the stateful apps with the integrity guard and
-// periodic scrub armed. A regression here shows up as allocs_per_packet
-// drift in `clumsy bench` snapshots; this test catches it without
-// snapshot noise.
+// periodic scrub armed. A regression here also moves the repository
+// benchmark's alloc_mb; this test catches it exactly, without timing
+// noise.
 func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 	policies := []struct {
 		pol  RecoveryPolicy
