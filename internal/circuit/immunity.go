@@ -1,6 +1,9 @@
 package circuit
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // Cell describes the noise immunity of a 6-transistor SRAM cell operated at
 // a reduced voltage swing (Figure 2). The feedback loop of the cell cannot
@@ -28,11 +31,15 @@ type Cell struct {
 // reproduction. Margin is fixed numerically (see Calibrate) so that the
 // integrated fault probability at full swing equals BaseFaultProbability,
 // the Shivakumar-consistent anchor the paper quotes (2.59e-7 per bit).
-func DefaultCell() Cell {
+// The calibration is a pure function of constants, so it runs once per
+// process; every call returns a copy of that one cell.
+func DefaultCell() Cell { return defaultCell() }
+
+var defaultCell = sync.OnceValue(func() Cell {
 	c := Cell{Margin: 0.5, Gamma: 0.4, Tau: 0.01}
 	c.Calibrate(BaseFaultProbability)
 	return c
-}
+})
 
 // BaseFaultProbability is the per-bit fault probability at full voltage
 // swing (Cr = 1) used to anchor the model, matching the initial fault

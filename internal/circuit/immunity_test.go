@@ -2,6 +2,7 @@ package circuit
 
 import (
 	"math"
+	"sync"
 	"testing"
 )
 
@@ -10,6 +11,36 @@ func TestDefaultCellCalibration(t *testing.T) {
 	got := c.FaultProbabilityAtSwing(1)
 	if math.Abs(got-BaseFaultProbability)/BaseFaultProbability > 1e-6 {
 		t.Fatalf("P_E(Vsr=1) = %.4g, want %.4g", got, BaseFaultProbability)
+	}
+}
+
+// TestDefaultCellIsOneFreshCalibration checks that the once-per-process
+// calibration, reached from several goroutines as the parallel grid
+// workers reach it, is bit-identical to calibrating a fresh cell, and that
+// each caller gets its own copy.
+func TestDefaultCellIsOneFreshCalibration(t *testing.T) {
+	want := Cell{Margin: 0.5, Gamma: 0.4, Tau: 0.01}
+	want.Calibrate(BaseFaultProbability)
+	cells := make([]Cell, 8)
+	var wg sync.WaitGroup
+	for i := range cells {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			cells[i] = DefaultCell()
+		}()
+	}
+	wg.Wait()
+	for i, c := range cells {
+		for _, f := range [][2]float64{{c.Margin, want.Margin}, {c.Gamma, want.Gamma}, {c.Tau, want.Tau}} {
+			if math.Float64bits(f[0]) != math.Float64bits(f[1]) {
+				t.Fatalf("goroutine %d: DefaultCell() = %+v, fresh calibration %+v", i, c, want)
+			}
+		}
+	}
+	cells[0].Margin = 0
+	if got := DefaultCell().Margin; math.Float64bits(got) != math.Float64bits(want.Margin) {
+		t.Fatalf("changing a returned cell changed the shared calibration: Margin = %v", got)
 	}
 }
 

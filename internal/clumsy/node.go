@@ -3,6 +3,7 @@ package clumsy
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"clumsy/internal/apps"
 	"clumsy/internal/cache"
@@ -432,8 +433,11 @@ func (n *Node) delay() float64 {
 }
 
 // serve streams the trace through the node in order until it ends or the
-// node dies.
+// node dies. Only the batch passes serve a whole trace, so only they size
+// the recorder for it up front; a streaming node grows its record as
+// packets come.
 func (n *Node) serve(trace *packet.Trace) error {
+	n.rec.Packets = slices.Grow(n.rec.Packets, len(trace.Packets))
 	for i := range trace.Packets {
 		if n.dead {
 			break

@@ -13,7 +13,12 @@ import (
 // enabled fault process under parity detection, per-packet checkpoint
 // commits and cache snapshots for the containing policies, and the
 // line-disable ladder armed under degrade. It exists to pin the
-// allocation behaviour of the per-packet hot loop.
+// allocation behaviour of the per-packet hot loop. testing.AllocsPerRun
+// divides mallocs by runs as integers, so the pin catches an allocation
+// on every packet but not an amortised one: the arena DMA allocates a
+// simulated page on its first write, about once per 4 KiB of packets, and
+// under drop and degrade the first commit of that page allocates its
+// shadow.
 type zeroallocRig struct {
 	trace *packet.Trace
 	n     *Node
@@ -59,7 +64,7 @@ func newZeroallocRig(t *testing.T, appName string, policy RecoveryPolicy, regime
 // commit plus the buffer-reusing cache snapshot that advance the restore
 // point. The recorder's EndPacket, which Process adds around the step, is
 // deliberately excluded: it is measurement harness, not simulated
-// machine, and its per-packet observation reset allocates by design.
+// machine, and it allocates a chunk of observations at a time.
 func (r *zeroallocRig) step() error {
 	p := &r.trace.Packets[r.next%len(r.trace.Packets)]
 	r.next++
@@ -76,9 +81,9 @@ func (r *zeroallocRig) step() error {
 // TestSteadyStatePacketLoopZeroAlloc pins the steady-state packet loop at
 // zero heap allocations per packet under every app, recovery policy, and
 // fault regime — including the stateful apps with the integrity guard and
-// periodic scrub armed. A regression here also moves the repository
-// benchmark's alloc_mb; this test catches it exactly, without timing
-// noise.
+// periodic scrub armed. An allocation on every packet also moves the
+// repository benchmark's alloc_mb; this test catches it without timing
+// noise (an amortised one shows only in alloc_mb; see zeroallocRig).
 func TestSteadyStatePacketLoopZeroAlloc(t *testing.T) {
 	policies := []struct {
 		pol  RecoveryPolicy

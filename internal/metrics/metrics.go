@@ -34,12 +34,23 @@ type PacketRecord struct {
 
 // Recorder collects observations for a whole run: the control-plane
 // (initialisation) observations followed by one record per packet.
+//
+// Packet observations are appended into chunks of chunkObs observations,
+// so recording costs one allocation per chunk rather than a growing slice
+// per packet. A packet's observations always sit contiguously in one
+// chunk: a packet that would cross the end of a chunk moves, with the
+// observations it has so far, into a new one. Each record's Obs is capped
+// at its own length, so no record can grow into its neighbour's memory.
 type Recorder struct {
 	Init    []Observation
 	Packets []PacketRecord
-	current PacketRecord
+	chunk   []Observation // the current chunk; its cap is the chunk size
+	start   int           // where the current packet's observations begin in chunk
 	inInit  bool
 }
+
+// chunkObs is the number of observations a chunk holds.
+const chunkObs = 1024
 
 // NewRecorder returns a recorder in the control-plane phase: observations
 // recorded before the first BeginPackets call are initialisation values.
@@ -53,7 +64,15 @@ func (r *Recorder) Observe(name string, v uint64) {
 		r.Init = append(r.Init, Observation{name, v})
 		return
 	}
-	r.current.Obs = append(r.current.Obs, Observation{name, v})
+	if len(r.chunk) == cap(r.chunk) {
+		// Move the current packet to a new chunk, at least twice its
+		// size so far, so one long packet still appends in amortised
+		// constant time.
+		partial := r.chunk[r.start:]
+		r.chunk = append(make([]Observation, 0, max(chunkObs, 2*len(partial))), partial...)
+		r.start = 0
+	}
+	r.chunk = append(r.chunk, Observation{name, v})
 }
 
 // BeginPackets ends the control-plane phase.
@@ -61,8 +80,9 @@ func (r *Recorder) BeginPackets() { r.inInit = false }
 
 // EndPacket finalises the current packet's observations.
 func (r *Recorder) EndPacket() {
-	r.Packets = append(r.Packets, r.current)
-	r.current = PacketRecord{}
+	end := len(r.chunk)
+	r.Packets = append(r.Packets, PacketRecord{Obs: r.chunk[r.start:end:end]})
+	r.start = end
 }
 
 // DropPacket records the current packet as dropped by fault containment:
@@ -70,7 +90,7 @@ func (r *Recorder) EndPacket() {
 // they are not comparable) and a dropped marker keeps the sequence aligned
 // with the golden run.
 func (r *Recorder) DropPacket() {
-	r.current = PacketRecord{}
+	r.chunk = r.chunk[:r.start]
 	r.Packets = append(r.Packets, PacketRecord{Dropped: true})
 }
 

@@ -4,7 +4,7 @@ package simmem
 // substrate of the drop-and-continue recovery policy. A router that "drops
 // the offending packet and keeps forwarding" (Section 2 of the paper) must
 // be able to discard whatever a half-processed packet did to its control
-// state; here that is modelled as a shadow copy of the simulated space plus
+// state; here that is modelled as a shadow copy of the space's pages plus
 // a page-granular dirty bitmap, committed at every packet boundary and
 // rolled back when a fatal error strikes mid-packet.
 //
@@ -13,12 +13,6 @@ package simmem
 // policy are untouched.
 
 import "math/bits"
-
-// PageShift is the log2 of the checkpoint page size (4 KiB pages).
-const PageShift = 12
-
-// PageSize is the granularity of dirty tracking and restore.
-const PageSize = 1 << PageShift
 
 // markDirty flags every page overlapped by a [a, a+width) write. It is a
 // no-op (one branch) unless a Checkpoint enabled tracking.
@@ -45,33 +39,40 @@ func (s *Space) DirtyPages() int {
 	return n
 }
 
-// Checkpoint is a restorable snapshot of a Space. Creating one copies the
-// whole space into a shadow buffer and turns on dirty-page tracking; from
-// then on Commit folds newly written pages into the shadow (advancing the
-// restore point to the current state) and Restore copies them back
-// (rewinding to the last commit). Exactly one checkpoint can be active per
-// space; creating a new one supersedes the old.
+// Checkpoint is a restorable snapshot of a Space. Creating one copies every
+// page the space has into a shadow page table and turns on dirty-page
+// tracking; from then on Commit folds newly written pages into the shadow
+// (advancing the restore point to the current state) and Restore copies
+// them back (rewinding to the last commit). A page with no shadow was
+// never written at the restore point, so Restore zeroes it. Exactly one
+// checkpoint can be active per space; creating a new one supersedes the
+// old.
 //
 //lint:checkpoint NewCheckpoint, Commit, Restore
 type Checkpoint struct {
 	space  *Space
-	shadow []byte
+	shadow []*[PageSize]byte
 	brk    Addr
 }
 
 // NewCheckpoint snapshots the current state of the space and enables
-// dirty-page tracking against it.
+// dirty-page tracking against it. Only the pages that exist are copied.
 func (s *Space) NewCheckpoint() *Checkpoint {
-	c := &Checkpoint{space: s, shadow: make([]byte, len(s.data)), brk: s.brk}
-	copy(c.shadow, s.data)
-	pages := (len(s.data) + PageSize - 1) >> PageShift
-	s.dirty = make([]uint64, (pages+63)/64)
+	c := &Checkpoint{space: s, shadow: make([]*[PageSize]byte, len(s.pages)), brk: s.brk}
+	for p, pg := range s.pages {
+		if pg != nil {
+			sh := *pg
+			c.shadow[p] = &sh
+		}
+	}
+	s.dirty = make([]uint64, (len(s.pages)+63)/64)
 	return c
 }
 
-// forEachDirty invokes f with the byte extent of every dirty page, clears
-// the bitmap, and returns the number of dirty pages visited.
-func (c *Checkpoint) forEachDirty(f func(start, end int)) int {
+// forEachDirty invokes f with the index of every dirty page, clears the
+// bitmap, and returns the number of dirty pages visited. A dirty page has
+// been written, so it exists.
+func (c *Checkpoint) forEachDirty(f func(p int)) int {
 	s := c.space
 	n := 0
 	for wi, w := range s.dirty {
@@ -79,13 +80,7 @@ func (c *Checkpoint) forEachDirty(f func(start, end int)) int {
 			continue
 		}
 		for ; w != 0; w &= w - 1 {
-			p := wi<<6 + bits.TrailingZeros64(w)
-			start := p << PageShift
-			end := start + PageSize
-			if end > len(s.data) {
-				end = len(s.data)
-			}
-			f(start, end)
+			f(wi<<6 + bits.TrailingZeros64(w))
 			n++
 		}
 		s.dirty[wi] = 0
@@ -100,8 +95,13 @@ func (c *Checkpoint) forEachDirty(f func(start, end int)) int {
 //lint:hot-path
 func (c *Checkpoint) Commit() int {
 	//lint:alloc-ok the closure captures only the receiver; it is inlined, and the zero-alloc pin verifies it
-	n := c.forEachDirty(func(start, end int) {
-		copy(c.shadow[start:end], c.space.data[start:end])
+	n := c.forEachDirty(func(p int) {
+		sh := c.shadow[p]
+		if sh == nil {
+			sh = new([PageSize]byte) //lint:alloc-ok the first commit of a page allocates its shadow, once per page per checkpoint
+			c.shadow[p] = sh
+		}
+		*sh = *c.space.pages[p]
 	})
 	c.brk = c.space.brk
 	return n
@@ -115,8 +115,12 @@ func (c *Checkpoint) Commit() int {
 //lint:hot-path
 func (c *Checkpoint) Restore() int {
 	//lint:alloc-ok the closure captures only the receiver; it is inlined, and the zero-alloc pin verifies it
-	n := c.forEachDirty(func(start, end int) {
-		copy(c.space.data[start:end], c.shadow[start:end])
+	n := c.forEachDirty(func(p int) {
+		if sh := c.shadow[p]; sh != nil {
+			*c.space.pages[p] = *sh
+		} else {
+			*c.space.pages[p] = [PageSize]byte{}
+		}
 	})
 	c.space.brk = c.brk
 	return n

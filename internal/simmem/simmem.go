@@ -49,15 +49,31 @@ type Memory interface {
 	Store32(a Addr, v uint32) error
 }
 
-// Space is the backing store: a flat byte array with a bump allocator.
-// When a Checkpoint is active, every store additionally marks the written
-// page in the dirty bitmap (see checkpoint.go); dirty is nil otherwise.
-// Every field is carried across a rollback by the checkpoint machinery;
-// the statecover analyzer keeps it that way.
+// PageShift is the log2 of the page size (4 KiB pages).
+const PageShift = 12
+
+// PageSize is the granularity of allocation, dirty tracking and restore.
+const PageSize = 1 << PageShift
+
+// pageMask selects an address's offset within its page.
+const pageMask = PageSize - 1
+
+// zeroPage is what a page that has never been written reads as. Only the
+// load paths see it; stores go through page, which allocates.
+var zeroPage [PageSize]byte
+
+// Space is the backing store: a table of pages with a bump allocator. A
+// page is allocated on its first write; a nil page has never been written
+// and reads as zeros, so a run pays only for the memory it writes. When a
+// Checkpoint is active, every store additionally marks the written page in
+// the dirty bitmap (see checkpoint.go); dirty is nil otherwise. Every
+// field is carried across a rollback by the checkpoint machinery; the
+// statecover analyzer keeps it that way.
 //
 //lint:checkpoint NewCheckpoint, Commit, Restore
 type Space struct {
-	data  []byte
+	pages []*[PageSize]byte
+	size  int //lint:ephemeral the extent in bytes, fixed at construction
 	brk   Addr
 	dirty []uint64
 }
@@ -68,11 +84,12 @@ func NewSpace(size int) *Space {
 	if size <= int(PageBase) {
 		panic("simmem: space smaller than the unmapped page")
 	}
-	return &Space{data: make([]byte, size), brk: PageBase}
+	pages := (size + PageSize - 1) >> PageShift
+	return &Space{pages: make([]*[PageSize]byte, pages), size: size, brk: PageBase}
 }
 
 // Size returns the extent of the space in bytes.
-func (s *Space) Size() int { return len(s.data) }
+func (s *Space) Size() int { return s.size }
 
 // Brk returns the current allocation frontier.
 func (s *Space) Brk() Addr { return s.brk }
@@ -88,8 +105,8 @@ func (s *Space) Alloc(size, align int) (Addr, error) {
 	}
 	base := (uint64(s.brk) + uint64(align) - 1) &^ (uint64(align) - 1)
 	end := base + uint64(size)
-	if end > uint64(len(s.data)) {
-		return 0, fmt.Errorf("simmem: out of memory (need %d bytes at %#x, space %d)", size, base, len(s.data))
+	if end > uint64(s.size) {
+		return 0, fmt.Errorf("simmem: out of memory (need %d bytes at %#x, space %d)", size, base, s.size)
 	}
 	s.brk = Addr(end)
 	return Addr(base), nil
@@ -114,10 +131,30 @@ func (s *Space) check(op string, a Addr, width int) error {
 	if a < PageBase {
 		return &AccessError{Op: op, Addr: a, Reason: "address in unmapped page"}
 	}
-	if uint64(a)+uint64(width) > uint64(len(s.data)) {
+	if uint64(a)+uint64(width) > uint64(s.size) {
 		return &AccessError{Op: op, Addr: a, Reason: "address beyond end of space"}
 	}
 	return nil
+}
+
+// readPage returns the page holding a for reading: zeroPage if the page
+// has never been written. Reads never allocate.
+func (s *Space) readPage(a Addr) *[PageSize]byte {
+	if p := s.pages[a>>PageShift]; p != nil {
+		return p
+	}
+	return &zeroPage
+}
+
+// page returns the page holding a for writing, allocating it on its first
+// write.
+func (s *Space) page(a Addr) *[PageSize]byte {
+	p := s.pages[a>>PageShift]
+	if p == nil {
+		p = new([PageSize]byte) //lint:alloc-ok the first write to a page allocates it, once per page per space
+		s.pages[a>>PageShift] = p
+	}
+	return p
 }
 
 // Align rounds an address down to the natural alignment of a width-byte
@@ -131,7 +168,7 @@ func (s *Space) Load8(a Addr) (uint8, error) {
 	if err := s.check("load8", a, 1); err != nil {
 		return 0, err
 	}
-	return s.data[a], nil
+	return s.readPage(a)[a&pageMask], nil
 }
 
 // Store8 writes one byte.
@@ -140,7 +177,7 @@ func (s *Space) Store8(a Addr, v uint8) error {
 		return err
 	}
 	s.markDirty(a, 1)
-	s.data[a] = v
+	s.page(a)[a&pageMask] = v
 	return nil
 }
 
@@ -150,7 +187,7 @@ func (s *Space) Load16(a Addr) (uint16, error) {
 	if err := s.check("load16", a, 2); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint16(s.data[a:]), nil
+	return binary.LittleEndian.Uint16(s.readPage(a)[a&pageMask:]), nil
 }
 
 // Store16 writes a little-endian 16-bit value.
@@ -160,7 +197,7 @@ func (s *Space) Store16(a Addr, v uint16) error {
 		return err
 	}
 	s.markDirty(a, 2)
-	binary.LittleEndian.PutUint16(s.data[a:], v)
+	binary.LittleEndian.PutUint16(s.page(a)[a&pageMask:], v)
 	return nil
 }
 
@@ -170,7 +207,7 @@ func (s *Space) Load32(a Addr) (uint32, error) {
 	if err := s.check("load32", a, 4); err != nil {
 		return 0, err
 	}
-	return binary.LittleEndian.Uint32(s.data[a:]), nil
+	return binary.LittleEndian.Uint32(s.readPage(a)[a&pageMask:]), nil
 }
 
 // Store32 writes a little-endian 32-bit value.
@@ -180,7 +217,7 @@ func (s *Space) Store32(a Addr, v uint32) error {
 		return err
 	}
 	s.markDirty(a, 4)
-	binary.LittleEndian.PutUint32(s.data[a:], v)
+	binary.LittleEndian.PutUint32(s.page(a)[a&pageMask:], v)
 	return nil
 }
 
@@ -191,10 +228,13 @@ func (s *Space) ReadBlock(a Addr, buf []byte) error {
 	if err := s.check("readblock", a, 1); err != nil {
 		return err
 	}
-	if uint64(a)+uint64(len(buf)) > uint64(len(s.data)) {
+	if uint64(a)+uint64(len(buf)) > uint64(s.size) {
 		return &AccessError{Op: "readblock", Addr: a, Reason: "block beyond end of space"}
 	}
-	copy(buf, s.data[a:])
+	for len(buf) > 0 {
+		n := copy(buf, s.readPage(a)[a&pageMask:])
+		buf, a = buf[n:], a+Addr(n)
+	}
 	return nil
 }
 
@@ -203,13 +243,18 @@ func (s *Space) WriteBlock(a Addr, buf []byte) error {
 	if err := s.check("writeblock", a, 1); err != nil {
 		return err
 	}
-	if uint64(a)+uint64(len(buf)) > uint64(len(s.data)) {
+	if uint64(a)+uint64(len(buf)) > uint64(s.size) {
 		return &AccessError{Op: "writeblock", Addr: a, Reason: "block beyond end of space"}
 	}
 	if len(buf) > 0 {
 		s.markDirty(a, len(buf))
 	}
-	copy(s.data[a:], buf)
+	// A block may cross page boundaries (a DMA buffer can; an L2 line
+	// never does): each page it covers is allocated on its first write.
+	for len(buf) > 0 {
+		n := copy(s.page(a)[a&pageMask:], buf)
+		buf, a = buf[n:], a+Addr(n)
+	}
 	return nil
 }
 
