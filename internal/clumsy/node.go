@@ -42,41 +42,11 @@ type Calibration struct {
 // Calibrate executes the golden (fault-free, full-swing) pass over the
 // trace and derives the calibration for nodes serving that workload.
 func Calibrate(cfg Config, trace *packet.Trace) (Calibration, error) {
-	cfg = cfg.withDefaults()
-	if trace == nil || len(trace.Packets) == 0 {
-		return Calibration{}, errors.New("clumsy: empty trace")
-	}
-	cfg.Packets = len(trace.Packets)
-	golden, err := goldenPass(cfg, trace)
+	g, err := newGolden(cfg.withDefaults(), trace)
 	if err != nil {
 		return Calibration{}, err
 	}
-	return golden.calibration(), nil
-}
-
-// goldenPass runs the fault-free reference: a node opened with injection
-// off — no ladder, no controller, no checkpoint, no telemetry, no watchdog
-// — DMAing into the arena, fed the whole trace.
-func goldenPass(cfg Config, trace *packet.Trace) (*Node, error) {
-	n, err := openNode(cfg, trace, nodeOpts{arena: true})
-	if err == nil {
-		err = n.serve(trace)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("clumsy: golden run failed: %w", err)
-	}
-	if n.fatal != nil {
-		return nil, fmt.Errorf("clumsy: golden run must not die: %w", n.fatal)
-	}
-	return n, nil
-}
-
-// calibration derives a finished golden pass's calibration.
-func (n *Node) calibration() Calibration {
-	return Calibration{
-		Budget: uint64(n.cfg.WatchdogFactor * float64(n.maxPacketInstrs)),
-		Delay:  n.delay(),
-	}
+	return g.cal, nil
 }
 
 // NodeOutcome is the result of processing one packet on a node.

@@ -413,6 +413,16 @@ func (r *Result) GoldenEDF(e metrics.EDFExponents) float64 {
 // definition; use RunWithTrace to replay a stored trace.
 func Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	trace, err := generate(cfg)
+	if err != nil {
+		return nil, err
+	}
+	return RunWithTrace(cfg, trace)
+}
+
+// generate builds the configuration's trace from its application's
+// workload definition, shaped by cfg.Workload when set.
+func generate(cfg Config) (*packet.Trace, error) {
 	app, err := apps.New(cfg.App)
 	if err != nil {
 		return nil, err
@@ -424,7 +434,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Workload != nil {
 		trace = cfg.Workload.Apply(trace, cfg.Seed)
 	}
-	return RunWithTrace(cfg, trace)
+	return trace, nil
 }
 
 // RunWithTrace executes the golden and the clumsy run over an explicit
@@ -433,28 +443,25 @@ func Run(cfg Config) (*Result, error) {
 // the trace defines the workload length.
 func RunWithTrace(cfg Config, trace *packet.Trace) (*Result, error) {
 	cfg = cfg.withDefaults()
-	if trace == nil || len(trace.Packets) == 0 {
-		return nil, errors.New("clumsy: empty trace")
-	}
-	cfg.Packets = len(trace.Packets)
-
-	golden, err := goldenPass(cfg, trace)
+	g, err := newGolden(cfg, trace)
 	if err != nil {
 		return nil, err
 	}
-	var g Result
-	golden.fold(&g)
-	res := &Result{Config: cfg, GoldenCycles: g.Cycles, GoldenInstrs: g.Instrs,
-		GoldenDelay: g.Delay, GoldenEnergy: g.Energy, GoldenL1DStats: g.L1DStats}
-	// Keep only the recorder, so the golden machine can be collected
-	// while the faulty pass runs.
-	goldenRec, budget := golden.rec, golden.calibration().Budget
+	return g.run(cfg)
+}
 
-	faulty, err := openNode(cfg, trace, nodeOpts{inject: true, arena: true,
-		tel: cfg.Telemetry, budget: budget})
+// run executes the faulty pass of cfg over the golden pass's trace and
+// compares the two. It only reads g, so concurrent runs may share it.
+func (g *golden) run(cfg Config) (*Result, error) {
+	cfg.Packets = len(g.trace.Packets)
+	res := &Result{Config: cfg, GoldenCycles: g.cycles, GoldenInstrs: g.instrs,
+		GoldenDelay: g.cal.Delay, GoldenEnergy: g.energy, GoldenL1DStats: g.l1d}
+
+	faulty, err := openNode(cfg, g.trace, nodeOpts{inject: true, arena: true,
+		tel: cfg.Telemetry, budget: g.cal.Budget})
 	if err == nil {
 		defer faulty.Close()
-		err = faulty.serve(trace)
+		err = faulty.serve(g.trace)
 	}
 	if err == nil {
 		faulty.fold(res)
@@ -471,7 +478,7 @@ func RunWithTrace(cfg Config, trace *packet.Trace) (*Result, error) {
 	}
 	faulty.flushTelemetry(res)
 
-	res.Report = metrics.Compare(goldenRec, faulty.rec)
+	res.Report = metrics.Compare(g.rec, faulty.rec)
 	if res.FatalErr != nil && res.Report.Processed == 0 {
 		// A run that died before completing a single packet has no
 		// meaningful per-packet delay; charge the golden delay and let the

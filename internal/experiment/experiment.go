@@ -80,6 +80,11 @@ type Options struct {
 	// a deterministic point.
 	//lint:fingerprint-exempt test observation hook, never changes a cell
 	afterCell func(study string, index int)
+
+	// golden shares golden passes among the runs of one study call;
+	// withDefaults creates it, so it lives for that call.
+	//lint:fingerprint-exempt shares a golden pass only among runs whose golden inputs agree, so no Result changes
+	golden *clumsy.GoldenCache
 }
 
 // DefaultOptions returns the standard experiment scale.
@@ -113,6 +118,9 @@ func (o Options) withDefaults() Options {
 	if o.Retries > 0 && o.RetryBackoff <= 0 {
 		o.RetryBackoff = 100 * time.Millisecond
 	}
+	if o.golden == nil {
+		o.golden = new(clumsy.GoldenCache)
+	}
 	return o
 }
 
@@ -133,14 +141,15 @@ func (o Options) trialSeed(trial int) uint64 {
 // applied. Every experiment goes through this wrapper so a single Options
 // switch regenerates the whole evaluation under drop-and-continue, and a
 // cancelled campaign context stops every study between runs, including
-// between the trials of one cell.
+// between the trials of one cell. The golden pass comes from the study's
+// cache, shared by every run whose golden pass reads the same inputs.
 func (o Options) run(cfg clumsy.Config) (*clumsy.Result, error) {
 	if err := o.ctx().Err(); err != nil {
 		return nil, err
 	}
 	cfg.Recovery = o.Recovery
 	cfg.MaxDropRate = o.MaxDropRate
-	return clumsy.Run(cfg)
+	return o.golden.Run(cfg)
 }
 
 // CycleTimes are the paper's operating points, slowest first.
