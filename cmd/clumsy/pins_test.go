@@ -39,6 +39,12 @@ func studyPinCases() map[string][]string {
 	for _, name := range []string{"table1", "fig5", "extensions"} {
 		cases[name+"/csv"] = append(append([]string{name}, small...), "-format", "csv")
 	}
+	// Two trials pin how a study averages its trials; fleet needs more
+	// packets per node before its nodes degrade.
+	for _, name := range []string{"all", "extensions", "reliability", "state"} {
+		cases[name+"/trials2"] = []string{name, "-packets", "60", "-trials", "2"}
+	}
+	cases["fleet/trials2"] = []string{"fleet", "-packets", "300", "-trials", "2"}
 	cases["run/drop-burst-parity"] = []string{"run", "-app", "route", "-recovery", "drop", "-regime", "burst",
 		"-parity", "-strikes", "2", "-scale", "25", "-seed", "7"}
 	cases["run/dynamic"] = []string{"run", "-app", "crc", "-dynamic", "-parity", "-strikes", "3", "-scale", "25", "-seed", "3"}

@@ -3,10 +3,17 @@ package experiment
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"io/fs"
+	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -88,13 +95,72 @@ func TestCampaignResumeByteIdentical(t *testing.T) {
 	}
 }
 
+// journalPinsFile holds the digest of every study's journal written by
+// TestEveryStudyResumesFromItsJournal. A digest covers each cell's key,
+// study, index and encoded result, so a change that moves any of them,
+// and with it the journals written before the change, fails here. To
+// re-pin after a deliberate change, delete the file and run the test
+// once: it records the current digests and fails so the new file gets
+// reviewed.
+const journalPinsFile = "testdata/journal_pins.json"
+
+// journalDigest hashes a journal's lines in key order. Every line opens
+// with its key, so sorting the lines sorts the entries by key and the
+// digest does not depend on the order in which the workers finished.
+func journalDigest(t *testing.T, path string) string {
+	t.Helper()
+	b, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(b), "\n"), "\n")
+	sort.Strings(lines)
+	sum := sha256.Sum256([]byte(strings.Join(lines, "\n")))
+	return hex.EncodeToString(sum[:])
+}
+
+// readJournalPins returns the pinned journal digests, or nil when
+// journalPinsFile does not exist yet.
+func readJournalPins(t *testing.T) map[string]string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.FromSlash(journalPinsFile))
+	if errors.Is(err, fs.ErrNotExist) {
+		return nil
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pins map[string]string
+	if err := json.Unmarshal(b, &pins); err != nil {
+		t.Fatal(err)
+	}
+	return pins
+}
+
+// writeJournalPins records the digests in journalPinsFile and fails the
+// test so the new file gets reviewed.
+func writeJournalPins(t *testing.T, pins map[string]string) {
+	t.Helper()
+	b, err := json.MarshalIndent(pins, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.FromSlash(journalPinsFile), append(b, '\n'), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	t.Fatalf("recorded %d new journal pins in %s; review and commit them", len(pins), journalPinsFile)
+}
+
 // TestEveryStudyResumesFromItsJournal: every registry study that simulates
 // journals its cells, and a resume from that journal renders the same
 // bytes and error while computing no cell and starting no clumsy.Run. The
-// circuit figures simulate nothing; the composites all and extensions are
-// covered through their parts.
+// journal itself matches its pin in journalPinsFile. The circuit figures
+// simulate nothing; the composites all and extensions are covered through
+// their parts.
 func TestEveryStudyResumesFromItsJournal(t *testing.T) {
 	o := Options{Packets: 120, Trials: 1} // the CLI output pins' scale
+	pins := readJournalPins(t)
+	digests := map[string]string{}
 	for _, st := range Studies() {
 		switch st.Name {
 		case "fig1b", "fig2b", "fig3", "fig4", "fig5", "all", "extensions":
@@ -121,6 +187,10 @@ func TestEveryStudyResumesFromItsJournal(t *testing.T) {
 				return buf.String(), loaded, err
 			}
 			want, _, wantErr := render(false)
+			digests[st.Name] = journalDigest(t, path)
+			if pins != nil && digests[st.Name] != pins[st.Name] {
+				t.Errorf("journal digest %s, pinned %q (delete %s to re-pin)", digests[st.Name], pins[st.Name], journalPinsFile)
+			}
 			computed.Store(0)
 			tel := telemetry.New()
 			clumsy.SetDefaultTelemetry(tel)
@@ -139,6 +209,14 @@ func TestEveryStudyResumesFromItsJournal(t *testing.T) {
 				t.Errorf("resume started %d simulations", n)
 			}
 		})
+	}
+	if pins == nil {
+		writeJournalPins(t, digests)
+	}
+	for name := range pins {
+		if _, ok := LookupStudy(name); !ok {
+			t.Errorf("%s: pinned journal of a study that no longer exists", name)
+		}
 	}
 }
 
