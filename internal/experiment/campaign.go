@@ -100,6 +100,21 @@ func runCell[T any](o Options, study string, index int, extra any, slot *T, comp
 	return nil
 }
 
+// grid runs the n cells of one study grid in parallel and returns them in
+// index order. Cell i is a campaign cell of study with index i and the
+// study-specific parameters key(i), which together with the options give
+// its journal key; cell(i) computes it.
+func grid[T any](o Options, study string, n int, key func(i int) any, cell func(i int) (T, error)) ([]T, error) {
+	cells := make([]T, n)
+	err := parallelFor(o.ctx(), n, func(i int) error {
+		return runCell(o, study, i, key(i), &cells[i], func() (T, error) { return cell(i) })
+	})
+	if err != nil {
+		return nil, err
+	}
+	return cells, nil
+}
+
 // guardCell runs compute under the per-cell wall-clock deadline. With no
 // deadline configured it calls compute inline; with one, compute runs in
 // a watchdog-supervised goroutine. On timeout the cell fails immediately

@@ -37,10 +37,7 @@ func dvsVoltage(phi float64) float64 {
 // ExtDVS compares conventional whole-chip DVS against clumsy cache
 // over-clocking (parity, two-strike) on one application.
 func ExtDVS(app string, o Options) ([]DVSRow, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 
 	// Baseline run: full frequency, no detection, negligible faults. Like
 	// tuning's, it is its own journal cell and runs before the grid.
@@ -87,35 +84,30 @@ func ExtDVS(app string, o Options) ([]DVSRow, error) {
 	// Clumsy points: measured simulation at the over-clocked settings,
 	// journaled raw and normalised after the grid.
 	crs := []float64{0.75, 0.5, 0.25}
-	measured := make([]DVSRow, len(crs))
-	err := parallelFor(o.ctx(), len(measured), func(idx int) error {
-		cr := crs[idx]
-		return runCell(o, "dvs-"+app, idx, cr, &measured[idx], func() (DVSRow, error) {
-			var eSum, dSum, fSum, edfSum float64
-			for trial := 0; trial < o.Trials; trial++ {
-				res, err := o.run(clumsy.Config{
-					App: app, Packets: o.Packets, Seed: o.trialSeed(trial),
-					CycleTime: cr, Detection: cache.DetectionParity, Strikes: 2,
-					FaultScale: o.FaultScale,
-				})
-				if err != nil {
-					return DVSRow{}, fmt.Errorf("ext-dvs clumsy cr=%v: %w", cr, err)
-				}
-				eSum += res.Energy.Total()
-				dSum += res.Delay
-				fSum += res.Fallibility()
-				edfSum += res.EDF(o.Exponents)
-			}
-			n := float64(o.Trials)
-			return DVSRow{
-				Approach:    "clumsy",
-				Setting:     fmt.Sprintf("Cr=%g", cr),
-				EnergyRel:   eSum / n,
-				DelayRel:    dSum / n,
-				Fallibility: fSum / n,
-				EDFRel:      edfSum / n,
-			}, nil
+	measured, err := grid(o, "dvs-"+app, len(crs), func(i int) any { return crs[i] }, func(i int) (DVSRow, error) {
+		var eSum, dSum, fSum, edfSum float64
+		err := o.trials(clumsy.Config{
+			App: app, Packets: o.Packets,
+			CycleTime: crs[i], Detection: cache.DetectionParity, Strikes: 2,
+			FaultScale: o.FaultScale,
+		}, func(res *clumsy.Result) {
+			eSum += res.Energy.Total()
+			dSum += res.Delay
+			fSum += res.Fallibility()
+			edfSum += res.EDF(o.Exponents)
 		})
+		if err != nil {
+			return DVSRow{}, fmt.Errorf("ext-dvs clumsy cr=%v: %w", crs[i], err)
+		}
+		n := float64(o.Trials)
+		return DVSRow{
+			Approach:    "clumsy",
+			Setting:     fmt.Sprintf("Cr=%g", crs[i]),
+			EnergyRel:   eSum / n,
+			DelayRel:    dSum / n,
+			Fallibility: fSum / n,
+			EDFRel:      edfSum / n,
+		}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -131,17 +123,14 @@ func ExtDVS(app string, o Options) ([]DVSRow, error) {
 
 // ExtDVSRender formats the comparison.
 func ExtDVSRender(app string, rows []DVSRow, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("Extension: conventional DVS vs clumsy over-clocking for %s", app),
 		Header: []string{"Approach", "Setting", "Energy", "Delay", "Fallibility", "EDF^2"},
 		Notes: []string{
 			"DVS rows: analytic V-f scaling of the measured baseline (no faults, whole chip slows)",
 			"clumsy rows: simulated, parity + two-strike, only the D-cache runs faster",
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g", o.Packets, o.Trials, o.FaultScale),
+			o.scaleNote(""),
 		},
 	}
 	for _, r := range rows {

@@ -64,9 +64,6 @@ type EDFResult struct {
 	Baseline float64 // absolute EDF of the Cr=1 / no-detection reference
 }
 
-// EDFGrid measures the energy-delay^2-fallibility^2 product of every
-// scheme × setting combination for one application, averaged over trials
-// and normalised to the paper's reference configuration.
 // EDFFaultScale is the default fault-rate multiplier of the EDF
 // experiments. The paper's runs execute 7M-497M instructions per
 // application, this harness's default traces 0.3M-19M; the multiplier
@@ -75,41 +72,36 @@ type EDFResult struct {
 // for the raw physical rate) overrides it.
 const EDFFaultScale = 25
 
+// EDFGrid measures the energy-delay^2-fallibility^2 product of every
+// scheme × setting combination for one application, averaged over trials
+// and normalised to the paper's reference configuration.
 func EDFGrid(app string, o Options) (*EDFResult, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	out := &EDFResult{App: app}
 
 	schemes := Schemes()
 	settings := Settings()
+	ns := len(settings)
 	// Cells are journaled raw (pre-normalisation): the baseline division
 	// below depends on cell 0, which on a resumed campaign may itself come
 	// from the journal. Normalising after the grid completes keeps journal
 	// entries independent of completion order.
-	cells := make([]EDFCell, len(schemes)*len(settings))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		sch := schemes[idx/len(settings)]
-		set := settings[idx%len(settings)]
-		return runCell(o, "edf-"+app, idx, [2]string{sch.Name, set.Name}, &cells[idx], func() (EDFCell, error) {
+	cells, err := grid(o, "edf-"+app, len(schemes)*ns,
+		func(i int) any { return [2]string{schemes[i/ns].Name, settings[i%ns].Name} },
+		func(i int) (EDFCell, error) {
+			sch, set := schemes[i/ns], settings[i%ns]
 			cell := EDFCell{Scheme: sch.Name, Setting: set.Name}
 			var edf stats.Sample
 			var eSum, dSum, fSum float64
-			for trial := 0; trial < o.Trials; trial++ {
-				res, err := o.run(clumsy.Config{
-					App:        app,
-					Packets:    o.Packets,
-					Seed:       o.trialSeed(trial), // common random numbers across the grid
-					CycleTime:  set.CycleTime,
-					Dynamic:    set.Dynamic,
-					Detection:  sch.Detection,
-					Strikes:    sch.Strikes,
-					FaultScale: o.FaultScale,
-				})
-				if err != nil {
-					return cell, fmt.Errorf("edf %s %s/%s: %w", app, sch.Name, set.Name, err)
-				}
+			err := o.trials(clumsy.Config{
+				App:        app,
+				Packets:    o.Packets,
+				CycleTime:  set.CycleTime,
+				Dynamic:    set.Dynamic,
+				Detection:  sch.Detection,
+				Strikes:    sch.Strikes,
+				FaultScale: o.FaultScale,
+			}, func(res *clumsy.Result) {
 				edf.Add(res.EDF(o.Exponents))
 				eSum += res.Energy.Total()
 				dSum += res.Delay
@@ -117,6 +109,9 @@ func EDFGrid(app string, o Options) (*EDFResult, error) {
 				if res.Report.Fatal {
 					cell.Fatal = true
 				}
+			})
+			if err != nil {
+				return cell, fmt.Errorf("edf %s %s/%s: %w", app, sch.Name, set.Name, err)
 			}
 			n := float64(o.Trials)
 			cell.Relative = edf.Mean() // normalised below
@@ -126,7 +121,6 @@ func EDFGrid(app string, o Options) (*EDFResult, error) {
 			cell.Fall = fSum / n
 			return cell, nil
 		})
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -195,17 +189,12 @@ func (r *EDFResult) Cell(scheme, setting string) *EDFCell {
 
 // EDFRender formats one application's grid as a Figure 9–12 panel.
 func EDFRender(r *EDFResult, figure string, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title: fmt.Sprintf("%s: relative energy-delay^%g-fallibility^%g of %s (baseline: Cr=1, no detection)",
 			figure, o.Exponents.M, o.Exponents.N, r.App),
 		Header: []string{"Recovery scheme"},
-		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g", o.Packets, o.Trials, o.FaultScale),
-		},
+		Notes:  []string{o.scaleNote("")},
 	}
 	settings := Settings()
 	for _, s := range settings {

@@ -27,50 +27,40 @@ type ErrorSweep struct {
 func ErrorBehaviour(app string, o Options) ([]ErrorSweep, error) {
 	o = o.withDefaults()
 	planes := []clumsy.Planes{clumsy.PlaneControl, clumsy.PlaneData, clumsy.PlaneBoth}
-	out := make([]ErrorSweep, len(planes))
-	err := parallelFor(o.ctx(), len(planes), func(pi int) error {
-		plane := planes[pi]
-		return runCell(o, "error-"+app, pi, int(plane), &out[pi], func() (ErrorSweep, error) {
-			sweep := ErrorSweep{App: app, Plane: plane, Prob: map[string][]float64{}}
-			for ci, cr := range CycleTimes {
-				probSum := map[string]float64{}
-				fatalSum := 0.0
-				for trial := 0; trial < o.Trials; trial++ {
-					res, err := o.run(clumsy.Config{
-						App:        app,
-						Packets:    o.Packets,
-						Seed:       o.trialSeed(trial), // common random numbers across operating points
-						CycleTime:  cr,
-						FaultScale: o.FaultScale,
-						Planes:     plane,
-					})
-					if err != nil {
-						return sweep, fmt.Errorf("error sweep %s %v cr=%v: %w", app, plane, cr, err)
-					}
-					for _, name := range res.Report.StructureNames() {
-						probSum[name] += res.Report.ErrorProbability(name)
-					}
-					fatalSum += res.FatalProbability()
+	return grid(o, "error-"+app, len(planes), func(i int) any { return int(planes[i]) }, func(i int) (ErrorSweep, error) {
+		sweep := ErrorSweep{App: app, Plane: planes[i], Prob: map[string][]float64{}}
+		for ci, cr := range CycleTimes {
+			probSum := map[string]float64{}
+			fatalSum := 0.0
+			err := o.trials(clumsy.Config{
+				App:        app,
+				Packets:    o.Packets,
+				CycleTime:  cr,
+				FaultScale: o.FaultScale,
+				Planes:     sweep.Plane,
+			}, func(res *clumsy.Result) {
+				for _, name := range res.Report.StructureNames() {
+					probSum[name] += res.Report.ErrorProbability(name)
 				}
-				for name, sum := range probSum {
-					if _, ok := sweep.Prob[name]; !ok {
-						sweep.Prob[name] = make([]float64, len(CycleTimes))
-					}
-					sweep.Prob[name][ci] = sum / float64(o.Trials)
+				fatalSum += res.FatalProbability()
+			})
+			if err != nil {
+				return sweep, fmt.Errorf("error sweep %s %v cr=%v: %w", app, sweep.Plane, cr, err)
+			}
+			for name, sum := range probSum {
+				if _, ok := sweep.Prob[name]; !ok {
+					sweep.Prob[name] = make([]float64, len(CycleTimes))
 				}
-				sweep.Fatal = append(sweep.Fatal, fatalSum/float64(o.Trials))
+				sweep.Prob[name][ci] = sum / float64(o.Trials)
 			}
-			for name := range sweep.Prob {
-				sweep.Struct = append(sweep.Struct, name)
-			}
-			sort.Strings(sweep.Struct)
-			return sweep, nil
-		})
+			sweep.Fatal = append(sweep.Fatal, fatalSum/float64(o.Trials))
+		}
+		for name := range sweep.Prob {
+			sweep.Struct = append(sweep.Struct, name)
+		}
+		sort.Strings(sweep.Struct)
+		return sweep, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // ErrorBehaviourRender formats one application's sweep as the three panels
@@ -82,10 +72,7 @@ func ErrorBehaviourRender(sweeps []ErrorSweep, figure string, o Options) []*Tabl
 		t := &Table{
 			Title:  fmt.Sprintf("%s: error probability of %s — faults in %s", figure, s.App, s.Plane),
 			Header: []string{"Structure"},
-			Notes: []string{
-				fmt.Sprintf("%d packets/run, %d trials, fault scale %g, no detection",
-					o.Packets, o.Trials, o.FaultScale),
-			},
+			Notes:  []string{o.scaleNote(", no detection")},
 		}
 		for _, cr := range CycleTimes {
 			t.Header = append(t.Header, "Cr="+cycleTimeLabel(cr))
@@ -120,35 +107,23 @@ type FatalRow struct {
 func Fig8(o Options) ([]FatalRow, error) {
 	o = o.withDefaults()
 	names := apps.Names()
-	rows := make([]FatalRow, len(names))
-	err := parallelFor(o.ctx(), len(names), func(ai int) error {
-		name := names[ai]
-		return runCell(o, "fig8", ai, name, &rows[ai], func() (FatalRow, error) {
-			row := FatalRow{App: name}
-			for _, cr := range CycleTimes {
-				sum := 0.0
-				for trial := 0; trial < o.Trials; trial++ {
-					res, err := o.run(clumsy.Config{
-						App:        name,
-						Packets:    o.Packets,
-						Seed:       o.trialSeed(trial), // common random numbers across operating points
-						CycleTime:  cr,
-						FaultScale: o.FaultScale,
-					})
-					if err != nil {
-						return row, fmt.Errorf("fig8 %s cr=%v: %w", name, cr, err)
-					}
-					sum += res.FatalProbability()
-				}
-				row.Fatal = append(row.Fatal, sum/float64(o.Trials))
+	return grid(o, "fig8", len(names), func(i int) any { return names[i] }, func(i int) (FatalRow, error) {
+		row := FatalRow{App: names[i]}
+		for _, cr := range CycleTimes {
+			sum := 0.0
+			err := o.trials(clumsy.Config{
+				App:        row.App,
+				Packets:    o.Packets,
+				CycleTime:  cr,
+				FaultScale: o.FaultScale,
+			}, func(res *clumsy.Result) { sum += res.FatalProbability() })
+			if err != nil {
+				return row, fmt.Errorf("fig8 %s cr=%v: %w", row.App, cr, err)
 			}
-			return row, nil
-		})
+			row.Fatal = append(row.Fatal, sum/float64(o.Trials))
+		}
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Fig8Render formats the fatal-error matrix like Figure 8, including the
@@ -159,7 +134,7 @@ func Fig8Render(rows []FatalRow, o Options) *Table {
 		Title:  "Figure 8: fatal error probabilities for different clock rates (no detection)",
 		Header: []string{"App"},
 		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g", o.Packets, o.Trials, o.FaultScale),
+			o.scaleNote(""),
 			"with parity detection enabled the reproduction, like the paper, observes no fatal errors",
 		},
 	}

@@ -124,6 +124,21 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
+// edfDefaults resolves the options of a study that runs at EDFFaultScale
+// unless the caller chose a fault scale.
+func (o Options) edfDefaults() Options {
+	if o.FaultScale == 0 {
+		o.FaultScale = EDFFaultScale
+	}
+	return o.withDefaults()
+}
+
+// scaleNote is the note under a study's table that records its scale,
+// followed by the study's own remarks.
+func (o Options) scaleNote(remarks string) string {
+	return fmt.Sprintf("%d packets/run, %d trials, fault scale %g", o.Packets, o.Trials, o.FaultScale) + remarks
+}
+
 // ctx returns the campaign context, never nil.
 func (o Options) ctx() context.Context {
 	if o.Ctx != nil {
@@ -150,6 +165,21 @@ func (o Options) run(cfg clumsy.Config) (*clumsy.Result, error) {
 	cfg.Recovery = o.Recovery
 	cfg.MaxDropRate = o.MaxDropRate
 	return o.golden.Run(cfg)
+}
+
+// trials runs cfg once per trial and passes each Result to add in trial
+// order. Trial k runs under trialSeed(k) in every cell, so the cells of a
+// grid compare common random numbers.
+func (o Options) trials(cfg clumsy.Config, add func(*clumsy.Result)) error {
+	for trial := 0; trial < o.Trials; trial++ {
+		cfg.Seed = o.trialSeed(trial)
+		res, err := o.run(cfg)
+		if err != nil {
+			return err
+		}
+		add(res)
+	}
+	return nil
 }
 
 // CycleTimes are the paper's operating points, slowest first.

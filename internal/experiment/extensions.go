@@ -31,43 +31,36 @@ type DetectionCell struct {
 // operating points, answering the question the paper raised and skipped:
 // is the energy cost of correction ever worth it?
 func ExtDetection(app string, o Options) ([]DetectionCell, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	detections := []cache.Detection{cache.DetectionNone, cache.DetectionParity, cache.DetectionECC}
+	nc := len(CycleTimes)
 	// Cells are journaled raw and normalised after the grid, as in EDFGrid.
-	cells := make([]DetectionCell, len(detections)*len(CycleTimes))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		det := detections[idx/len(CycleTimes)]
-		cr := CycleTimes[idx%len(CycleTimes)]
-		return runCell(o, "detection-"+app, idx, [2]string{det.String(), cycleTimeLabel(cr)}, &cells[idx], func() (DetectionCell, error) {
-			cell := DetectionCell{Detection: det, CycleTime: cr}
+	cells, err := grid(o, "detection-"+app, len(detections)*nc,
+		func(i int) any { return [2]string{detections[i/nc].String(), cycleTimeLabel(CycleTimes[i%nc])} },
+		func(i int) (DetectionCell, error) {
+			cell := DetectionCell{Detection: detections[i/nc], CycleTime: CycleTimes[i%nc]}
 			var edfSum, fallSum float64
-			for trial := 0; trial < o.Trials; trial++ {
-				res, err := o.run(clumsy.Config{
-					App:        app,
-					Packets:    o.Packets,
-					Seed:       o.trialSeed(trial),
-					CycleTime:  cr,
-					Detection:  det,
-					Strikes:    2,
-					FaultScale: o.FaultScale,
-				})
-				if err != nil {
-					return cell, fmt.Errorf("ext-detection %s %v cr=%v: %w", app, det, cr, err)
-				}
+			err := o.trials(clumsy.Config{
+				App:        app,
+				Packets:    o.Packets,
+				CycleTime:  cell.CycleTime,
+				Detection:  cell.Detection,
+				Strikes:    2,
+				FaultScale: o.FaultScale,
+			}, func(res *clumsy.Result) {
 				edfSum += res.EDF(o.Exponents)
 				fallSum += res.Fallibility()
 				cell.Corrected += res.Recovery.Corrected
 				cell.Recoveries += res.Recovery.Recoveries
 				cell.Fatal = cell.Fatal || res.Report.Fatal
+			})
+			if err != nil {
+				return cell, fmt.Errorf("ext-detection %s %v cr=%v: %w", app, cell.Detection, cell.CycleTime, err)
 			}
 			cell.RelativeEDF = edfSum / float64(o.Trials) // normalised below
 			cell.Fallibility = fallSum / float64(o.Trials)
 			return cell, nil
 		})
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -80,17 +73,11 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 
 // ExtDetectionRender formats the detection comparison.
 func ExtDetectionRender(app string, cells []DetectionCell, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("Extension: detection schemes for %s — relative EDF^2 (two-strike recovery)", app),
 		Header: []string{"Detection"},
-		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g; ECC corrects single-bit faults in place at +60%%/+80%% read/write energy",
-				o.Packets, o.Trials, o.FaultScale),
-		},
+		Notes:  []string{o.scaleNote("; ECC corrects single-bit faults in place at +60%/+80% read/write energy")},
 	}
 	for _, cr := range CycleTimes {
 		t.Header = append(t.Header, "Cr="+cycleTimeLabel(cr))
@@ -133,36 +120,30 @@ type SubBlockCell struct {
 // from the L2 instead of invalidating whole lines, under parity with
 // two-strike recovery.
 func ExtSubBlock(app string, o Options) ([]SubBlockCell, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	// Cells are journaled raw and normalised after the grid, as in EDFGrid.
-	cells := make([]SubBlockCell, len(CycleTimes))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		cr := CycleTimes[idx]
-		return runCell(o, "subblock-"+app, idx, cycleTimeLabel(cr), &cells[idx], func() (SubBlockCell, error) {
-			cell := SubBlockCell{CycleTime: cr}
+	cells, err := grid(o, "subblock-"+app, len(CycleTimes),
+		func(i int) any { return cycleTimeLabel(CycleTimes[i]) },
+		func(i int) (SubBlockCell, error) {
+			cell := SubBlockCell{CycleTime: CycleTimes[i]}
 			for _, sub := range []bool{false, true} {
 				var edfSum float64
 				var l2, rec uint64
-				for trial := 0; trial < o.Trials; trial++ {
-					res, err := o.run(clumsy.Config{
-						App:        app,
-						Packets:    o.Packets,
-						Seed:       o.trialSeed(trial),
-						CycleTime:  cr,
-						Detection:  cache.DetectionParity,
-						Strikes:    2,
-						SubBlock:   sub,
-						FaultScale: o.FaultScale,
-					})
-					if err != nil {
-						return cell, fmt.Errorf("ext-subblock %s cr=%v: %w", app, cr, err)
-					}
+				err := o.trials(clumsy.Config{
+					App:        app,
+					Packets:    o.Packets,
+					CycleTime:  cell.CycleTime,
+					Detection:  cache.DetectionParity,
+					Strikes:    2,
+					SubBlock:   sub,
+					FaultScale: o.FaultScale,
+				}, func(res *clumsy.Result) {
 					edfSum += res.EDF(o.Exponents)
 					rec += res.Recovery.Recoveries
 					l2 += res.L1DStats.ReadMisses + res.L1DStats.WriteMisses + res.L1DStats.Writebacks + res.Recovery.Recoveries
+				})
+				if err != nil {
+					return cell, fmt.Errorf("ext-subblock %s cr=%v: %w", app, cell.CycleTime, err)
 				}
 				if sub {
 					cell.SubEDF = edfSum / float64(o.Trials)
@@ -176,7 +157,6 @@ func ExtSubBlock(app string, o Options) ([]SubBlockCell, error) {
 			}
 			return cell, nil
 		})
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -222,6 +202,9 @@ type ExponentRow struct {
 // Section 4.1: different architectures weight the three axes differently,
 // and the winning configuration moves with the weights.
 func ExtExponents(app string, o Options) ([]ExponentRow, error) {
+	// Resolved once, so the five grids share one golden cache: the
+	// weights never change a golden pass.
+	o = o.edfDefaults()
 	weightings := []metrics.EDFExponents{
 		{K: 1, M: 1, N: 1}, // classic EDP with errors
 		{K: 1, M: 2, N: 2}, // the paper's choice

@@ -69,51 +69,47 @@ func fleetConfig(app string, o Options, faulty int, seed uint64) cluster.Config 
 // order-free.
 func Fleet(app string, o Options) ([]FleetCell, error) {
 	o = o.withDefaults()
-	cells := make([]FleetCell, len(FleetFracs))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		frac := FleetFracs[idx]
-		faulty := int(math.Round(frac * FleetNodes))
-		return runCell(o, "fleet-"+app, idx,
-			fmt.Sprintf("frac=%g", frac), &cells[idx], func() (FleetCell, error) {
-				cell := FleetCell{Frac: frac, FaultyNodes: faulty, DropSLOMet: true}
-				for trial := 0; trial < o.Trials; trial++ {
-					if err := o.ctx().Err(); err != nil {
-						return cell, err
-					}
-					r, err := cluster.Run(fleetConfig(app, o, faulty, o.trialSeed(trial)))
-					if err != nil {
-						return cell, fmt.Errorf("fleet %s frac=%g: %w", app, frac, err)
-					}
-					cell.Attainment += r.Attainment
-					cell.DropRate += r.FleetDropRate
-					cell.P50 += r.P50Latency
-					cell.P99 += r.P99Latency
-					cell.Deaths += float64(r.Deaths)
-					cell.NodesLive += float64(r.NodesLive)
-					cell.Drains += float64(r.Drains)
-					cell.Reclocks += float64(r.Reclocks)
-					cell.Shed += float64(r.Shed)
-					if !r.DropSLOMet {
-						cell.DropSLOMet = false
-					}
+	return grid(o, "fleet-"+app, len(FleetFracs),
+		func(i int) any { return fmt.Sprintf("frac=%g", FleetFracs[i]) },
+		func(i int) (FleetCell, error) {
+			frac := FleetFracs[i]
+			faulty := int(math.Round(frac * FleetNodes))
+			cell := FleetCell{Frac: frac, FaultyNodes: faulty, DropSLOMet: true}
+			// A fleet run is not a clumsy.Run, so the study keeps its own
+			// trial loop and cancellation check.
+			for trial := 0; trial < o.Trials; trial++ {
+				if err := o.ctx().Err(); err != nil {
+					return cell, err
 				}
-				n := float64(o.Trials)
-				cell.Attainment /= n
-				cell.DropRate /= n
-				cell.P50 /= n
-				cell.P99 /= n
-				cell.Deaths /= n
-				cell.NodesLive /= n
-				cell.Drains /= n
-				cell.Reclocks /= n
-				cell.Shed /= n
-				return cell, nil
-			})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
+				r, err := cluster.Run(fleetConfig(app, o, faulty, o.trialSeed(trial)))
+				if err != nil {
+					return cell, fmt.Errorf("fleet %s frac=%g: %w", app, frac, err)
+				}
+				cell.Attainment += r.Attainment
+				cell.DropRate += r.FleetDropRate
+				cell.P50 += r.P50Latency
+				cell.P99 += r.P99Latency
+				cell.Deaths += float64(r.Deaths)
+				cell.NodesLive += float64(r.NodesLive)
+				cell.Drains += float64(r.Drains)
+				cell.Reclocks += float64(r.Reclocks)
+				cell.Shed += float64(r.Shed)
+				if !r.DropSLOMet {
+					cell.DropSLOMet = false
+				}
+			}
+			n := float64(o.Trials)
+			cell.Attainment /= n
+			cell.DropRate /= n
+			cell.P50 /= n
+			cell.P99 /= n
+			cell.Deaths /= n
+			cell.NodesLive /= n
+			cell.Drains /= n
+			cell.Reclocks /= n
+			cell.Shed /= n
+			return cell, nil
+		})
 }
 
 // FleetRender formats the fleet degradation curve.

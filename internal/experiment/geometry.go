@@ -27,42 +27,35 @@ type GeometryCell struct {
 // parity with two-strike recovery. Each size is normalised to its own
 // Cr = 1 run, so the column reads "what over-clocking buys at this size".
 func ExtGeometry(app string, o Options) ([]GeometryCell, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	sizes := []int{1024, 4096, 16384}
+	nc := len(CycleTimes)
 	// Cells are journaled raw and normalised after the grid, as in EDFGrid.
-	cells := make([]GeometryCell, len(sizes)*len(CycleTimes))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		size := sizes[idx/len(CycleTimes)]
-		cr := CycleTimes[idx%len(CycleTimes)]
-		return runCell(o, "geometry-"+app, idx, [2]float64{float64(size), cr}, &cells[idx], func() (GeometryCell, error) {
-			cell := GeometryCell{SizeBytes: size, CycleTime: cr}
+	cells, err := grid(o, "geometry-"+app, len(sizes)*nc,
+		func(i int) any { return [2]float64{float64(sizes[i/nc]), CycleTimes[i%nc]} },
+		func(i int) (GeometryCell, error) {
+			cell := GeometryCell{SizeBytes: sizes[i/nc], CycleTime: CycleTimes[i%nc]}
 			var edfSum, missSum float64
-			for trial := 0; trial < o.Trials; trial++ {
-				res, err := o.run(clumsy.Config{
-					App:        app,
-					Packets:    o.Packets,
-					Seed:       o.trialSeed(trial),
-					CycleTime:  cr,
-					Detection:  cache.DetectionParity,
-					Strikes:    2,
-					FaultScale: o.FaultScale,
-					L1DSize:    size,
-				})
-				if err != nil {
-					return cell, fmt.Errorf("ext-geometry %s size=%d cr=%v: %w", app, size, cr, err)
-				}
+			err := o.trials(clumsy.Config{
+				App:        app,
+				Packets:    o.Packets,
+				CycleTime:  cell.CycleTime,
+				Detection:  cache.DetectionParity,
+				Strikes:    2,
+				FaultScale: o.FaultScale,
+				L1DSize:    cell.SizeBytes,
+			}, func(res *clumsy.Result) {
 				edfSum += res.EDF(o.Exponents)
 				missSum += res.GoldenL1DStats.MissRate()
 				cell.Fatal = cell.Fatal || res.Report.Fatal
+			})
+			if err != nil {
+				return cell, fmt.Errorf("ext-geometry %s size=%d cr=%v: %w", app, cell.SizeBytes, cell.CycleTime, err)
 			}
 			cell.RelativeEDF = edfSum / float64(o.Trials) // normalised below
 			cell.MissRate = missSum / float64(o.Trials)
 			return cell, nil
 		})
-	})
 	if err != nil {
 		return nil, err
 	}
@@ -78,16 +71,13 @@ func ExtGeometry(app string, o Options) ([]GeometryCell, error) {
 
 // ExtGeometryRender formats the ablation.
 func ExtGeometryRender(app string, cells []GeometryCell, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("Extension: L1 data cache geometry ablation for %s (parity, two-strike)", app),
 		Header: []string{"L1D size", "miss rate"},
 		Notes: []string{
 			"each row is normalised to its own Cr=1 point: the cells read 'what over-clocking buys at this size'",
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g", o.Packets, o.Trials, o.FaultScale),
+			o.scaleNote(""),
 		},
 	}
 	for _, cr := range CycleTimes {

@@ -69,16 +69,15 @@ func reliabilityConfig(app string, o Options, regime clumsy.FaultRegime) clumsy.
 // baseline cell), so cells are independent and journal resume is
 // order-free.
 func Reliability(o Options) ([]ReliabilityCell, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 
 	names := apps.Names()
 	regimes := Regimes()
 	policies := Policies()
 	perApp := len(regimes) * len(policies)
 	cells := make([]ReliabilityCell, len(names)*perApp)
+	// One grid spans every app, so the cells of all apps share the
+	// workers, but each app's cells journal under their own study name.
 	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
 		app := names[idx/perApp]
 		regime := regimes[(idx%perApp)/len(policies)]
@@ -93,13 +92,7 @@ func Reliability(o Options) ([]ReliabilityCell, error) {
 				cell := ReliabilityCell{App: app, Regime: regime.String(), Policy: policy.String()}
 				var rel stats.Sample
 				var fall, drop, dfrac, lines, esc, bursts, perm float64
-				for trial := 0; trial < o.Trials; trial++ {
-					cfg := reliabilityConfig(app, o, regime)
-					cfg.Seed = o.trialSeed(trial) // common random numbers across the grid
-					res, err := ropts.run(cfg)
-					if err != nil {
-						return cell, fmt.Errorf("reliability %s %s/%s: %w", app, regime, policy, err)
-					}
+				err := ropts.trials(reliabilityConfig(app, o, regime), func(res *clumsy.Result) {
 					rel.Add(res.EDF(o.Exponents) / res.GoldenEDF(o.Exponents))
 					fall += res.Fallibility()
 					drop += res.Report.DropRate()
@@ -111,6 +104,9 @@ func Reliability(o Options) ([]ReliabilityCell, error) {
 					if res.Report.Fatal {
 						cell.Fatal = true
 					}
+				})
+				if err != nil {
+					return cell, fmt.Errorf("reliability %s %s/%s: %w", app, regime, policy, err)
 				}
 				n := float64(o.Trials)
 				cell.RelEDF = rel.Mean()
@@ -146,10 +142,7 @@ func reliabilityCell(cells []ReliabilityCell, app, regime, policy string) *Relia
 // applications down, recovery policies across, relative EDF^2 in the
 // cells (with drop rate where packets were lost).
 func ReliabilityRender(cells []ReliabilityCell, o Options) []*Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	var tables []*Table
 	for _, regime := range Regimes() {
 		t := &Table{
@@ -157,7 +150,7 @@ func ReliabilityRender(cells []ReliabilityCell, o Options) []*Table {
 				o.Exponents.M, o.Exponents.N, regime),
 			Header: []string{"Application"},
 			Notes: []string{
-				fmt.Sprintf("%d packets/run, %d trials, fault scale %g; dynamic scheme, parity, two strikes", o.Packets, o.Trials, o.FaultScale),
+				o.scaleNote("; dynamic scheme, parity, two strikes"),
 				"* marks configurations with fatal trials; drop/disabled columns shown when non-zero",
 			},
 		}
@@ -218,73 +211,56 @@ var CurveFracs = []float64{0, 0.125, 0.25, 0.5, 0.75}
 // permanent fault regime with the full recovery ladder (degrade policy)
 // at the static Cr = 0.5 operating point.
 func ReliabilityCurve(app string, o Options) ([]CurvePoint, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	ropts := o
 	ropts.Recovery = clumsy.RecoverDegrade
 
-	points := make([]CurvePoint, len(CurveFracs))
-	err := parallelFor(o.ctx(), len(points), func(idx int) error {
-		frac := CurveFracs[idx]
-		return runCell(o, "reliability-curve-"+app, idx,
-			fmt.Sprintf("frac=%g", frac), &points[idx], func() (CurvePoint, error) {
-				pt := CurvePoint{Frac: frac}
-				var dfrac, drop, ipc, rel, lines float64
-				for trial := 0; trial < o.Trials; trial++ {
-					res, err := ropts.run(clumsy.Config{
-						App:            app,
-						Packets:        o.Packets,
-						Seed:           o.trialSeed(trial),
-						CycleTime:      0.5,
-						Detection:      cache.DetectionParity,
-						Strikes:        2,
-						FaultScale:     o.FaultScale,
-						Regime:         clumsy.RegimePermanent,
-						PreDisableFrac: frac,
-					})
-					if err != nil {
-						return pt, fmt.Errorf("reliability-curve %s frac=%g: %w", app, frac, err)
-					}
-					dfrac += res.DisabledFrac
-					drop += res.Report.DropRate()
-					if res.Cycles > 0 {
-						ipc += float64(res.Instrs) / res.Cycles
-					}
-					rel += res.EDF(o.Exponents) / res.GoldenEDF(o.Exponents)
-					lines += float64(res.LinesDisabled)
-					if res.Report.Fatal {
-						pt.Fatal = true
-					}
+	return grid(o, "reliability-curve-"+app, len(CurveFracs),
+		func(i int) any { return fmt.Sprintf("frac=%g", CurveFracs[i]) },
+		func(i int) (CurvePoint, error) {
+			pt := CurvePoint{Frac: CurveFracs[i]}
+			var dfrac, drop, ipc, rel, lines float64
+			err := ropts.trials(clumsy.Config{
+				App:            app,
+				Packets:        o.Packets,
+				CycleTime:      0.5,
+				Detection:      cache.DetectionParity,
+				Strikes:        2,
+				FaultScale:     o.FaultScale,
+				Regime:         clumsy.RegimePermanent,
+				PreDisableFrac: pt.Frac,
+			}, func(res *clumsy.Result) {
+				dfrac += res.DisabledFrac
+				drop += res.Report.DropRate()
+				if res.Cycles > 0 {
+					ipc += float64(res.Instrs) / res.Cycles
 				}
-				n := float64(o.Trials)
-				pt.DisabledFrac = dfrac / n
-				pt.DropRate = drop / n
-				pt.IPC = ipc / n
-				pt.RelEDF = rel / n
-				pt.LinesDisabled = lines / n
-				return pt, nil
+				rel += res.EDF(o.Exponents) / res.GoldenEDF(o.Exponents)
+				lines += float64(res.LinesDisabled)
+				if res.Report.Fatal {
+					pt.Fatal = true
+				}
 			})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return points, nil
+			if err != nil {
+				return pt, fmt.Errorf("reliability-curve %s frac=%g: %w", app, pt.Frac, err)
+			}
+			n := float64(o.Trials)
+			pt.DisabledFrac = dfrac / n
+			pt.DropRate = drop / n
+			pt.IPC = ipc / n
+			pt.RelEDF = rel / n
+			pt.LinesDisabled = lines / n
+			return pt, nil
+		})
 }
 
 // ReliabilityCurveRender formats the graceful-degradation curve.
 func ReliabilityCurveRender(app string, points []CurvePoint, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("Graceful degradation: %s with a shrinking L1 data cache (permanent regime, degrade policy, Cr=0.5)", app),
 		Header: []string{"Pre-disabled", "Dead at end", "Drop rate", "IPC", "Relative EDF", "Dead frames"},
-		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g; * marks fatal trials", o.Packets, o.Trials, o.FaultScale),
-		},
+		Notes:  []string{o.scaleNote("; * marks fatal trials")},
 	}
 	for _, p := range points {
 		relEDF := fmt.Sprintf("%.3f", p.RelEDF)

@@ -31,12 +31,15 @@ var stateScrubs = []int{clumsy.DefaultScrubInterval, -1}
 // stateShapes are the swept workload shapes: the canonical steady trace
 // and an adversarial flash-crowd mix (malformed wire images + flow-churn
 // flood) from the workload-v2 substrate.
-var stateShapes = []struct {
-	name string
-	spec *workload.Spec
-}{
+var stateShapes = []stateShape{
 	{"steady", nil},
 	{"adversarial", &workload.Spec{Shape: workload.ShapeFlash, Adversarial: 0.15, Churn: 0.25}},
+}
+
+// stateShape is a named workload shape; a nil spec is the canonical trace.
+type stateShape struct {
+	name string
+	spec *workload.Spec
 }
 
 // StateCell is one cell of the regime x scrub x shape sweep for one
@@ -82,69 +85,60 @@ func stateConfig(app string, o Options, regime clumsy.FaultRegime, scrub int, sp
 // one stateful application. Cells are journaled under "state-<app>" and
 // independent, so campaign resume is order-free.
 func StateIntegrity(app string, o Options) ([]StateCell, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
+	// The study owns its containment policy; a campaign-wide -recovery
+	// switch must not turn the drop-rate measurement into abort runs.
+	ropts := o
+	ropts.Recovery = clumsy.RecoverDrop
 
 	regimes := Regimes()
 	perRegime := len(stateScrubs) * len(stateShapes)
-	cells := make([]StateCell, len(regimes)*perRegime)
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		regime := regimes[idx/perRegime]
-		scrub := stateScrubs[(idx%perRegime)/len(stateShapes)]
-		shape := stateShapes[idx%len(stateShapes)]
-		// The study owns its containment policy; a campaign-wide -recovery
-		// switch must not turn the drop-rate measurement into abort runs.
-		ropts := o
-		ropts.Recovery = clumsy.RecoverDrop
+	at := func(i int) (clumsy.FaultRegime, int, stateShape) {
+		return regimes[i/perRegime], stateScrubs[(i%perRegime)/len(stateShapes)], stateShapes[i%len(stateShapes)]
+	}
+	return grid(o, "state-"+app, len(regimes)*perRegime, func(i int) any {
 		// The cell's fingerprint carries the study-specific knobs that the
 		// Config annotations defer here: regime, scrub interval, and the
 		// workload spec (Config.ScrubInterval / StateStrikes / Workload).
+		regime, scrub, shape := at(i)
 		extra := [3]string{regime.String(), fmt.Sprintf("scrub=%d", scrub), shape.name}
 		if shape.spec != nil {
 			extra[2] = shape.spec.String()
 		}
-		return runCell(o, "state-"+app, idx, extra, &cells[idx], func() (StateCell, error) {
-			cell := StateCell{App: app, Regime: regime.String(), Scrub: scrub, Shape: shape.name}
-			for trial := 0; trial < o.Trials; trial++ {
-				cfg := stateConfig(app, o, regime, scrub, shape.spec)
-				cfg.Seed = o.trialSeed(trial) // common random numbers across the grid
-				res, err := ropts.run(cfg)
-				if err != nil {
-					return cell, fmt.Errorf("state %s %s/%s/scrub=%d: %w", app, regime, shape.name, scrub, err)
-				}
-				cell.Detected += float64(res.StateDetected)
-				cell.Evictions += float64(res.StateEvictions)
-				cell.Rebuilds += float64(res.StateRebuilds)
-				cell.Scrubs += float64(res.StateScrubs)
-				if res.StateRecords > 0 {
-					cell.DivergedRate += float64(res.StateDiverged) / float64(res.StateRecords)
-					cell.UndetectedRate += float64(res.StateUndetected) / float64(res.StateRecords)
-				}
-				cell.DropRate += res.Report.DropRate()
-				if errors.Is(res.FatalErr, clumsy.ErrStateCorrupt) {
-					cell.CorruptFatal++
-				}
-				if res.Report.Fatal {
-					cell.Fatal = true
-				}
+		return extra
+	}, func(i int) (StateCell, error) {
+		regime, scrub, shape := at(i)
+		cell := StateCell{App: app, Regime: regime.String(), Scrub: scrub, Shape: shape.name}
+		err := ropts.trials(stateConfig(app, o, regime, scrub, shape.spec), func(res *clumsy.Result) {
+			cell.Detected += float64(res.StateDetected)
+			cell.Evictions += float64(res.StateEvictions)
+			cell.Rebuilds += float64(res.StateRebuilds)
+			cell.Scrubs += float64(res.StateScrubs)
+			if res.StateRecords > 0 {
+				cell.DivergedRate += float64(res.StateDiverged) / float64(res.StateRecords)
+				cell.UndetectedRate += float64(res.StateUndetected) / float64(res.StateRecords)
 			}
-			n := float64(o.Trials)
-			cell.Detected /= n
-			cell.Evictions /= n
-			cell.Rebuilds /= n
-			cell.Scrubs /= n
-			cell.DivergedRate /= n
-			cell.UndetectedRate /= n
-			cell.DropRate /= n
-			return cell, nil
+			cell.DropRate += res.Report.DropRate()
+			if errors.Is(res.FatalErr, clumsy.ErrStateCorrupt) {
+				cell.CorruptFatal++
+			}
+			if res.Report.Fatal {
+				cell.Fatal = true
+			}
 		})
+		if err != nil {
+			return cell, fmt.Errorf("state %s %s/%s/scrub=%d: %w", app, regime, shape.name, scrub, err)
+		}
+		n := float64(o.Trials)
+		cell.Detected /= n
+		cell.Evictions /= n
+		cell.Rebuilds /= n
+		cell.Scrubs /= n
+		cell.DivergedRate /= n
+		cell.UndetectedRate /= n
+		cell.DropRate /= n
+		return cell, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
 }
 
 // stateCell finds a cell in the sweep, or nil.
@@ -162,15 +156,12 @@ func stateCell(cells []StateCell, regime string, scrub int, shape string) *State
 // regime x shape down, scrub settings across, with the detection and
 // divergence evidence in each cell.
 func StateIntegrityRender(app string, cells []StateCell, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("State integrity: %s flow-table corruption under fault regime x scrub x workload shape", app),
 		Header: []string{"Regime", "Shape"},
 		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g; Cr=0.5, parity x2, drop containment", o.Packets, o.Trials, o.FaultScale),
+			o.scaleNote("; Cr=0.5, parity x2, drop containment"),
 			"det = checksum mismatches caught, ev/rb = ladder evictions/rebuilds, div = end-of-run diverged record fraction",
 			"undet = diverged yet checksum-consistent fraction (silent corruption; must be 0), + marks unrecoverable-state trials",
 		},

@@ -27,46 +27,37 @@ type Table1Row struct {
 func Table1(o Options) ([]Table1Row, error) {
 	o = o.withDefaults()
 	names := apps.Names()
-	rows := make([]Table1Row, len(names))
-	err := parallelFor(o.ctx(), len(names), func(ai int) error {
-		name := names[ai]
-		return runCell(o, "table1", ai, name, &rows[ai], func() (Table1Row, error) {
-			row := Table1Row{App: name}
-			for _, cr := range []float64{0.5, 0.25} {
-				var fall stats.Sample
-				for trial := 0; trial < o.Trials; trial++ {
-					res, err := o.run(clumsy.Config{
-						App:        name,
-						Packets:    o.Packets,
-						Seed:       o.trialSeed(trial),
-						CycleTime:  cr,
-						FaultScale: o.FaultScale,
-					})
-					if err != nil {
-						return row, fmt.Errorf("table1 %s cr=%v: %w", name, cr, err)
-					}
-					fall.Add(res.Fallibility())
-					if cr == 0.5 && trial == 0 {
-						row.InstrsM = float64(res.GoldenInstrs) / 1e6
-						row.CacheAccessesM = float64(res.GoldenL1DStats.Accesses()) / 1e6
-						row.MissRate = res.GoldenL1DStats.MissRate()
-					}
+	return grid(o, "table1", len(names), func(i int) any { return names[i] }, func(i int) (Table1Row, error) {
+		row := Table1Row{App: names[i]}
+		for _, cr := range []float64{0.5, 0.25} {
+			var fall stats.Sample
+			err := o.trials(clumsy.Config{
+				App:        row.App,
+				Packets:    o.Packets,
+				CycleTime:  cr,
+				FaultScale: o.FaultScale,
+			}, func(res *clumsy.Result) {
+				// The first trial at Cr = 0.5 gives the workload properties.
+				if cr == 0.5 && fall.N() == 0 {
+					row.InstrsM = float64(res.GoldenInstrs) / 1e6
+					row.CacheAccessesM = float64(res.GoldenL1DStats.Accesses()) / 1e6
+					row.MissRate = res.GoldenL1DStats.MissRate()
 				}
-				if cr == 0.5 {
-					row.FallibilityC50 = fall.Mean()
-					row.FallibilityC50CI = fall.CI95()
-				} else {
-					row.FallibilityC25 = fall.Mean()
-					row.FallibilityC25CI = fall.CI95()
-				}
+				fall.Add(res.Fallibility())
+			})
+			if err != nil {
+				return row, fmt.Errorf("table1 %s cr=%v: %w", row.App, cr, err)
 			}
-			return row, nil
-		})
+			if cr == 0.5 {
+				row.FallibilityC50 = fall.Mean()
+				row.FallibilityC50CI = fall.CI95()
+			} else {
+				row.FallibilityC25 = fall.Mean()
+				row.FallibilityC25CI = fall.CI95()
+			}
+		}
+		return row, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
 }
 
 // Table1Render formats the rows like the paper's Table I.
@@ -76,10 +67,7 @@ func Table1Render(rows []Table1Row, o Options) *Table {
 		Title: "Table I: networking applications and their properties",
 		Header: []string{"App", "Instr [M]", "Cache acc [M]", "Miss rate [%]",
 			"Fallibility Cr=0.5", "Fallibility Cr=0.25"},
-		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g, no detection, faults in both planes",
-				o.Packets, o.Trials, o.FaultScale),
-		},
+		Notes: []string{o.scaleNote(", no detection, faults in both planes")},
 	}
 	for _, r := range rows {
 		t.AddRow(r.App,

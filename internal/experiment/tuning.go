@@ -30,10 +30,7 @@ var (
 
 // ExtTuning sweeps the dynamic controller thresholds for one application.
 func ExtTuning(app string, o Options) ([]TuningCell, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 
 	// Baseline: static full frequency with parity (the scheme the dynamic
 	// controller would idle at). The baseline is its own journal cell and
@@ -42,40 +39,36 @@ func ExtTuning(app string, o Options) ([]TuningCell, error) {
 	var baseline float64
 	if err := runCell(o, "tuning-"+app+"-baseline", 0, nil, &baseline, func() (float64, error) {
 		var sum float64
-		for trial := 0; trial < o.Trials; trial++ {
-			res, err := o.run(clumsy.Config{
-				App: app, Packets: o.Packets, Seed: o.trialSeed(trial),
-				CycleTime: 1, Detection: cache.DetectionParity, Strikes: 2,
-				FaultScale: o.FaultScale,
-			})
-			if err != nil {
-				return 0, fmt.Errorf("ext-tuning baseline: %w", err)
-			}
-			sum += res.EDF(o.Exponents)
+		err := o.trials(clumsy.Config{
+			App: app, Packets: o.Packets,
+			CycleTime: 1, Detection: cache.DetectionParity, Strikes: 2,
+			FaultScale: o.FaultScale,
+		}, func(res *clumsy.Result) { sum += res.EDF(o.Exponents) })
+		if err != nil {
+			return 0, fmt.Errorf("ext-tuning baseline: %w", err)
 		}
 		return sum / float64(o.Trials), nil
 	}); err != nil {
 		return nil, err
 	}
 
-	cells := make([]TuningCell, len(TuningX1)*len(TuningX2))
-	err := parallelFor(o.ctx(), len(cells), func(idx int) error {
-		x1 := TuningX1[idx/len(TuningX2)]
-		x2 := TuningX2[idx%len(TuningX2)]
-		return runCell(o, "tuning-"+app, idx, [2]float64{x1, x2}, &cells[idx], func() (TuningCell, error) {
+	n2 := len(TuningX2)
+	return grid(o, "tuning-"+app, len(TuningX1)*n2,
+		func(i int) any { return [2]float64{TuningX1[i/n2], TuningX2[i%n2]} },
+		func(i int) (TuningCell, error) {
+			x1, x2 := TuningX1[i/n2], TuningX2[i%n2]
 			var edfSum, swSum float64
-			for trial := 0; trial < o.Trials; trial++ {
-				res, err := o.run(clumsy.Config{
-					App: app, Packets: o.Packets, Seed: o.trialSeed(trial),
-					Dynamic: true, X1: x1, X2: x2,
-					Detection: cache.DetectionParity, Strikes: 2,
-					FaultScale: o.FaultScale,
-				})
-				if err != nil {
-					return TuningCell{}, fmt.Errorf("ext-tuning x1=%v x2=%v: %w", x1, x2, err)
-				}
+			err := o.trials(clumsy.Config{
+				App: app, Packets: o.Packets,
+				Dynamic: true, X1: x1, X2: x2,
+				Detection: cache.DetectionParity, Strikes: 2,
+				FaultScale: o.FaultScale,
+			}, func(res *clumsy.Result) {
 				edfSum += res.EDF(o.Exponents)
 				swSum += float64(res.Switches)
+			})
+			if err != nil {
+				return TuningCell{}, fmt.Errorf("ext-tuning x1=%v x2=%v: %w", x1, x2, err)
 			}
 			return TuningCell{
 				X1:          x1,
@@ -84,26 +77,17 @@ func ExtTuning(app string, o Options) ([]TuningCell, error) {
 				Switches:    swSum / float64(o.Trials),
 			}, nil
 		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return cells, nil
 }
 
 // ExtTuningRender formats the threshold grid.
 func ExtTuningRender(app string, cells []TuningCell, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("Extension: dynamic-controller threshold study for %s (relative EDF^2 vs static Cr=1 parity)", app),
 		Header: []string{"X1 \\ X2"},
 		Notes: []string{
 			"Section 4: the paper's detailed study selected X1=200%, X2=80% (the centre cell)",
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g; switches averaged per run in parentheses",
-				o.Packets, o.Trials, o.FaultScale),
+			o.scaleNote("; switches averaged per run in parentheses"),
 		},
 	}
 	for _, x2 := range TuningX2 {

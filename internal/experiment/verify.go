@@ -32,10 +32,7 @@ type claimRun struct {
 // use a compact deterministic configuration (route/crc/md5 at the
 // exposure-equalised fault scale), so the whole run takes tens of seconds.
 func VerifyClaims(o Options) ([]Claim, error) {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	var claims []Claim
 	add := func(name string, pass bool, detail string, args ...any) {
 		claims = append(claims, Claim{Name: name, Pass: pass, Detail: fmt.Sprintf(detail, args...)})
@@ -69,16 +66,13 @@ func VerifyClaims(o Options) ([]Claim, error) {
 		{App: "route", Packets: o.Packets, Seed: o.trialSeed(0), CycleTime: 0.25,
 			Detection: cache.DetectionParity, Strikes: 2, FaultScale: o.FaultScale},
 	}
-	runs := make([]claimRun, len(configs))
-	err := parallelFor(o.ctx(), len(runs), func(idx int) error {
-		return runCell(o, "verify", idx, nil, &runs[idx], func() (claimRun, error) {
-			res, err := o.run(configs[idx])
-			if err != nil {
-				return claimRun{}, err
-			}
-			return claimRun{Fallibility: res.Fallibility(), Fatal: res.Report.Fatal,
-				ParityErrors: res.Recovery.ParityErrors, Recoveries: res.Recovery.Recoveries}, nil
-		})
+	runs, err := grid(o, "verify", len(configs), func(int) any { return nil }, func(i int) (claimRun, error) {
+		res, err := o.run(configs[i])
+		if err != nil {
+			return claimRun{}, err
+		}
+		return claimRun{Fallibility: res.Fallibility(), Fatal: res.Report.Fatal,
+			ParityErrors: res.Recovery.ParityErrors, Recoveries: res.Recovery.Recoveries}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -150,17 +144,11 @@ func VerifyClaims(o Options) ([]Claim, error) {
 
 // VerifyRender formats the claim list.
 func VerifyRender(claims []Claim, o Options) *Table {
-	if o.FaultScale == 0 {
-		o.FaultScale = EDFFaultScale
-	}
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  "Claims regression: the paper's headline results, checked programmatically",
 		Header: []string{"claim", "status", "measured"},
-		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials, fault scale %g; simulation-backed checks use route/crc/md5",
-				o.Packets, o.Trials, o.FaultScale),
-		},
+		Notes:  []string{o.scaleNote("; simulation-backed checks use route/crc/md5")},
 	}
 	for _, c := range claims {
 		status := "PASS"
