@@ -30,18 +30,21 @@ func Monitor() *telemetry.RunMonitor { return gridMonitor.Load() }
 // times.
 const maxJoinedErrors = 8
 
-// parallelFor runs fn(0..n-1) across GOMAXPROCS workers. Every simulation
-// run is self-contained (its own simulated memory, RNG streams, and
-// recorder), so experiment grids parallelise trivially; results must be
-// written to index-distinct slots by fn.
+// parallelFor runs fn(0..n-1) across GOMAXPROCS workers, issuing the
+// indices in order, so one worker runs them in index order. Every
+// simulation run is self-contained (its own simulated memory, RNG
+// streams, and recorder), so experiment grids parallelise trivially;
+// results must be written to index-distinct slots by fn.
 //
 // The first error — or ctx becoming done — cancels the grid promptly: no
 // new indices are issued, and items already queued to a worker are
-// drained without running (each drained item is counted in the grid
-// monitor). At most one in-flight item per worker executes after the
-// failure. The returned error joins every distinct cell failure observed
-// before the grid stopped, capped at maxJoinedErrors, so one campaign log
-// names every failing cell instead of only the first.
+// drained without running. Every item that never runs, drained or never
+// issued, is counted as skipped in the grid monitor, so done plus skipped
+// reaches the grid's total. At most one in-flight item per worker
+// executes after the failure. The returned error joins every distinct
+// cell failure observed before the grid stopped, capped at
+// maxJoinedErrors, so one campaign log names every failing cell instead
+// of only the first.
 func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 	mon := Monitor()
 	workers := runtime.GOMAXPROCS(0)
@@ -68,23 +71,6 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 			mon.RunDone(time.Since(start)) //lint:wallclock-ok — reporting only, never feeds simulated state
 			return err
 		}
-	}
-	if workers <= 1 {
-		mon.Begin(n, 1)
-		var errs []error
-		for i := 0; i < n; i++ {
-			if len(errs) > 0 || ctx.Err() != nil {
-				mon.RunSkipped()
-				continue
-			}
-			if err := runItem(i); err != nil {
-				errs = append(errs, err)
-			}
-		}
-		if len(errs) == 0 && ctx.Err() != nil {
-			return ctx.Err()
-		}
-		return errors.Join(errs...)
 	}
 	mon.Begin(n, workers)
 
@@ -130,10 +116,11 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 			}
 		}()
 	}
+	issued := 0
 feed:
-	for i := 0; i < n; i++ {
+	for ; issued < n; issued++ {
 		select {
-		case next <- i:
+		case next <- issued:
 		case <-done:
 			break feed
 		case <-ctx.Done():
@@ -141,6 +128,9 @@ feed:
 		}
 	}
 	close(next)
+	for ; issued < n; issued++ {
+		mon.RunSkipped() // never issued: the grid failed or was cancelled
+	}
 	wg.Wait()
 	if len(errs) == 0 && ctx.Err() != nil {
 		return ctx.Err()

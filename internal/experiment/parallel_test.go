@@ -46,19 +46,21 @@ func TestParallelForPropagatesError(t *testing.T) {
 	}
 }
 
+// TestParallelForSerialFallback: with one worker the grid runs its items
+// in index order.
 func TestParallelForSerialFallback(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
 	order := []int{}
 	if err := parallelFor(context.Background(), 5, func(i int) error {
-		order = append(order, i) // safe: serial path
+		order = append(order, i) // safe: one worker, read after the grid returns
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
 	for i, v := range order {
 		if v != i {
-			t.Fatalf("serial path out of order: %v", order)
+			t.Fatalf("one worker ran the items out of order: %v", order)
 		}
 	}
 }
@@ -102,8 +104,7 @@ func TestParallelForEarlyCancel(t *testing.T) {
 
 // TestParallelForPanicRecovery is the regression test for worker panic
 // containment: a panic inside one grid item must surface as an error naming
-// the item's index, not crash the process, on both the parallel and the
-// serial path.
+// the item's index, not crash the process, with four workers or one.
 func TestParallelForPanicRecovery(t *testing.T) {
 	old := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(old)
@@ -129,7 +130,7 @@ func TestParallelForPanicRecovery(t *testing.T) {
 		return nil
 	})
 	if err == nil || !strings.Contains(err.Error(), "grid item 1") {
-		t.Fatalf("serial path must contain panics too: %v", err)
+		t.Fatalf("one worker must contain panics too: %v", err)
 	}
 }
 
@@ -179,7 +180,7 @@ func TestParallelForMonitor(t *testing.T) {
 // TestParallelForJoinsDistinctErrors: the grid error must name every
 // distinct failing cell (deduplicated, bounded), not just the first.
 func TestParallelForJoinsDistinctErrors(t *testing.T) {
-	old := runtime.GOMAXPROCS(1) // serial path keeps the failure set deterministic
+	old := runtime.GOMAXPROCS(1) // one worker keeps the failure set deterministic
 	defer runtime.GOMAXPROCS(old)
 	errA := errors.New("cell 3: disk full")
 	err := parallelFor(context.Background(), 10, func(i int) error {
@@ -192,7 +193,7 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 
-	// Parallel path: workers that fail concurrently each contribute one
+	// Four workers: workers that fail concurrently each contribute one
 	// distinct message; duplicates collapse.
 	runtime.GOMAXPROCS(4)
 	start := make(chan struct{})
@@ -215,9 +216,10 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 }
 
 // TestParallelForCancelledContext: a cancelled campaign context stops the
-// grid and surfaces as the context error, with the drained items counted by
-// the monitor. The skip accounting is asserted on the serial path, where
-// the set of never-run items is deterministic.
+// grid and surfaces as the context error. The monitor counts every item
+// that never ran, drained by a worker or never issued, so done plus
+// skipped is the grid's total. With one worker the items run in order and
+// the set of never-run items is exact.
 func TestParallelForCancelledContext(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
@@ -238,14 +240,14 @@ func TestParallelForCancelledContext(t *testing.T) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if got := calls.Load(); got != 3 {
-		t.Fatalf("serial path executed %d items after cancellation at the 3rd, want exactly 3", got)
+		t.Fatalf("one worker executed %d items after cancellation at the 3rd, want exactly 3", got)
 	}
-	if p := mon.Progress(); p.Skipped != n-3 {
-		t.Fatalf("monitor counted %d skipped items, want %d", p.Skipped, n-3)
+	if p := mon.Progress(); p.Done != 3 || p.Skipped != n-3 {
+		t.Fatalf("monitor counted done %d, skipped %d; want 3 and %d", p.Done, p.Skipped, n-3)
 	}
 
-	// Parallel path: cancellation still stops the grid early and returns
-	// the context error (the exact drained count is scheduling-dependent).
+	// Four workers: cancellation still stops the grid early and returns
+	// the context error, and every item is either done or skipped.
 	runtime.GOMAXPROCS(4)
 	ctx2, cancel2 := context.WithCancel(context.Background())
 	calls.Store(0)
@@ -260,5 +262,27 @@ func TestParallelForCancelledContext(t *testing.T) {
 	}
 	if got := calls.Load(); got >= n {
 		t.Fatalf("all %d items ran despite cancellation", got)
+	}
+	if p := mon.Progress(); p.Done+p.Skipped != p.Total || p.Total != n {
+		t.Fatalf("cancelled grid: done %d + skipped %d, total %d; want %d", p.Done, p.Skipped, p.Total, n)
+	}
+
+	// A failing grid stops the same way. The items before the failing one
+	// wait for it, so the failure lands before the grid can finish.
+	boom := errors.New("boom")
+	failed := make(chan struct{})
+	err = parallelFor(context.Background(), n, func(i int) error {
+		if i == 2 {
+			close(failed)
+			return boom
+		}
+		<-failed
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("failing grid err = %v, want boom", err)
+	}
+	if p := mon.Progress(); p.Done+p.Skipped != p.Total || p.Total != n {
+		t.Fatalf("failed grid: done %d + skipped %d, total %d; want %d", p.Done, p.Skipped, p.Total, n)
 	}
 }
