@@ -124,7 +124,7 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		}
 		c.help = st.Help
 		o.studyFlags(fs, st)
-		c.check = func() error { return st.Check(o.app, o.format) }
+		c.check = func() error { return st.Check(o.opt, o.app, o.format) }
 		runStudy := func(w io.Writer) error { return st.Run(o.opt, o.app, o.format, w) }
 		c.exec = runStudy
 		if name == "fleet" {
@@ -252,7 +252,12 @@ func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) 
 	case err != nil:
 		return err
 	case o.fleet.FaultyNodes < 0:
-		return st.Check(o.app, o.format)
+		return st.Check(o.opt, o.app, o.format)
+	}
+	// One fleet simulation reads the study's scale flags but writes text
+	// or JSON.
+	if err := st.Check(o.opt, o.app, ""); err != nil {
+		return err
 	}
 	return textOrJSON("fleet -faulty", o.format)
 }

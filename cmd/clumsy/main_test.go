@@ -475,6 +475,11 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"media", "-app", "route"}, "-app"},
 		{[]string{"errors"}, "app"},
 		{[]string{"table1", "extra"}, "extra"},
+		{[]string{"tuning", "-scale", "-1"}, "scale"},
+		{[]string{"table1", "-packets", "-5", "-trials", "-2"}, "packets"},
+		{[]string{"table1", "-trials", "-2"}, "trials"},
+		{[]string{"ecc", "-journal", journal, "-max-drop-rate", "-3"}, "max-drop-rate"},
+		{[]string{"fleet", "-faulty", "1", "-packets", "-5"}, "packets"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)

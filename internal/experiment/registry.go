@@ -34,9 +34,23 @@ type studyFunc func(o Options, app string, out *output) error
 // ReadsApp reports whether the study takes an application.
 func (s Study) ReadsApp() bool { return s.App != "" || s.NeedsApp }
 
-// Check reports whether the study accepts app (empty = the study's
-// default) and the output format (empty = text).
-func (s Study) Check(app, format string) error {
+// Check reports whether the study accepts the scale of o, app (empty =
+// the study's default) and the output format (empty = text). A zero scale
+// value means the default; a negative one is an error that names it.
+func (s Study) Check(o Options, app, format string) error {
+	for _, v := range []struct {
+		name  string
+		value float64
+	}{
+		{"packets", float64(o.Packets)},
+		{"trials", float64(o.Trials)},
+		{"scale", o.FaultScale},
+		{"max-drop-rate", o.MaxDropRate},
+	} {
+		if v.value < 0 {
+			return fmt.Errorf("%s: %s must not be negative, got %g", s.Name, v.name, v.value)
+		}
+	}
 	switch {
 	case format != "" && format != "text" && format != "csv":
 		return fmt.Errorf("%s: unknown format %q (want text or csv)", s.Name, format)
@@ -54,7 +68,7 @@ func (s Study) Check(app, format string) error {
 // Run checks the inputs, then runs the study and renders it to w as text
 // or CSV.
 func (s Study) Run(o Options, app, format string, w io.Writer) error {
-	if err := s.Check(app, format); err != nil {
+	if err := s.Check(o, app, format); err != nil {
 		return err
 	}
 	if app == "" {

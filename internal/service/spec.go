@@ -54,11 +54,8 @@ func (sp Spec) Validate() error {
 	if _, err := clumsy.ParseRecoveryPolicy(sp.Recovery); err != nil {
 		return err
 	}
-	if err := st.Check(sp.App, sp.Format); err != nil {
+	if err := st.Check(sp.options(), sp.App, sp.Format); err != nil {
 		return fmt.Errorf("service: %w", err)
-	}
-	if sp.Packets < 0 || sp.Trials < 0 || sp.FaultScale < 0 || sp.MaxDropRate < 0 {
-		return fmt.Errorf("service: negative scale parameter in spec")
 	}
 	return nil
 }
