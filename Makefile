@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench examples fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -52,6 +52,15 @@ lint-mutation:
 # `bash perfbench/run.sh --workload paper-long --seed 1`.
 perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
+
+# examples runs every program under examples/ and fails on the first one
+# that exits non-zero. `go build ./...` only compiles them; their output
+# is not checked.
+examples:
+	@for d in examples/*/; do \
+		echo "examples: $$d"; \
+		$(GO) run ./$$d > /dev/null || exit 1; \
+	done
 
 # fleet runs the fleet degradation study (faulty-node fraction sweep on the
 # virtual-time cluster simulator). `go run ./cmd/clumsy fleet -faulty N ...`
