@@ -175,8 +175,6 @@ func (o *cliOpts) studyFlags(fs *flag.FlagSet, st experiment.Study) {
 	fs.StringVar(&o.journalPath, "journal", "", "record every completed grid cell in this JSONL journal (atomic per cell)")
 	fs.BoolVar(&o.resume, "resume", false, "with -journal, skip cells already recorded; the output is byte-identical to an uninterrupted run")
 	fs.DurationVar(&o.opt.RunTimeout, "run-timeout", 0, "per-grid-cell wall-clock deadline, e.g. 90s (0 = none)")
-	fs.IntVar(&o.opt.Retries, "retries", 0, "retries per cell for transient host failures (simulated outcomes never retry)")
-	fs.DurationVar(&o.opt.RetryBackoff, "retry-backoff", 0, "base retry delay, doubled per attempt (0 = default 100ms)")
 }
 
 // recoveryHelp documents -recovery, the fatal-error policy.
@@ -234,7 +232,7 @@ func (o *cliOpts) observabilityFlags(fs *flag.FlagSet) {
 // by the degradation study.
 var (
 	fleetRunFlags   = []string{"nodes", "dispatch", "cr", "dynamic", "recovery", "max-drop-rate", "shape", "shape2", "periods2", "adversarial", "churn"}
-	fleetStudyFlags = []string{"trials", "journal", "resume", "run-timeout", "retries", "retry-backoff"}
+	fleetStudyFlags = []string{"trials", "journal", "resume", "run-timeout"}
 )
 
 // checkFleet rejects the flags the chosen fleet mode does not read.

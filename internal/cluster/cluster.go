@@ -26,7 +26,6 @@ import (
 
 	"clumsy/internal/cache"
 	"clumsy/internal/clumsy"
-	"clumsy/internal/packet"
 	"clumsy/internal/telemetry"
 	"clumsy/internal/workload"
 )
@@ -65,15 +64,18 @@ func ParseDispatchPolicy(s string) (DispatchPolicy, error) {
 	}
 }
 
-// SLO is the fleet's service-level objective.
-type SLO struct {
-	// LatencyTicks bounds the per-packet queueing+service latency in
-	// virtual ticks. Zero auto-derives 10x the golden per-packet delay.
-	LatencyTicks float64
-	// MaxDropRate bounds the fleet drop rate: the fraction of arrivals
-	// that were shed or dropped by node containment. Zero defaults to 5%.
-	MaxDropRate float64
-}
+// The fleet's fixed load and service-level objective.
+const (
+	// utilization is the offered load as a fraction of the fault-free
+	// fleet capacity; it sets the mean inter-arrival gap.
+	utilization = 0.6
+	// sloLatencyDelays bounds the per-packet queueing+service latency, in
+	// golden per-packet delays.
+	sloLatencyDelays = 10
+	// sloDropRate bounds the fleet drop rate: the fraction of arrivals
+	// that were shed or dropped by node containment.
+	sloDropRate = 0.05
+)
 
 // Config describes one fleet simulation.
 type Config struct {
@@ -82,17 +84,6 @@ type Config struct {
 	Packets int    // fleet arrivals to simulate (0 = 2000)
 	Seed    uint64 // fleet seed: workload trace, arrival gaps, per-node fault streams
 
-	// MeanGap is the mean inter-arrival time in virtual ticks. Zero
-	// auto-calibrates to Utilization of the fault-free fleet capacity.
-	MeanGap float64
-	// Utilization is the offered-load fraction of fleet capacity used by
-	// the MeanGap auto-calibration (0 = 0.6).
-	Utilization float64
-	// Trace, when non-nil, replaces the Poisson arrival process with a
-	// trace-driven one: the packets are replayed in order, paced at a
-	// constant MeanGap. Nil generates the application's workload and
-	// draws exponential gaps (Poisson arrivals).
-	Trace *packet.Trace
 	// Workload, when non-nil, applies the workload-v2 spec: the packet
 	// stream is mutated (malformed wire images, flow churn) exactly as a
 	// batch run would, and arrival gaps are modulated by the temporal
@@ -125,7 +116,6 @@ type Config struct {
 	NodeMaxDropRate float64
 
 	Health HealthConfig
-	SLO    SLO
 
 	// Telemetry, when non-nil, receives cluster.* counters, the fleet
 	// latency histogram, and node health-transition events. Nil falls
@@ -147,9 +137,6 @@ func (c Config) withDefaults() Config {
 	if c.Seed == 0 {
 		c.Seed = 1
 	}
-	if c.Utilization <= 0 {
-		c.Utilization = 0.6
-	}
 	if c.QueueCap <= 0 {
 		c.QueueCap = 64
 	}
@@ -170,9 +157,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Recovery == clumsy.RecoverAbort {
 		c.Recovery = clumsy.RecoverDegrade
-	}
-	if c.SLO.MaxDropRate <= 0 {
-		c.SLO.MaxDropRate = 0.05
 	}
 	c.Health = c.Health.withDefaults()
 	return c

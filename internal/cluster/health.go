@@ -8,10 +8,10 @@ package cluster
 //
 //	Healthy ──(drop rate or disabled lines over the degrade bar)──▶ Degraded
 //	Degraded ─(evidence over the drain bar, or no recovery)──────▶ Draining
-//	Degraded ─(HealthyWindows consecutive clean windows)─────────▶ Healthy
+//	Degraded ─(healthyWindows consecutive clean windows)─────────▶ Healthy
 //	Draining ─(queue empty; re-clock applied)────────────────────▶ Probation
 //	Draining ─(re-clock budget exhausted)────────────────────────▶ Dead
-//	Probation ─(ProbationPackets served without drain evidence)──▶ Healthy
+//	Probation ─(probationWindows served without drain evidence)──▶ Healthy
 //	Probation ─(evidence over the drain bar again)───────────────▶ Draining
 //	any ──────(node fatal / suicide)─────────────────────────────▶ Dead
 //
@@ -52,34 +52,37 @@ func (s NodeState) eligible() bool {
 	return s == StateHealthy || s == StateDegraded || s == StateProbation
 }
 
+// The health state machine's fixed bars and steps.
+const (
+	// degradeDropRate and drainDropRate are the windowed contained-drop
+	// rates at or above which a healthy node is marked degraded and a
+	// degraded node is taken out for drain-and-re-clock.
+	degradeDropRate = 0.04
+	drainDropRate   = 0.20
+	// degradeDisabledFrac and drainDisabledFrac are disabled-line
+	// capacity fractions with the same roles. Disabled lines are the
+	// ladder's spatial evidence: with parity containment a sick cache can
+	// run drop-free while steadily losing capacity.
+	degradeDisabledFrac = 0.03
+	drainDisabledFrac   = 0.06
+	// healthyWindows is the hysteresis on recovery: a degraded node must
+	// post this many consecutive clean windows to be healthy again.
+	healthyWindows = 2
+	// probationWindows is how many windows of packets a re-clocked node
+	// must serve without re-tripping the drain bar before it counts as
+	// healthy.
+	probationWindows = 2
+	// reclockStep is added to the node's relative cycle time at each
+	// drain-complete re-clock. Slower cycles give marginal cells their
+	// sense window back and re-enable disabled frames.
+	reclockStep = 0.125
+)
+
 // HealthConfig tunes the health state machine.
 type HealthConfig struct {
 	// Window is the assessment window in packets: the node's evidence is
 	// re-evaluated every Window packets it serves (0 = 64).
 	Window int
-	// DegradeDropRate: windowed contained-drop rate at or above which a
-	// healthy node is marked degraded (0 = 0.04).
-	DegradeDropRate float64
-	// DrainDropRate: windowed contained-drop rate at or above which a
-	// degraded node is taken out for drain-and-re-clock (0 = 0.20).
-	DrainDropRate float64
-	// DegradeDisabledFrac / DrainDisabledFrac: disabled-line capacity
-	// fractions with the same roles (0 = 0.03 and 0.06). Disabled lines
-	// are the ladder's spatial evidence: with parity containment a sick
-	// cache can run drop-free while steadily losing capacity.
-	DegradeDisabledFrac float64
-	DrainDisabledFrac   float64
-	// HealthyWindows is the hysteresis on recovery: a degraded node must
-	// post this many consecutive clean windows to be healthy again (0 = 2).
-	HealthyWindows int
-	// ProbationPackets is how many packets a re-clocked node must serve
-	// without re-tripping the drain bar before it counts as healthy
-	// (0 = 2x Window).
-	ProbationPackets int
-	// ReclockStep is added to the node's relative cycle time at each
-	// drain-complete re-clock (0 = 0.125). Slower cycles give marginal
-	// cells their sense window back and re-enable disabled frames.
-	ReclockStep float64
 	// MaxCycleTime caps re-clocking (0 = 0.75). A node that needs to
 	// drain again at the cap has nothing left to trade and is dead. The
 	// cap is deliberately below the stuck-at model's highest critical
@@ -93,27 +96,6 @@ type HealthConfig struct {
 func (h HealthConfig) withDefaults() HealthConfig {
 	if h.Window <= 0 {
 		h.Window = 64
-	}
-	if h.DegradeDropRate <= 0 {
-		h.DegradeDropRate = 0.04
-	}
-	if h.DrainDropRate <= 0 {
-		h.DrainDropRate = 0.20
-	}
-	if h.DegradeDisabledFrac <= 0 {
-		h.DegradeDisabledFrac = 0.03
-	}
-	if h.DrainDisabledFrac <= 0 {
-		h.DrainDisabledFrac = 0.06
-	}
-	if h.HealthyWindows <= 0 {
-		h.HealthyWindows = 2
-	}
-	if h.ProbationPackets <= 0 {
-		h.ProbationPackets = 2 * h.Window
-	}
-	if h.ReclockStep <= 0 {
-		h.ReclockStep = 0.125
 	}
 	if h.MaxCycleTime <= 0 {
 		h.MaxCycleTime = 0.75
@@ -139,7 +121,7 @@ func (w windowEvidence) dropRate() float64 {
 	return float64(w.contained) / float64(w.attempted)
 }
 
-// verdict classifies one window against the config's bars.
+// verdict classifies one window against the health bars.
 //
 //lint:exhaustive
 type verdict int
@@ -150,11 +132,11 @@ const (
 	verdictDrain
 )
 
-func (h HealthConfig) judge(w windowEvidence) verdict {
-	if w.dropRate() >= h.DrainDropRate || w.disabledFrac >= h.DrainDisabledFrac {
+func judge(w windowEvidence) verdict {
+	if w.dropRate() >= drainDropRate || w.disabledFrac >= drainDisabledFrac {
 		return verdictDrain
 	}
-	if w.dropRate() >= h.DegradeDropRate || w.disabledFrac >= h.DegradeDisabledFrac {
+	if w.dropRate() >= degradeDropRate || w.disabledFrac >= degradeDisabledFrac {
 		return verdictDegrade
 	}
 	return verdictClean

@@ -91,7 +91,7 @@ func (f *fleet) report() *Report {
 		MeanGap:     f.meanGap,
 
 		SLOLatencyTicks: f.sloLatency,
-		SLOMaxDropRate:  f.cfg.SLO.MaxDropRate,
+		SLOMaxDropRate:  sloDropRate,
 
 		Arrivals:      c.arrivals,
 		Admitted:      c.admitted,
@@ -118,7 +118,7 @@ func (f *fleet) report() *Report {
 		r.FleetDropRate = float64(c.nodeDrops+c.shed) / float64(c.arrivals)
 		r.Attainment = float64(f.withinSLO) / float64(c.arrivals)
 	}
-	r.DropSLOMet = r.FleetDropRate <= f.cfg.SLO.MaxDropRate
+	r.DropSLOMet = r.FleetDropRate <= sloDropRate
 
 	sorted := append([]float64(nil), f.latencies...)
 	sort.Float64s(sorted)

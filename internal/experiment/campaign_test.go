@@ -220,68 +220,12 @@ func TestEveryStudyResumesFromItsJournal(t *testing.T) {
 	}
 }
 
-// TestRunCellRetryTransient: an unclassified host failure is retried with
-// backoff until it succeeds, within the configured budget.
-func TestRunCellRetryTransient(t *testing.T) {
-	o := Options{Retries: 3, RetryBackoff: time.Microsecond}
-	var attempts int
-	var out int
-	err := runCell(o, "flaky", 0, nil, &out, func() (int, error) {
-		attempts++
-		if attempts < 3 {
-			return 0, errors.New("read /proc/fake: transient I/O error")
-		}
-		return 42, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out != 42 || attempts != 3 {
-		t.Fatalf("out=%d attempts=%d, want 42 after 3 attempts", out, attempts)
-	}
-
-	// Budget exhausted: Retries=3 allows four attempts in total.
-	attempts = 0
-	err = runCell(o, "flaky", 1, nil, &out, func() (int, error) {
-		attempts++
-		return 0, errors.New("persistent host failure")
-	})
-	if err == nil || attempts != 4 {
-		t.Fatalf("err=%v attempts=%d, want failure after 4 attempts", err, attempts)
-	}
-}
-
-// TestRunCellNeverRetriesSimSemantic: simulated outcomes are pure functions
-// of the configuration — retrying them is at best wasted wall-clock and at
-// worst hides a modelling bug, so each is terminal on the first attempt.
-func TestRunCellNeverRetriesSimSemantic(t *testing.T) {
-	simErrs := []error{
-		clumsy.ErrDropRateExceeded,
-		clumsy.ErrWatchdog,
-		clumsy.ErrAppPanic,
-	}
-	for _, simErr := range simErrs {
-		o := Options{Retries: 5, RetryBackoff: time.Microsecond}
-		var attempts int
-		var out int
-		err := runCell(o, "sim", 0, nil, &out, func() (int, error) {
-			attempts++
-			return 0, fmt.Errorf("run failed: %w", simErr)
-		})
-		if !errors.Is(err, simErr) {
-			t.Fatalf("%v: error chain lost: %v", simErr, err)
-		}
-		if attempts != 1 {
-			t.Fatalf("%v: attempted %d times; sim-semantic errors must never retry", simErr, attempts)
-		}
-	}
-}
-
-// TestRunCellCancelledNotRetried: cancellation is not a transient failure.
+// TestRunCellCancelledNotRetried: a cancelled cell fails once with the
+// context error in its chain.
 func TestRunCellCancelledNotRetried(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	o := Options{Ctx: ctx, Retries: 5, RetryBackoff: time.Microsecond}
+	o := Options{Ctx: ctx}
 	var attempts int
 	var out int
 	err := runCell(o, "cancelled", 0, nil, &out, func() (int, error) {
@@ -294,7 +238,7 @@ func TestRunCellCancelledNotRetried(t *testing.T) {
 }
 
 // TestRunCellDeadline: a wedged cell is killed by the wall-clock watchdog
-// with a diagnostic naming the study and cell, and is not retried.
+// with a diagnostic naming the study and cell.
 func TestRunCellDeadline(t *testing.T) {
 	tel := telemetry.New()
 	clumsy.SetDefaultTelemetry(tel)
@@ -302,11 +246,9 @@ func TestRunCellDeadline(t *testing.T) {
 
 	release := make(chan struct{})
 	defer close(release)
-	o := Options{RunTimeout: 20 * time.Millisecond, Retries: 5, RetryBackoff: time.Microsecond}
-	var attempts atomic.Int32
+	o := Options{RunTimeout: 20 * time.Millisecond}
 	var out int
 	err := runCell(o, "wedge", 3, nil, &out, func() (int, error) {
-		attempts.Add(1)
 		<-release // wedged until test cleanup
 		return 1, nil
 	})
@@ -317,30 +259,60 @@ func TestRunCellDeadline(t *testing.T) {
 	if te.Study != "wedge" || te.Index != 3 {
 		t.Fatalf("diagnostic names %s[%d], want wedge[3]", te.Study, te.Index)
 	}
-	if got := attempts.Load(); got != 1 {
-		t.Fatalf("wedged cell attempted %d times; deadline kills must never retry", got)
-	}
 	if got := tel.Registry.Counter(telemetry.CtrCampaignCellsTimedOut).Load(); got != 1 {
 		t.Fatalf("campaign.cells_timed_out = %d, want 1", got)
 	}
 }
 
-// TestRunCellPanicTerminal: a panic inside a deadline-guarded cell surfaces
-// as an error carrying the cell identity instead of crashing, and is not
-// retried.
+// TestRunCellPanicTerminal: a panic inside a cell surfaces as an error
+// carrying the cell identity and the panic value instead of crashing,
+// with the deadline watchdog on or off.
 func TestRunCellPanicTerminal(t *testing.T) {
-	o := Options{RunTimeout: time.Second, Retries: 5, RetryBackoff: time.Microsecond}
-	var attempts int
-	var out int
-	err := runCell(o, "buggy", 7, nil, &out, func() (int, error) {
-		attempts++
-		panic("index out of range")
-	})
-	if err == nil || !errors.Is(err, errCellPanic) {
-		t.Fatalf("err = %v, want errCellPanic chain", err)
+	for _, timeout := range []time.Duration{time.Second, 0} {
+		o := Options{RunTimeout: timeout}
+		var out int
+		err := runCell(o, "buggy", 7, nil, &out, func() (int, error) {
+			panic("index out of range")
+		})
+		if !errors.Is(err, errCellPanic) {
+			t.Fatalf("RunTimeout %v: err = %v, want errCellPanic chain", timeout, err)
+		}
+		if msg := err.Error(); !strings.Contains(msg, "buggy cell 7") || !strings.Contains(msg, "index out of range") {
+			t.Fatalf("RunTimeout %v: error %q does not name the cell and the panic", timeout, msg)
+		}
 	}
-	if attempts != 1 {
-		t.Fatalf("panicking cell attempted %d times; panics must never retry", attempts)
+}
+
+// TestGridPanicRecovery: a panic inside one grid cell surfaces as an
+// error naming the cell's index and the panic value, not a crash, with
+// four workers or one.
+func TestGridPanicRecovery(t *testing.T) {
+	old := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(old)
+	key := func(int) any { return nil }
+	_, err := grid(Options{}, "buggy", 50, key, func(i int) (int, error) {
+		if i == 23 {
+			panic("index out of range [12] with length 4")
+		}
+		return i, nil
+	})
+	if !errors.Is(err, errCellPanic) ||
+		!strings.Contains(err.Error(), "buggy cell 23") ||
+		!strings.Contains(err.Error(), "index out of range") {
+		t.Fatalf("panic error must carry the cell index and the panic value: %v", err)
+	}
+
+	runtime.GOMAXPROCS(1)
+	_, err = grid(Options{}, "serial", 3, key, func(i int) (int, error) {
+		if i == 1 {
+			panic("serial boom")
+		}
+		return i, nil
+	})
+	if !errors.Is(err, errCellPanic) ||
+		!strings.Contains(err.Error(), "serial cell 1") ||
+		!strings.Contains(err.Error(), "serial boom") {
+		t.Fatalf("one worker must contain panics too: %v", err)
 	}
 }
 

@@ -52,21 +52,6 @@ type Options struct {
 	//lint:fingerprint-exempt wall-clock guard; a timed-out cell errors rather than changing a Result
 	RunTimeout time.Duration
 
-	// Retries bounds how many times a cell is re-executed after a
-	// transient host failure (I/O errors, resource exhaustion).
-	// Sim-semantic failures — ErrDropRateExceeded, watchdog kills, traps,
-	// application panics — are deterministic properties of the
-	// configuration and are never retried. Zero means fail on the first
-	// error.
-	//lint:fingerprint-exempt retries re-execute the same deterministic cell
-	Retries int
-
-	// RetryBackoff is the deterministic base delay between retry attempts;
-	// attempt k sleeps RetryBackoff << k. Zero with Retries > 0 uses a
-	// 100ms base.
-	//lint:fingerprint-exempt retry pacing, invisible to results
-	RetryBackoff time.Duration
-
 	// Journal, when non-nil, makes the campaign durable: every completed
 	// grid cell is recorded (atomically, keyed by a content hash of study,
 	// cell index, and configuration) and cells already present are
@@ -114,9 +99,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Seed == 0 {
 		o.Seed = d.Seed
-	}
-	if o.Retries > 0 && o.RetryBackoff <= 0 {
-		o.RetryBackoff = 100 * time.Millisecond
 	}
 	if o.golden == nil {
 		o.golden = new(clumsy.GoldenCache)

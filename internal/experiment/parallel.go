@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -34,7 +33,9 @@ const maxJoinedErrors = 8
 // indices in order, so one worker runs them in index order. Every
 // simulation run is self-contained (its own simulated memory, RNG
 // streams, and recorder), so experiment grids parallelise trivially;
-// results must be written to index-distinct slots by fn.
+// results must be written to index-distinct slots by fn. Every fn is a
+// runCell, which turns a panic in its cell into an error, so a worker
+// never unwinds.
 //
 // The first error — or ctx becoming done — cancels the grid promptly: no
 // new indices are issued, and items already queued to a worker are
@@ -51,23 +52,11 @@ func parallelFor(ctx context.Context, n int, fn func(i int) error) error {
 	if workers > n {
 		workers = n
 	}
-	// A panic in one grid cell (an application bug surfaced by an unusual
-	// seed, or a simulator defect) must not unwind a worker goroutine and
-	// crash the whole campaign: it is converted into an error carrying the
-	// grid index, and cancels the grid like any other failure.
-	runItem := func(i int) (err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				err = fmt.Errorf("experiment: panic in grid item %d: %v", i, r)
-			}
-		}()
-		return fn(i)
-	}
+	runItem := fn
 	if mon != nil {
-		inner := runItem
 		runItem = func(i int) error {
 			start := time.Now() //lint:wallclock-ok — wall-clock run timing for the progress monitor
-			err := inner(i)
+			err := fn(i)
 			mon.RunDone(time.Since(start)) //lint:wallclock-ok — reporting only, never feeds simulated state
 			return err
 		}

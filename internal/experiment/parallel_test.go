@@ -102,38 +102,6 @@ func TestParallelForEarlyCancel(t *testing.T) {
 	}
 }
 
-// TestParallelForPanicRecovery is the regression test for worker panic
-// containment: a panic inside one grid item must surface as an error naming
-// the item's index, not crash the process, with four workers or one.
-func TestParallelForPanicRecovery(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-	err := parallelFor(context.Background(), 50, func(i int) error {
-		if i == 23 {
-			panic("index out of range [12] with length 4")
-		}
-		return nil
-	})
-	if err == nil {
-		t.Fatal("panicking item must fail the grid")
-	}
-	if !strings.Contains(err.Error(), "grid item 23") ||
-		!strings.Contains(err.Error(), "index out of range") {
-		t.Fatalf("panic error must carry the grid index and cause: %v", err)
-	}
-
-	runtime.GOMAXPROCS(1)
-	err = parallelFor(context.Background(), 3, func(i int) error {
-		if i == 1 {
-			panic("serial boom")
-		}
-		return nil
-	})
-	if err == nil || !strings.Contains(err.Error(), "grid item 1") {
-		t.Fatalf("one worker must contain panics too: %v", err)
-	}
-}
-
 // TestParallelForMonitor checks that the installed grid monitor observes
 // every run, keeps consistent progress, and feeds the registry — with the
 // monitor shared by concurrent workers (exercised under -race).

@@ -81,7 +81,6 @@ const (
 	CtrExperimentRuns            = "experiment.runs"
 	CtrCampaignCellsDone         = "campaign.cells_done"
 	CtrCampaignCellsSkipped      = "campaign.cells_skipped"
-	CtrCampaignCellsRetried      = "campaign.cells_retried"
 	CtrCampaignCellsTimedOut     = "campaign.cells_timed_out"
 	CtrClusterArrivals           = "cluster.arrivals"
 	CtrClusterAdmitted           = "cluster.admitted"
@@ -128,7 +127,6 @@ const (
 	EventPacketDrop     = "packet_drop"
 	EventStateRestore   = "state_restore"
 	EventCampaignResume = "campaign_resume"
-	EventCellRetry      = "cell_retry"
 	EventCellTimeout    = "cell_timeout"
 	EventLineDisable    = "line_disable"
 	EventBurstEnter     = "burst_enter"
@@ -202,7 +200,6 @@ func init() {
 		{CtrExperimentRuns, KindCounter, "experiment-grid runs completed"},
 		{CtrCampaignCellsDone, KindCounter, "campaign grid cells computed to completion"},
 		{CtrCampaignCellsSkipped, KindCounter, "campaign grid cells satisfied from the resume journal"},
-		{CtrCampaignCellsRetried, KindCounter, "campaign grid cell attempts retried after a transient host failure"},
 		{CtrCampaignCellsTimedOut, KindCounter, "campaign grid cells failed by the per-cell wall-clock deadline"},
 		{CtrClusterArrivals, KindCounter, "packets arrived at the fleet dispatcher"},
 		{CtrClusterAdmitted, KindCounter, "packets admitted past fleet admission control"},
@@ -243,7 +240,6 @@ func init() {
 		{EventPacketDrop, KindEvent, "one packet killed by a fatal error"},
 		{EventStateRestore, KindEvent, "one fault-containment rollback to a packet boundary"},
 		{EventCampaignResume, KindEvent, "campaign resumed from a journal, skipping completed cells"},
-		{EventCellRetry, KindEvent, "one campaign grid cell retried after a transient host failure"},
 		{EventCellTimeout, KindEvent, "one campaign grid cell failed by its wall-clock deadline"},
 		{EventLineDisable, KindEvent, "one L1D frame disabled after exhausting its strike budget"},
 		{EventBurstEnter, KindEvent, "burst process entered the bad (droop episode) state"},

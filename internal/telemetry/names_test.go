@@ -52,15 +52,15 @@ func TestNamesTableContents(t *testing.T) {
 			events++
 		}
 	}
-	// 63 scalar counters + 4 cache levels x 6 events.
-	if want := 63 + len(CacheLevels)*6; counters != want {
+	// 62 scalar counters + 4 cache levels x 6 events.
+	if want := 62 + len(CacheLevels)*6; counters != want {
 		t.Errorf("got %d registered counters, want %d", counters, want)
 	}
 	if hists != 4 {
 		t.Errorf("got %d registered histograms, want 4", hists)
 	}
-	if events != 17 {
-		t.Errorf("got %d registered events, want 17", events)
+	if events != 16 {
+		t.Errorf("got %d registered events, want 16", events)
 	}
 }
 

@@ -241,21 +241,6 @@ func (rt *RunTrace) CampaignResume(journal string, cells int) {
 	rt.end(b)
 }
 
-// CellRetry records one retried campaign grid cell: the study and cell
-// index, the attempt number that failed, and the host error that caused
-// the retry (sim-semantic failures are never retried and never get here).
-func (rt *RunTrace) CellRetry(study string, index, attempt int, reason string) {
-	if rt == nil {
-		return
-	}
-	b := rt.begin(EventCellRetry)
-	b = appendStr(b, "study", study)
-	b = appendInt(b, "index", int64(index))
-	b = appendInt(b, "attempt", int64(attempt))
-	b = appendStr(b, "reason", reason)
-	rt.end(b)
-}
-
 // CellTimeout records one campaign grid cell failed by its wall-clock
 // deadline instead of being allowed to wedge the grid.
 func (rt *RunTrace) CellTimeout(study string, index int, seconds float64) {
