@@ -57,6 +57,22 @@ func run() int {
 		}
 		return 2
 	}
+	for _, f := range []struct {
+		name     string
+		negative bool
+	}{
+		{"max-concurrent", *maxConc < 0},
+		{"queue-depth", *queueDepth < 0},
+		{"attempt-timeout", *attemptTimeout < 0},
+		{"cell-timeout", *cellTimeout < 0},
+		{"max-restarts", *maxRestarts < 0},
+		{"drain-grace", *drainGrace < 0},
+	} {
+		if f.negative {
+			fmt.Fprintf(os.Stderr, "clumsyd: -%s must not be negative, got %v\n", f.name, fs.Lookup(f.name).Value)
+			return 2
+		}
+	}
 
 	// The crashtest rig arms deterministic I/O faults through the
 	// environment; a clean environment leaves this a no-op.

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -266,6 +267,32 @@ func checkJournalIntegrity(t *testing.T, dataDir string) {
 		// leaves one) but must never shadow the real file; report them
 		// for visibility only.
 		t.Logf("stray temp files after crash: %v", matches)
+	}
+}
+
+// TestRejectsNegativeFlags: a negative count or duration exits 2 with a
+// message naming the flag, before the data dir is created.
+func TestRejectsNegativeFlags(t *testing.T) {
+	for _, arg := range []string{
+		"-max-concurrent=-1", "-queue-depth=-1", "-attempt-timeout=-1s",
+		"-cell-timeout=-1s", "-max-restarts=-1", "-drain-grace=-1s",
+	} {
+		dataDir := filepath.Join(t.TempDir(), "data")
+		// A daemon that accepts the flag serves until killed; the deadline
+		// turns that into a failure instead of a hang.
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+		out, err := exec.CommandContext(ctx, clumsydBin(t), "-addr", "127.0.0.1:0", "-data", dataDir, arg).CombinedOutput()
+		cancel()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Errorf("%s: %v, want exit status 2; output:\n%s", arg, err, out)
+		}
+		if name, _, _ := strings.Cut(arg, "="); !strings.Contains(string(out), name+" must not be negative") {
+			t.Errorf("%s: output does not name the flag:\n%s", arg, out)
+		}
+		if _, err := os.Stat(dataDir); !os.IsNotExist(err) {
+			t.Errorf("%s: the data dir was created (stat err %v)", arg, err)
+		}
 	}
 }
 

@@ -16,7 +16,8 @@ import (
 	"clumsy/internal/telemetry"
 )
 
-// Config sizes the service. Zero values take the documented defaults.
+// Config sizes the service. Zero values take the documented defaults,
+// except MaxRestarts, which is taken as given.
 type Config struct {
 	// DataDir is the durable home of every campaign (specs, journals,
 	// results, terminal records).
@@ -36,7 +37,8 @@ type Config struct {
 	CellTimeout time.Duration
 	// MaxRestarts bounds supervised restart-with-resume after a campaign
 	// failure; the journal carries completed cells across restarts, so
-	// every restart makes forward progress (default 2).
+	// every restart makes forward progress. Zero fails a campaign on its
+	// first failed attempt.
 	MaxRestarts int
 	// RestartBackoff is the delay before a supervised restart, doubled
 	// per consecutive restart (default 100ms).
@@ -54,12 +56,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.MaxRestarts < 0 {
-		cfg.MaxRestarts = 0
-	}
-	if cfg.MaxRestarts == 0 {
-		cfg.MaxRestarts = 2
 	}
 	if cfg.RestartBackoff <= 0 {
 		cfg.RestartBackoff = 100 * time.Millisecond

@@ -230,7 +230,7 @@ func TestRestartWithResume(t *testing.T) {
 		experiment.Table1Render(rows, o).Render(w)
 		return nil
 	})
-	svc := newService(t, nil)
+	svc := newService(t, func(c *Config) { c.MaxRestarts = 1 })
 	st, err := svc.Submit(Spec{Study: stubbed, Packets: 120, Trials: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -260,28 +260,34 @@ func TestRestartWithResume(t *testing.T) {
 }
 
 // TestRestartBudgetExhaustion: a study that always fails must end up
-// failed after MaxRestarts+1 attempts.
+// failed after MaxRestarts+1 attempts; zero restarts means one attempt.
 func TestRestartBudgetExhaustion(t *testing.T) {
 	var calls atomic.Int32
 	stubStudies(t, func(o experiment.Options, sp Spec, w io.Writer) error {
 		calls.Add(1)
 		return errors.New("persistent failure")
 	})
-	svc := newService(t, func(c *Config) { c.MaxRestarts = 2 })
-	st, err := svc.Submit(Spec{Study: stubbed})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c, _ := svc.Get(st.ID)
-	waitDone(t, c)
-	if got := c.currentState(); got != StateFailed {
-		t.Fatalf("state = %s, want failed", got)
-	}
-	if got := calls.Load(); got != 3 {
-		t.Fatalf("attempts = %d, want 3 (1 + 2 restarts)", got)
-	}
-	if got := svc.tel.Registry.Counter(telemetry.CtrServiceCampaignsFailed).Load(); got != 1 {
-		t.Fatalf("campaigns_failed = %d, want 1", got)
+	for _, restarts := range []int{2, 0} {
+		calls.Store(0)
+		svc := newService(t, func(c *Config) { c.MaxRestarts = restarts })
+		st, err := svc.Submit(Spec{Study: stubbed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, _ := svc.Get(st.ID)
+		waitDone(t, c)
+		if got := c.currentState(); got != StateFailed {
+			t.Fatalf("MaxRestarts %d: state = %s, want failed", restarts, got)
+		}
+		if got, want := int(calls.Load()), 1+restarts; got != want {
+			t.Fatalf("MaxRestarts %d: attempts = %d, want %d", restarts, got, want)
+		}
+		if got := c.status().Restarts; got != restarts {
+			t.Fatalf("MaxRestarts %d: restarts = %d", restarts, got)
+		}
+		if got := svc.tel.Registry.Counter(telemetry.CtrServiceCampaignsFailed).Load(); got != 1 {
+			t.Fatalf("MaxRestarts %d: campaigns_failed = %d, want 1", restarts, got)
+		}
 	}
 }
 
