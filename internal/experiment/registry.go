@@ -34,9 +34,10 @@ type studyFunc func(o Options, app string, out *output) error
 // ReadsApp reports whether the study takes an application.
 func (s Study) ReadsApp() bool { return s.App != "" || s.NeedsApp }
 
-// Check reports whether the study accepts the scale of o, app (empty =
-// the study's default) and the output format (empty = text). A zero scale
-// value means the default; a negative one is an error that names it.
+// Check reports whether the study accepts the scale and cell deadline of
+// o, app (empty = the study's default) and the output format (empty =
+// text). A zero scale value means the default and a zero deadline none;
+// a negative one is an error that names it.
 func (s Study) Check(o Options, app, format string) error {
 	for _, v := range []struct {
 		name  string
@@ -52,6 +53,8 @@ func (s Study) Check(o Options, app, format string) error {
 		}
 	}
 	switch {
+	case o.RunTimeout < 0:
+		return fmt.Errorf("%s: run-timeout must not be negative, got %v", s.Name, o.RunTimeout)
 	case format != "" && format != "text" && format != "csv":
 		return fmt.Errorf("%s: unknown format %q (want text or csv)", s.Name, format)
 	case app == "" && s.NeedsApp:
