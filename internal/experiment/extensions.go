@@ -170,14 +170,14 @@ func ExtSubBlock(app string, o Options) ([]SubBlockCell, error) {
 
 // ExtSubBlockRender formats the sub-block comparison.
 func ExtSubBlockRender(app string, cells []SubBlockCell, o Options) *Table {
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title: fmt.Sprintf("Extension: sub-block recovery for %s (parity, two-strike)", app),
 		Header: []string{"Cr", "EDF full-line", "EDF sub-block",
 			"L2 traffic full", "L2 traffic sub", "recoveries full", "recoveries sub"},
 		Notes: []string{
 			"footnote 2 of the paper: invalidating only the affected word keeps dirty neighbours and avoids write-backs",
-			fmt.Sprintf("%d packets/run, %d trials", o.Packets, o.Trials),
+			o.scaleNote(""),
 		},
 	}
 	for _, c := range cells {
@@ -227,13 +227,13 @@ func ExtExponents(app string, o Options) ([]ExponentRow, error) {
 
 // ExtExponentsRender formats the weighting sensitivity study.
 func ExtExponentsRender(app string, rows []ExponentRow, o Options) *Table {
-	o = o.withDefaults()
+	o = o.edfDefaults()
 	t := &Table{
 		Title:  fmt.Sprintf("Extension: metric-weighting sensitivity for %s", app),
 		Header: []string{"k (energy)", "m (delay)", "n (fallibility)", "best scheme", "best setting", "relative EDF"},
 		Notes: []string{
 			"Section 4.1: the product can be weighted energy^k-delay^m-fallibility^n to the architecture's needs",
-			fmt.Sprintf("%d packets/run, %d trials", o.Packets, o.Trials),
+			o.scaleNote(""),
 		},
 	}
 	for _, r := range rows {

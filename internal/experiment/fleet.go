@@ -120,7 +120,7 @@ func FleetRender(app string, cells []FleetCell, o Options) *Table {
 			app, FleetNodes),
 		Header: []string{"Faulty", "Nodes", "Attainment", "Drop rate", "SLO", "p50", "p99", "Deaths", "Live", "Drains", "Shed"},
 		Notes: []string{
-			fmt.Sprintf("%d packets/run, %d trials; hostile nodes: permanent regime x150 with 10%% pinned hard damage", o.Packets, o.Trials),
+			o.scaleNote("; hostile nodes: permanent regime x150 with 10% pinned hard damage"),
 			"SLO column reports the fleet drop-rate objective; attainment is the latency objective",
 		},
 	}
