@@ -53,14 +53,10 @@ lint-mutation:
 perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
 
-# examples runs every program under examples/ and fails on the first one
-# that exits non-zero. `go build ./...` only compiles them; their output
-# is not checked.
+# examples runs every program under examples/ through its Example test,
+# which checks what the program prints. `make test` runs them too.
 examples:
-	@for d in examples/*/; do \
-		echo "examples: $$d"; \
-		$(GO) run ./$$d > /dev/null || exit 1; \
-	done
+	$(GO) test -count=1 ./examples/...
 
 # fleet runs the fleet degradation study (faulty-node fraction sweep on the
 # virtual-time cluster simulator). `go run ./cmd/clumsy fleet -faulty N ...`

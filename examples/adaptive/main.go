@@ -8,6 +8,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"strings"
 
 	"clumsy/internal/cache"
 	"clumsy/internal/clumsy"
@@ -38,13 +39,11 @@ func main() {
 		total += n
 	}
 	for i, n := range res.LevelPackets {
-		bar := ""
-		if total > 0 {
-			for j := uint64(0); j < 40*n/total; j++ {
-				bar += "#"
-			}
+		line := fmt.Sprintf("  Cr = %-5g %6d packets", levels[i], n)
+		if total > 0 && 40*n/total > 0 {
+			line += "  " + strings.Repeat("#", int(40*n/total))
 		}
-		fmt.Printf("  Cr = %-5g %6d packets  %s\n", levels[i], n, bar)
+		fmt.Println(line)
 	}
 	fmt.Printf("frequency switches: %d (10-cycle penalty each)\n\n", res.Switches)
 

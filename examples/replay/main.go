@@ -44,7 +44,7 @@ func main() {
 		log.Fatal(err)
 	}
 	info, _ := os.Stat(path)
-	fmt.Printf("captured %d packets to %s (%d bytes)\n\n", len(trace.Packets), path, info.Size())
+	fmt.Printf("captured %d packets to %s (%d bytes)\n\n", len(trace.Packets), filepath.Base(path), info.Size())
 
 	// 2. Replay the identical trace under three configurations.
 	configs := []struct {
