@@ -190,9 +190,9 @@ type Config struct {
 	Dynamic bool // use the frequency-adaptation controller
 
 	// Dynamic-controller overrides (zero = the paper's defaults: 100
-	// packets per epoch, X1 = 2.0, X2 = 0.8). Used by the threshold
-	// tuning study.
-	//lint:fingerprint-extra the threshold-tuning study fingerprints its grid point in Extra
+	// packets per epoch, X1 = 2.0, X2 = 0.8). The threshold tuning study
+	// sets X1 and X2; no study sets EpochPackets.
+	//lint:fingerprint-exempt no study sets it; every cell runs the default 100-packet epoch
 	EpochPackets int
 	//lint:fingerprint-extra the threshold-tuning study fingerprints its grid point in Extra
 	X1, X2 float64
@@ -221,9 +221,9 @@ type Config struct {
 	// accesses, the frame is disabled. Zero leaves the mechanism off
 	// unless Recovery is RecoverDegrade, which falls back to
 	// DefaultLineDisableStrikes/DefaultLineDisableWindow.
-	//lint:fingerprint-extra ladder cells carry the line-disable setting in Extra
+	//lint:fingerprint-exempt no study sets it; degrade cells run the default budget
 	LineDisableStrikes int
-	//lint:fingerprint-extra ladder cells carry the line-disable setting in Extra
+	//lint:fingerprint-exempt no study sets it; degrade cells run the default window
 	LineDisableWindow uint64
 
 	// PreDisableFrac force-disables this fraction of L1D frames before
@@ -236,7 +236,7 @@ type Config struct {
 	// MinDwellEpochs, under the dynamic scheme, is the minimum number of
 	// controller epochs between applied operating-point changes. Zero
 	// (the default) keeps the paper's undamped semantics.
-	//lint:fingerprint-extra the DVS study fingerprints its dwell setting in Extra
+	//lint:fingerprint-exempt no study sets it; every dynamic cell runs undamped
 	MinDwellEpochs int
 
 	// WatchdogFactor bounds per-packet instructions at this multiple of
@@ -285,7 +285,7 @@ type Config struct {
 	Workload *workload.Spec
 
 	// SpaceBytes overrides the simulated memory size (0 = auto).
-	//lint:fingerprint-extra geometry cells carry their sizing in Extra
+	//lint:fingerprint-exempt no study sets it; every cell sizes its memory from the trace
 	SpaceBytes int
 
 	// L1DSize overrides the L1 data cache capacity in bytes (0 = the

@@ -16,7 +16,8 @@
 //     fingerprint through a study's Extra value, which is serialized into
 //     the id wholesale;
 //   - `//lint:fingerprint-exempt <reason>`: the field steers execution
-//     (contexts, timeouts, retry budgets) and cannot change a Result.
+//     (contexts, timeouts) or is fixed at its default in every study, and
+//     cannot change a cell's Result.
 //
 // Sources may live in packages the sink package imports: the defining
 // package's pass exports the annotated field list as a package fact, and
