@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench examples fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench examples paper-tables fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -57,6 +57,20 @@ perfbench:
 # which checks what the program prints. `make test` runs them too.
 examples:
 	$(GO) test -count=1 ./examples/...
+
+# paper-tables regenerates the paper's tables and the extension studies at
+# full scale and compares them byte for byte with results_full.txt: `all`
+# with lines 1-433, `extensions` with lines 436-516 and the crc ECC study
+# with lines 518-525 (about a minute on 2 vCPUs).
+paper-tables:
+	$(GO) build -o clumsy-bin ./cmd/clumsy
+	mkdir -p out
+	./clumsy-bin all -packets 3000 -trials 4 -out out/paper-all.txt
+	./clumsy-bin extensions -packets 3000 -trials 4 -out out/paper-extensions.txt
+	./clumsy-bin ecc -app crc -packets 3000 -trials 4 -out out/paper-ecc-crc.txt
+	sed -n 1,433p results_full.txt | cmp - out/paper-all.txt
+	sed -n 436,516p results_full.txt | cmp - out/paper-extensions.txt
+	sed -n 518,525p results_full.txt | cmp - out/paper-ecc-crc.txt
 
 # fleet runs the fleet degradation study (faulty-node fraction sweep on the
 # virtual-time cluster simulator). `go run ./cmd/clumsy fleet -faulty N ...`

@@ -100,13 +100,19 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 	case "run":
 		c.help = "one simulation with a full report"
 		o.runFlags(fs)
+		c.check = func() error { return o.checkRun("run") }
 		c.exec = o.report
 	case "stats":
 		c.help = "one simulation like run, then the telemetry counter registry"
 		o.runFlags(fs)
 		fs.StringVar(&o.format, "format", "text", "output format: text (Prometheus exposition) or json")
 		fs.BoolVar(&o.describe, "describe", false, "print the telemetry name registry instead of running a simulation")
-		c.check = func() error { return textOrJSON("stats", o.format) }
+		c.check = func() error {
+			if err := o.checkRun("stats"); err != nil {
+				return err
+			}
+			return textOrJSON("stats", o.format)
+		}
 		c.exec = o.stats
 	case "trace":
 		c.help = "dump an application's workload (text, or a binary trace file with -out)"
@@ -114,6 +120,7 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		fs.IntVar(&o.opt.Packets, "packets", 0, "packets to generate (at least 20)")
 		fs.Uint64Var(&o.opt.Seed, "seed", 0, "workload seed (0 = 1)")
 		fs.StringVar(&o.tracePath, "out", "", "write the workload as a binary trace file (replay it with run -trace)")
+		c.check = func() error { return notNegative("trace", flagValue{"packets", float64(o.opt.Packets)}) }
 		c.exec = func(w io.Writer) error {
 			return dumpTrace(w, o.app, max(o.opt.Packets, 20), max(o.opt.Seed, 1), o.tracePath)
 		}
@@ -257,7 +264,34 @@ func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) 
 	if err := st.Check(o.opt, o.app, ""); err != nil {
 		return err
 	}
+	if err := notNegative("fleet -faulty", flagValue{"nodes", float64(o.fleet.Nodes)},
+		flagValue{"cr", o.fleet.CycleTime}); err != nil {
+		return err
+	}
 	return textOrJSON("fleet -faulty", o.format)
+}
+
+// checkRun rejects the run flags that runOne would floor.
+func (o *cliOpts) checkRun(cmd string) error {
+	return notNegative(cmd, flagValue{"packets", float64(o.run.Packets)}, flagValue{"scale", o.run.FaultScale})
+}
+
+// flagValue is a numeric flag's name and parsed value.
+type flagValue struct {
+	name  string
+	value float64
+}
+
+// notNegative rejects the first negative flag value. The commands floor
+// these flags or replace them with a default, so a negative value would
+// run something other than what was asked.
+func notNegative(cmd string, flags ...flagValue) error {
+	for _, f := range flags {
+		if f.value < 0 {
+			return fmt.Errorf("%s: %s must not be negative, got %g", cmd, f.name, f.value)
+		}
+	}
+	return nil
 }
 
 // textOrJSON rejects an output format other than text or json.
@@ -296,7 +330,6 @@ func (o *cliOpts) fleetRun(w io.Writer) error {
 	if !o.wl.IsZero() {
 		cfg.Workload = &o.wl
 	}
-	cfg.Telemetry = o.tel
 	r, err := cluster.Run(cfg)
 	if err != nil {
 		return err

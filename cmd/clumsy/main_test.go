@@ -483,6 +483,19 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"table1", "-retries", "1"}, "-retries"},
 		{[]string{"table1", "-journal", journal, "-run-timeout", "-5s"}, "run-timeout"},
 		{[]string{"fleet", "-run-timeout", "-1ms"}, "run-timeout"},
+		{[]string{"run", "-parity", "-strikes", "4"}, "Strikes"},
+		{[]string{"run", "-cr", "-0.5"}, "CycleTime"},
+		{[]string{"run", "-cr", "2"}, "CycleTime"},
+		{[]string{"run", "-watchdog", "-1"}, "WatchdogFactor"},
+		{[]string{"run", "-max-drop-rate", "-1"}, "MaxDropRate"},
+		{[]string{"run", "-packets", "-5"}, "packets"},
+		{[]string{"run", "-scale", "-3"}, "scale"},
+		{[]string{"stats", "-packets", "-5"}, "packets"},
+		{[]string{"stats", "-scale", "-3"}, "scale"},
+		{[]string{"trace", "-packets", "-5"}, "packets"},
+		{[]string{"fleet", "-faulty", "1", "-nodes", "-3"}, "nodes"},
+		{[]string{"fleet", "-faulty", "1", "-cr", "-1"}, "cr"},
+		{[]string{"fleet", "-faulty", "1", "-packets", "200", "-cr", "3"}, "CycleTime"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)

@@ -104,17 +104,6 @@ func TestSubWordAccesses(t *testing.T) {
 	if w != 0xaa332211 {
 		t.Fatalf("after Store8: %#x", w)
 	}
-	hw, err := h.L1D.Load16(a + 2)
-	if err != nil || hw != 0xaa33 {
-		t.Fatalf("Load16 = %#x, %v", hw, err)
-	}
-	if err := h.L1D.Store16(a, 0xbeef); err != nil {
-		t.Fatal(err)
-	}
-	w, _ = h.L1D.Load32(a)
-	if w != 0xaa33beef {
-		t.Fatalf("after Store16: %#x", w)
-	}
 }
 
 func TestMissAndHitAccounting(t *testing.T) {
@@ -249,12 +238,6 @@ func TestAccessorGetters(t *testing.T) {
 	if h.L1D.CycleTime() != 1 {
 		t.Fatalf("CycleTime = %v", h.L1D.CycleTime())
 	}
-	if h.L1D.Detection() != DetectionNone {
-		t.Fatalf("Detection = %v", h.L1D.Detection())
-	}
-	if h.L1D.Strikes() != 1 {
-		t.Fatalf("Strikes = %v", h.L1D.Strikes())
-	}
 	if h.StallCycles() != 0 {
 		t.Fatalf("fresh hierarchy stalls = %v", h.StallCycles())
 	}
@@ -287,12 +270,6 @@ func TestSubWordErrorPropagation(t *testing.T) {
 	}
 	if err := h.L1D.Store8(end+4, 1); err == nil {
 		t.Error("Store8 past end accepted")
-	}
-	if _, err := h.L1D.Load16(end + 4); err == nil {
-		t.Error("Load16 past end accepted")
-	}
-	if err := h.L1D.Store16(end+4, 1); err == nil {
-		t.Error("Store16 past end accepted")
 	}
 	if err := h.L1D.Store32(2, 1); err == nil {
 		t.Error("Store32 into null page accepted")

@@ -213,21 +213,19 @@ func FuzzCacheCheckpoint(f *testing.F) {
 			case 2, 3:
 				x, v := addr(), word()
 				ea, eb = a.L1D.Store32(x, v), b.L1D.Store32(x, v)
-			case 4:
+			case 4, 6: // 4: a byte at a non-zero offset in its word
 				x := addr()
-				x16a, e1 := a.L1D.Load16(x)
-				x16b, e2 := b.L1D.Load16(x)
-				va, vb, ea, eb = uint32(x16a), uint32(x16b), e1, e2
-			case 5:
-				x, v := addr(), uint16(word())
-				ea, eb = a.L1D.Store16(x, v), b.L1D.Store16(x, v)
-			case 6:
-				x := addr()
+				if code == 4 {
+					x |= 1
+				}
 				x8a, e1 := a.L1D.Load8(x)
 				x8b, e2 := b.L1D.Load8(x)
 				va, vb, ea, eb = uint32(x8a), uint32(x8b), e1, e2
-			case 7:
+			case 5, 7: // 5: a read-modify-write at a non-zero offset
 				x, v := addr(), r.byte()
+				if code == 5 {
+					x |= 1
+				}
 				ea, eb = a.L1D.Store8(x, v), b.L1D.Store8(x, v)
 			case 8:
 				x := addr()

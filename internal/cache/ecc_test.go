@@ -109,9 +109,6 @@ func TestSubBlockRecoveryKeepsDirtyNeighbours(t *testing.T) {
 		t.Fatal(err)
 	}
 	h.L1D.SetSubBlock(true)
-	if !h.L1D.SubBlock() {
-		t.Fatal("sub-block flag not set")
-	}
 	a := space.MustAlloc(64, 32)
 	// Word 0 goes through L2 (so recovery has a source); word 1 is a
 	// dirty neighbour that must survive the word-granular recovery.

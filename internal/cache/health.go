@@ -9,7 +9,6 @@ package cache
 type HealthEvidence struct {
 	DisabledLines    int     // frames currently dead
 	DisabledFraction float64 // fraction of L1D capacity dead
-	PendingLines     int     // distinct frames struck in the open epoch (not yet consumed)
 	CycleTime        float64 // current relative cycle time
 }
 
@@ -18,7 +17,6 @@ func (c *L1Data) Health() HealthEvidence {
 	return HealthEvidence{
 		DisabledLines:    c.deadLines,
 		DisabledFraction: c.DisabledFraction(),
-		PendingLines:     c.epochDistinct,
 		CycleTime:        c.cr,
 	}
 }

@@ -196,9 +196,6 @@ func (c *L1Data) SetTelemetry(rt *telemetry.RunTrace) { c.rt = rt }
 // no write-back is needed.
 func (c *L1Data) SetSubBlock(on bool) { c.subBlock = on }
 
-// SubBlock reports whether sub-block recovery is enabled.
-func (c *L1Data) SubBlock() bool { return c.subBlock }
-
 // SetLineDisable arms per-line strike tracking: after strikes uncorrected
 // strikes on the same frame within window L1D accesses, the frame is
 // disabled and its set degrades to fewer ways (for the direct-mapped L1D,
@@ -367,12 +364,6 @@ func (c *L1Data) SetCycleTime(cr float64) {
 
 // CycleTime returns the current relative cycle time.
 func (c *L1Data) CycleTime() float64 { return c.cr }
-
-// Detection returns the configured detection scheme.
-func (c *L1Data) Detection() Detection { return c.detection }
-
-// Strikes returns the configured number of strikes.
-func (c *L1Data) Strikes() int { return c.strikes }
 
 // InvalidateRange drops any lines overlapping the given byte range without
 // write-back (DMA coherence).
@@ -762,34 +753,6 @@ func (c *L1Data) Store32(a simmem.Addr, v uint32) error {
 		return err
 	}
 	return c.writeWord(a, v)
-}
-
-// Load16 reads a halfword via the containing word.
-func (c *L1Data) Load16(a simmem.Addr) (uint16, error) {
-	a = simmem.Align(a, 2)
-	if err := c.checkAlign("load16", a, 2); err != nil {
-		return 0, err
-	}
-	w, err := c.readWord(a &^ 3)
-	if err != nil {
-		return 0, err
-	}
-	return uint16(w >> ((a & 2) * 8)), nil
-}
-
-// Store16 writes a halfword with a read-modify-write of the word.
-func (c *L1Data) Store16(a simmem.Addr, v uint16) error {
-	a = simmem.Align(a, 2)
-	if err := c.checkAlign("store16", a, 2); err != nil {
-		return err
-	}
-	w, err := c.readWord(a &^ 3)
-	if err != nil {
-		return err
-	}
-	shift := (a & 2) * 8
-	w = w&^(0xffff<<shift) | uint32(v)<<shift
-	return c.writeWord(a&^3, w)
 }
 
 // Load8 reads a byte via the containing word.

@@ -26,16 +26,6 @@ const (
 	MaxDuration = 0.1
 )
 
-// AmplitudeDensity returns the probability density of a relative noise
-// amplitude ar under the saturated exponential model of Eq. 2. The density
-// is zero for negative amplitudes.
-func AmplitudeDensity(ar float64) float64 {
-	if ar < 0 {
-		return 0
-	}
-	return AmplitudeRate * math.Exp(-AmplitudeRate*ar)
-}
-
 // AmplitudeTail returns P(Ar > ar): the probability that a noise event has
 // relative amplitude exceeding ar.
 func AmplitudeTail(ar float64) float64 {

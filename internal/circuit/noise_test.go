@@ -6,12 +6,22 @@ import (
 	"testing/quick"
 )
 
+// amplitudeDensity is the probability density of a relative noise
+// amplitude ar under the saturated exponential model of Eq. 2, zero for
+// negative amplitudes. AmplitudeTail's derivative is checked against it.
+func amplitudeDensity(ar float64) float64 {
+	if ar < 0 {
+		return 0
+	}
+	return AmplitudeRate * math.Exp(-AmplitudeRate*ar)
+}
+
 func TestAmplitudeDensityIntegratesToOne(t *testing.T) {
 	// Trapezoid integration of the exponential density over a wide range.
 	const h = 1e-4
 	sum := 0.0
 	for x := 0.0; x < 2.0; x += h {
-		sum += h * (AmplitudeDensity(x) + AmplitudeDensity(x+h)) / 2
+		sum += h * (amplitudeDensity(x) + amplitudeDensity(x+h)) / 2
 	}
 	if math.Abs(sum-1) > 1e-6 {
 		t.Fatalf("amplitude density integrates to %v, want 1", sum)
@@ -24,7 +34,7 @@ func TestAmplitudeTailMatchesDensity(t *testing.T) {
 		// d/dar Tail = -density
 		const h = 1e-6
 		num := (AmplitudeTail(ar+h) - AmplitudeTail(ar)) / h
-		return math.Abs(num+AmplitudeDensity(ar+h/2)) < 1e-3
+		return math.Abs(num+amplitudeDensity(ar+h/2)) < 1e-3
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)

@@ -32,28 +32,6 @@ func VoltageSwing(cr float64) float64 {
 	return (1 - math.Exp(-SwingK*cr)) / (1 - math.Exp(-SwingK))
 }
 
-// CycleTimeForSwing inverts VoltageSwing: it returns the relative cycle
-// time needed to reach the requested relative swing vsr in (0, 1]. It is
-// the exact analytic inverse of the charging curve.
-func CycleTimeForSwing(vsr float64) float64 {
-	if vsr <= 0 || vsr > 1 {
-		panic("circuit: relative voltage swing out of (0, 1]")
-	}
-	if vsr == 1 { //lint:floatcmp-ok — exact domain endpoint: 1.0 is representable and means full swing
-		return 1
-	}
-	return -math.Log(1-vsr*(1-math.Exp(-SwingK))) / SwingK
-}
-
-// RelativeFrequency converts a relative cycle time Cr into the relative
-// frequency Fr = f/ffs = 1/Cr used in Eq. 4 of the paper.
-func RelativeFrequency(cr float64) float64 {
-	if cr <= 0 {
-		panic("circuit: non-positive relative cycle time")
-	}
-	return 1 / cr
-}
-
 // SwingCurve samples the voltage-swing curve of Figure 1b at n+1 evenly
 // spaced cycle times spanning [crMin, 1]. It returns parallel slices of
 // cycle times and swings, ordered by increasing cycle time.

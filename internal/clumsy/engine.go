@@ -161,20 +161,6 @@ func (m dataMemory) Store8(a simmem.Addr, v uint8) error {
 	return m.eng.hier.L1D.Store8(a, v)
 }
 
-func (m dataMemory) Load16(a simmem.Addr) (uint16, error) {
-	if err := m.note(); err != nil {
-		return 0, err
-	}
-	return m.eng.hier.L1D.Load16(a)
-}
-
-func (m dataMemory) Store16(a simmem.Addr, v uint16) error {
-	if err := m.note(); err != nil {
-		return err
-	}
-	return m.eng.hier.L1D.Store16(a, v)
-}
-
 func (m dataMemory) Load32(a simmem.Addr) (uint32, error) {
 	if err := m.note(); err != nil {
 		return 0, err

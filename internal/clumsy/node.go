@@ -74,14 +74,6 @@ type NodeHealth struct {
 	Dead            bool    // the node has left service
 }
 
-// DropRate returns the contained fraction of attempted packets.
-func (h NodeHealth) DropRate() float64 {
-	if h.Attempted == 0 {
-		return 0
-	}
-	return float64(h.Contained) / float64(h.Attempted)
-}
-
 // Node is one live clumsy processor serving a packet stream.
 type Node struct {
 	cfg   Config
@@ -187,6 +179,14 @@ const appBlocks = 32
 // setupDied set: there is no pre-fault state to restore before the tables
 // exist, so it always ends the pass.
 func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
+	// Only the faulty passes check: the golden pass simulates none of the
+	// checked fields, and one that GoldenCache shares must not fail
+	// because of one sharer's configuration.
+	if o.inject {
+		if err := cfg.check(); err != nil {
+			return nil, err
+		}
+	}
 	spaceBytes := cfg.SpaceBytes
 	if spaceBytes == 0 {
 		spaceBytes = autoSpaceBytes(trace)

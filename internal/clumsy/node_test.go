@@ -57,9 +57,6 @@ func TestNodeStreamsCleanly(t *testing.T) {
 	if h.Processed != len(tr.Packets) || h.Contained != 0 || h.Dead {
 		t.Fatalf("health %+v after a clean stream", h)
 	}
-	if h.DropRate() != 0 {
-		t.Fatalf("drop rate %v", h.DropRate())
-	}
 }
 
 // TestNodeDeterministic: two nodes opened with the same configuration

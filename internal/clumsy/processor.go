@@ -324,6 +324,26 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// check rejects a defaulted configuration that the model cannot simulate,
+// naming the field. The negated comparisons also reject NaN.
+func (c Config) check() error {
+	switch {
+	case c.Strikes < 1 || c.Strikes > 3:
+		return fmt.Errorf("clumsy: Strikes %d outside 1..3", c.Strikes)
+	case !(c.CycleTime > 0 && c.CycleTime <= 1):
+		return fmt.Errorf("clumsy: CycleTime %g outside (0, 1]", c.CycleTime)
+	case !(c.FaultScale >= 0):
+		return fmt.Errorf("clumsy: FaultScale %g is negative", c.FaultScale)
+	case !(c.WatchdogFactor >= 0):
+		return fmt.Errorf("clumsy: WatchdogFactor %g is negative", c.WatchdogFactor)
+	case !(c.MaxDropRate >= 0):
+		return fmt.Errorf("clumsy: MaxDropRate %g is negative", c.MaxDropRate)
+	case !(c.PreDisableFrac >= 0 && c.PreDisableFrac <= 1):
+		return fmt.Errorf("clumsy: PreDisableFrac %g outside [0, 1]", c.PreDisableFrac)
+	}
+	return nil
+}
+
 // Result carries everything measured in one golden+faulty run pair.
 type Result struct {
 	Config Config

@@ -1,6 +1,9 @@
 package clumsy
 
 import (
+	"errors"
+	"math"
+	"strings"
 	"testing"
 
 	"clumsy/internal/apps"
@@ -149,6 +152,63 @@ func TestEDFComputation(t *testing.T) {
 func TestUnknownAppRejected(t *testing.T) {
 	if _, err := Run(Config{App: "nosuch", Packets: 10}); err == nil {
 		t.Fatal("unknown application should fail")
+	}
+}
+
+// TestRejectsConfigsTheModelCannotSimulate: every faulty pass refuses a
+// field outside the model's range and names it, while the boundary values
+// pass. The cases share one GoldenCache with a valid run after them: a
+// rejected configuration must not fail the golden pass it shares.
+func TestRejectsConfigsTheModelCannotSimulate(t *testing.T) {
+	base := Config{App: "crc", Packets: 40, Seed: 3, Detection: cache.DetectionParity}
+	tr, err := generate(base.withDefaults())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var gc GoldenCache
+	for _, tc := range []struct {
+		set   func(*Config)
+		field string
+	}{
+		{func(c *Config) { c.Strikes = 4 }, "Strikes"},
+		{func(c *Config) { c.Strikes = -1 }, "Strikes"},
+		{func(c *Config) { c.CycleTime = -0.5 }, "CycleTime"},
+		{func(c *Config) { c.CycleTime = 1.5 }, "CycleTime"},
+		{func(c *Config) { c.CycleTime = math.NaN() }, "CycleTime"},
+		{func(c *Config) { c.FaultScale = -2 }, "FaultScale"},
+		{func(c *Config) { c.WatchdogFactor = -1 }, "WatchdogFactor"},
+		{func(c *Config) { c.MaxDropRate = -0.1 }, "MaxDropRate"},
+		{func(c *Config) { c.PreDisableFrac = -0.1 }, "PreDisableFrac"},
+		{func(c *Config) { c.PreDisableFrac = 1.5 }, "PreDisableFrac"},
+	} {
+		cfg := base
+		tc.set(&cfg)
+		_, errRun := Run(cfg)
+		_, errShared := gc.Run(cfg)
+		errNode := errors.New("Calibrate failed")
+		if cal, err := Calibrate(cfg, tr); err == nil {
+			_, errNode = OpenNode(cfg, tr, cal)
+		}
+		for i, err := range []error{errRun, errShared, errNode} {
+			if err == nil || !strings.Contains(err.Error(), tc.field) {
+				t.Errorf("%s case, path %d (Run, GoldenCache.Run, OpenNode): error %v does not name it", tc.field, i, err)
+			}
+		}
+	}
+	shared, err := gc.Run(base)
+	if err != nil {
+		t.Fatalf("valid config after rejected sharers of its golden pass: %v", err)
+	}
+	if fresh := run(t, base); shared.Cycles != fresh.Cycles || shared.GoldenCycles != fresh.GoldenCycles {
+		t.Fatalf("shared run %v/%v cycles, fresh run %v/%v", shared.Cycles, shared.GoldenCycles, fresh.Cycles, fresh.GoldenCycles)
+	}
+	for _, ok := range []Config{
+		{Strikes: 1, CycleTime: 1, PreDisableFrac: 0},
+		{Strikes: 3, CycleTime: 1e-3, PreDisableFrac: 1},
+	} {
+		if err := ok.withDefaults().check(); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
+		}
 	}
 }
 

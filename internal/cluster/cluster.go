@@ -26,7 +26,6 @@ import (
 
 	"clumsy/internal/cache"
 	"clumsy/internal/clumsy"
-	"clumsy/internal/telemetry"
 	"clumsy/internal/workload"
 )
 
@@ -116,12 +115,6 @@ type Config struct {
 	NodeMaxDropRate float64
 
 	Health HealthConfig
-
-	// Telemetry, when non-nil, receives cluster.* counters, the fleet
-	// latency histogram, and node health-transition events. Nil falls
-	// back to the process-wide default hub; when that is nil too,
-	// telemetry is off.
-	Telemetry *telemetry.Telemetry
 }
 
 func (c Config) withDefaults() Config {

@@ -1,9 +1,13 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
+	"encoding/json"
 	"testing"
 
+	"clumsy/internal/clumsy"
+	"clumsy/internal/telemetry"
 	"clumsy/internal/workload"
 )
 
@@ -42,6 +46,58 @@ func TestFleetDeterminism(t *testing.T) {
 	}
 	if txt.Len() == 0 {
 		t.Error("empty text report")
+	}
+}
+
+// TestFleetTelemetry: a fleet reports to the process-wide telemetry hub.
+// Its cluster.* counters agree with the report, and the event trace holds
+// the health transitions of the node that dies, ending in its death.
+func TestFleetTelemetry(t *testing.T) {
+	var buf bytes.Buffer
+	sink := telemetry.NewJSONLSink(&buf)
+	tel := telemetry.New()
+	tel.SetSink(sink)
+	clumsy.SetDefaultTelemetry(tel)
+	defer clumsy.SetDefaultTelemetry(nil)
+	r, err := Run(Config{
+		App: "route", Nodes: 4, Packets: 1600, Seed: 5,
+		FaultyNodes: 1, FaultyScale: 150, FaultyPreDisable: 0.10,
+		Health: HealthConfig{MaxDrains: 1, MaxCycleTime: 0.625},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if r.Deaths != 1 {
+		t.Fatalf("deaths = %d, want the hostile node dead", r.Deaths)
+	}
+	for name, want := range map[string]int{
+		telemetry.CtrClusterArrivals: r.Arrivals,
+		telemetry.CtrClusterDeaths:   r.Deaths,
+		telemetry.CtrClusterDrains:   r.Drains,
+	} {
+		if got := tel.Registry.Counter(name).Load(); got != uint64(want) {
+			t.Errorf("%s = %d, report says %d", name, got, want)
+		}
+	}
+	var to []string
+	sc := bufio.NewScanner(&buf)
+	for sc.Scan() {
+		var ev struct {
+			Type, To string
+			Node     int
+		}
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Fatalf("invalid event %s: %v", sc.Text(), err)
+		}
+		if ev.Type == telemetry.EventNodeTransition && ev.Node == 3 {
+			to = append(to, ev.To)
+		}
+	}
+	if len(to) < 2 || to[len(to)-1] != StateDead.String() {
+		t.Fatalf("node 3 transitions %v, want a lifecycle ending in %s", to, StateDead)
 	}
 }
 

@@ -115,10 +115,9 @@ func Run(cfg Config) (*Report, error) {
 		sloLatency: sloLatencyDelays * cal.Delay,
 	}
 
-	tel := cfg.Telemetry
-	if tel == nil {
-		tel = clumsy.DefaultTelemetry()
-	}
+	// The cluster.* counters, the fleet latency histogram and node
+	// health-transition events go to the process-wide hub, if any.
+	tel := clumsy.DefaultTelemetry()
 	f.rt = tel.StartRun(func() float64 { return f.now })
 
 	f.nodes = make([]*member, cfg.Nodes)

@@ -221,12 +221,12 @@ func TestInjectorDisabled(t *testing.T) {
 func TestInjectorCycleTimeSwitch(t *testing.T) {
 	m := NewModel(1e4)
 	in := NewInjector(m, NewRNG(2), 32)
-	if in.CycleTime() != 1 {
-		t.Fatalf("initial cycle time = %v", in.CycleTime())
+	if in.rate != m.EventRate(1, 32) {
+		t.Fatalf("initial rate = %v, want the full-swing rate", in.rate)
 	}
 	in.SetCycleTime(0.25)
-	if in.CycleTime() != 0.25 {
-		t.Fatalf("cycle time after switch = %v", in.CycleTime())
+	if in.rate != m.EventRate(0.25, 32) {
+		t.Fatalf("rate after switch = %v, want the Cr=0.25 rate", in.rate)
 	}
 	// Faster clock: empirically more faults per access.
 	count := func(cr float64, n int) int {
@@ -277,11 +277,11 @@ func TestUint32AndEnabled(t *testing.T) {
 		t.Fatalf("Uint32 produced only %d distinct values", len(seen))
 	}
 	in := NewInjector(NewModel(1), NewRNG(1), 32)
-	if !in.Enabled() {
+	if !in.enabled {
 		t.Fatal("injector should start enabled")
 	}
 	in.SetEnabled(false)
-	if in.Enabled() {
+	if in.enabled {
 		t.Fatal("SetEnabled(false) ignored")
 	}
 }

@@ -12,9 +12,11 @@ package fault
 // advance the fault process.
 //
 // Fault time advances monotonically by design — a packet rollback never
-// rewinds the fault environment — so the only reset surface is the
-// per-epoch counter clear; a new counter that ResetCounters misses would
-// contaminate the next epoch's controller decision.
+// rewinds the fault environment. The counters are cumulative over a run:
+// the dynamic frequency controller reads the L1D's parity errors, not
+// these counters, and no program resets them. ResetCounters is kept as the
+// statecover anchor, so a new field must be cleared there or marked
+// ephemeral.
 //
 //lint:checkpoint ResetCounters
 type Injector struct {
@@ -24,8 +26,6 @@ type Injector struct {
 	rng *RNG
 	//lint:ephemeral configuration, immutable during a run
 	bits int
-	//lint:ephemeral operating point, changed only by SetCycleTime
-	cr float64
 	//lint:ephemeral derived from the operating point by SetCycleTime
 	rate float64
 	//lint:ephemeral fault-process position; fault time never rewinds
@@ -33,7 +33,7 @@ type Injector struct {
 	//lint:ephemeral segment gating toggled by the experiment harness
 	enabled bool
 
-	// Counters for the run reports and the dynamic frequency controller.
+	// Counters, cumulative over the run.
 	Accesses uint64 // accesses observed while enabled
 	Events   uint64 // fault events injected
 	BitFlips uint64 // total bits flipped
@@ -55,19 +55,12 @@ func NewInjector(m *Model, rng *RNG, bits int) *Injector {
 // geometric distribution this is statistically equivalent to continuing the
 // process at the new rate.
 func (in *Injector) SetCycleTime(cr float64) {
-	in.cr = cr
 	in.rate = in.model.EventRate(cr, in.bits)
 	in.redraw()
 }
 
-// CycleTime returns the injector's current relative cycle time.
-func (in *Injector) CycleTime() float64 { return in.cr }
-
 // SetEnabled turns fault injection on or off.
 func (in *Injector) SetEnabled(on bool) { in.enabled = on }
-
-// Enabled reports whether faults are currently being injected.
-func (in *Injector) Enabled() bool { return in.enabled }
 
 func (in *Injector) redraw() {
 	// Number of fault-free accesses before the next fault: geometric.
@@ -99,8 +92,7 @@ func (in *Injector) Next() uint64 {
 	return mask
 }
 
-// ResetCounters clears the access and fault counters (the dynamic
-// frequency controller reads and resets them per epoch).
+// ResetCounters clears the access and fault counters.
 func (in *Injector) ResetCounters() {
 	in.Accesses, in.Events, in.BitFlips = 0, 0, 0
 }

@@ -15,14 +15,12 @@ type Process interface {
 	NextAt(addr uint64) uint64
 	// SetCycleTime moves the process to a new relative cycle time.
 	SetCycleTime(cr float64)
-	// CycleTime returns the current relative cycle time.
-	CycleTime() float64
 	// SetEnabled turns fault injection on or off. Disabled accesses pass
 	// through untouched and do not advance the process.
 	SetEnabled(on bool)
-	// Enabled reports whether faults are currently being injected.
-	Enabled() bool
-	// ResetCounters clears the per-epoch access and fault counters.
+	// ResetCounters clears the access and fault counters. No program
+	// calls it, since the counters are cumulative over a run; it stays as
+	// the boundary function of each process's statecover annotation.
 	ResetCounters()
 }
 
@@ -104,7 +102,8 @@ func DefaultBurstParams() BurstParams {
 // alternating between a good state at the paper's base rate and a bad
 // state at BadMultiplier times that rate. State residence times and fault
 // gaps are both geometric, so the process stays exactly reproducible from
-// the seed and costs no per-access draws.
+// the seed and costs no per-access draws. As with Injector, the counters
+// are cumulative and ResetCounters is kept as the statecover anchor.
 //
 //lint:checkpoint ResetCounters
 type Burst struct {
@@ -116,8 +115,6 @@ type Burst struct {
 	bits int
 	//lint:ephemeral configuration, immutable during a run
 	p BurstParams
-	//lint:ephemeral operating point, changed only by SetCycleTime
-	cr float64
 	//lint:ephemeral segment gating toggled by the experiment harness
 	enabled bool
 
@@ -137,7 +134,7 @@ type Burst struct {
 	//lint:ephemeral observer wiring, not process state
 	OnTransition func(bad bool)
 
-	// Counters for the run reports and the dynamic frequency controller.
+	// Counters, cumulative over the run like Episodes.
 	Accesses uint64 // accesses observed while enabled
 	Events   uint64 // fault events injected
 	BitFlips uint64 // total bits flipped
@@ -166,7 +163,6 @@ func NewBurst(m *Model, rng *RNG, bits int, p BurstParams) *Burst {
 // rates are recomputed and the pending fault gap is redrawn at the current
 // state's new rate; state residence is rate-independent and carries over.
 func (b *Burst) SetCycleTime(cr float64) {
-	b.cr = cr
 	b.goodRate = b.model.EventRate(cr, b.bits)
 	b.badRate = b.goodRate * b.p.BadMultiplier
 	if b.badRate > 1 {
@@ -175,17 +171,8 @@ func (b *Burst) SetCycleTime(cr float64) {
 	b.skip = geometricGap(b.rng, b.rate())
 }
 
-// CycleTime returns the process's current relative cycle time.
-func (b *Burst) CycleTime() float64 { return b.cr }
-
 // SetEnabled turns fault injection on or off.
 func (b *Burst) SetEnabled(on bool) { b.enabled = on }
-
-// Enabled reports whether faults are currently being injected.
-func (b *Burst) Enabled() bool { return b.enabled }
-
-// Bad reports whether the process is currently in the bad state.
-func (b *Burst) Bad() bool { return b.bad }
 
 func (b *Burst) rate() float64 {
 	if b.bad {
@@ -339,17 +326,6 @@ func NewStuckAt(inner Process, rng *RNG, words int, p StuckAtParams) *StuckAt {
 	return s
 }
 
-// WeakCells returns the number of words carrying a weak cell.
-func (s *StuckAt) WeakCells() int {
-	n := 0
-	for _, c := range s.cells {
-		if c.bit >= 0 {
-			n++
-		}
-	}
-	return n
-}
-
 // SetCycleTime moves the process (and its inner transient process) to a
 // new relative cycle time.
 func (s *StuckAt) SetCycleTime(cr float64) {
@@ -357,17 +333,11 @@ func (s *StuckAt) SetCycleTime(cr float64) {
 	s.inner.SetCycleTime(cr)
 }
 
-// CycleTime returns the process's current relative cycle time.
-func (s *StuckAt) CycleTime() float64 { return s.cr }
-
 // SetEnabled turns fault injection on or off for both layers.
 func (s *StuckAt) SetEnabled(on bool) {
 	s.enabled = on
 	s.inner.SetEnabled(on)
 }
-
-// Enabled reports whether faults are currently being injected.
-func (s *StuckAt) Enabled() bool { return s.enabled }
 
 // NextAt advances the inner transient process and overlays the stuck-at
 // map for the physical word the address occupies.
@@ -393,6 +363,6 @@ func (s *StuckAt) NextAt(addr uint64) uint64 {
 	return mask
 }
 
-// ResetCounters clears the per-epoch counters of the inner process. The
+// ResetCounters clears the counters of the inner process. The
 // stuck-at hit counters are cumulative and survive resets.
 func (s *StuckAt) ResetCounters() { s.inner.ResetCounters() }

@@ -112,16 +112,6 @@ type Controller struct {
 	LevelPackets []uint64
 }
 
-// New returns a controller with the paper's default parameters, starting at
-// full-swing operation (the first level).
-func New() *Controller {
-	c, err := NewWith(DefaultLevels(), DefaultEpochPackets, DefaultX1, DefaultX2, DefaultSwitchPenalty)
-	if err != nil {
-		panic(err) // defaults are valid by construction
-	}
-	return c
-}
-
 // NewWith returns a controller with explicit parameters. Levels must be
 // given in strictly decreasing cycle-time order... i.e. strictly increasing
 // frequency; the controller starts at levels[0].
@@ -169,9 +159,6 @@ func (c *Controller) SetMinDwell(epochs int) {
 	c.minDwell = epochs
 	c.sinceChange = epochs
 }
-
-// MinDwell returns the configured minimum dwell.
-func (c *Controller) MinDwell() int { return c.minDwell }
 
 // SetSpatialPolicy arms the spatial escalation triggers: maxLines bounds
 // the distinct faulting lines per epoch, maxFrac the disabled-capacity
@@ -299,6 +286,3 @@ func (c *Controller) PacketDone(faults uint64) (Decision, bool) {
 	}
 	return decision, true
 }
-
-// SwitchPenalty returns the per-change cycle cost.
-func (c *Controller) SwitchPenalty() float64 { return c.switchPenalty }

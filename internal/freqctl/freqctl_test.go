@@ -2,6 +2,16 @@ package freqctl
 
 import "testing"
 
+// newDefault returns a controller with the paper's default parameters,
+// starting at full-swing operation (the first level).
+func newDefault() *Controller {
+	c, err := NewWith(DefaultLevels(), DefaultEpochPackets, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+	if err != nil {
+		panic(err) // defaults are valid by construction
+	}
+	return c
+}
+
 // runEpoch feeds a full epoch of packets, each observing the given fault
 // count, and returns the final decision.
 func runEpoch(c *Controller, perPacketFaults uint64) (Decision, bool) {
@@ -14,14 +24,14 @@ func runEpoch(c *Controller, perPacketFaults uint64) (Decision, bool) {
 }
 
 func TestStartsAtFullCycleTime(t *testing.T) {
-	c := New()
+	c := newDefault()
 	if c.CycleTime() != 1 {
 		t.Fatalf("initial cycle time = %v, want 1", c.CycleTime())
 	}
 }
 
 func TestNoDecisionMidEpoch(t *testing.T) {
-	c := New()
+	c := newDefault()
 	for i := 0; i < DefaultEpochPackets-1; i++ {
 		if d, changed := c.PacketDone(100); d != Keep || changed {
 			t.Fatalf("mid-epoch decision at packet %d: %v", i, d)
@@ -30,7 +40,7 @@ func TestNoDecisionMidEpoch(t *testing.T) {
 }
 
 func TestFaultFreeRampsToFastest(t *testing.T) {
-	c := New()
+	c := newDefault()
 	levels := []float64{0.75, 0.5, 0.25}
 	for _, want := range levels {
 		d, changed := runEpoch(c, 0)
@@ -54,7 +64,7 @@ func TestFaultFreeRampsToFastest(t *testing.T) {
 }
 
 func TestFaultBurstBacksOff(t *testing.T) {
-	c := New()
+	c := newDefault()
 	runEpoch(c, 0) // to 0.75, stored = 0
 	if d, _ := runEpoch(c, 5); d != SlowDown {
 		t.Fatalf("faults after a fault-free reference should slow down, got %v", d)
@@ -65,7 +75,7 @@ func TestFaultBurstBacksOff(t *testing.T) {
 }
 
 func TestCannotSlowBelowFirstLevel(t *testing.T) {
-	c := New()
+	c := newDefault()
 	// At level 0 with stored 0, any faults hit the slow-down branch but
 	// there is nowhere to go.
 	if d, changed := runEpoch(c, 50); d != Keep || changed {
@@ -74,7 +84,7 @@ func TestCannotSlowBelowFirstLevel(t *testing.T) {
 }
 
 func TestHysteresisBand(t *testing.T) {
-	c := New()
+	c := newDefault()
 	runEpoch(c, 0)  // -> 0.75, stored 0
 	runEpoch(c, 10) // faults: slow down -> 1, stored = 1000
 	if c.CycleTime() != 1 {
@@ -90,7 +100,7 @@ func TestOscillationBetweenAdjacentLevels(t *testing.T) {
 	// The paper's rule bounces between 0.5 and 0.25 when the fault rate
 	// jumps ~8x across that boundary: the dynamic scheme "stays mostly in
 	// the Cr = 0.5 region" without beating the static setting.
-	c := New()
+	c := newDefault()
 	runEpoch(c, 0) // -> 0.75
 	runEpoch(c, 0) // -> 0.5
 	runEpoch(c, 0) // -> 0.25
@@ -118,7 +128,7 @@ func TestOscillationBetweenAdjacentLevels(t *testing.T) {
 }
 
 func TestLevelPacketsAccounting(t *testing.T) {
-	c := New()
+	c := newDefault()
 	runEpoch(c, 0)
 	runEpoch(c, 0)
 	total := uint64(0)

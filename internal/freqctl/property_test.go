@@ -14,7 +14,7 @@ import (
 func TestControllerInvariants(t *testing.T) {
 	f := func(seed uint64, burstiness uint8) bool {
 		rng := fault.NewRNG(seed)
-		c := New()
+		c := newDefault()
 		const packets = 5000
 		for i := 0; i < packets; i++ {
 			var faults uint64

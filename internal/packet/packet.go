@@ -109,11 +109,6 @@ func (p Prefix) Mask() uint32 {
 	return ^uint32(0) << (32 - uint(p.Len))
 }
 
-// Contains reports whether addr falls inside the prefix.
-func (p Prefix) Contains(addr uint32) bool {
-	return addr&p.Mask() == p.Addr&p.Mask()
-}
-
 // GeneratePrefixes produces n distinct prefixes with lengths spread over
 // 8..24 bits, suitable for populating a routing table.
 func GeneratePrefixes(n int, rng *fault.RNG) []Prefix {

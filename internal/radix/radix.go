@@ -53,7 +53,6 @@ var ErrLoop = errors.New("radix: traversal limit exceeded")
 type Table struct {
 	space *simmem.Space
 	root  simmem.Addr
-	nodes int
 }
 
 // validChild reports whether a child pointer loaded from memory looks like
@@ -80,18 +79,11 @@ func New(space *simmem.Space, mem simmem.Memory) (*Table, error) {
 	return t, nil
 }
 
-// Root returns the address of the root node.
-func (t *Table) Root() simmem.Addr { return t.root }
-
-// Nodes returns the number of allocated nodes.
-func (t *Table) Nodes() int { return t.nodes }
-
 func (t *Table) newNode(mem simmem.Memory) (simmem.Addr, error) {
 	a, err := t.space.Alloc(nodeSize, 8)
 	if err != nil {
 		return 0, err
 	}
-	t.nodes++
 	// The arena zeroes memory, but the writes must still go through the
 	// cache so the golden and faulty executions issue identical accesses.
 	for off := simmem.Addr(0); off < nodeSize; off += 4 {

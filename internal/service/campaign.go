@@ -61,17 +61,6 @@ func parseState(s string) (State, error) {
 	return 0, fmt.Errorf("service: non-terminal state %q in state record", s)
 }
 
-// terminal reports whether the state is an endpoint of the lifecycle.
-func (s State) terminal() bool {
-	switch s {
-	case StateCompleted, StateFailed, StateCancelled:
-		return true
-	case StateQueued, StateRunning:
-		return false
-	}
-	return false
-}
-
 // Campaign is one scheduled study: the submitted spec plus the
 // supervisor-visible lifecycle. All mutable fields are guarded by mu;
 // the immutable identity fields (ID, Spec, dir) are set before the

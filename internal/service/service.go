@@ -16,6 +16,10 @@ import (
 	"clumsy/internal/telemetry"
 )
 
+// restartBackoff is the delay before the first supervised restart of a
+// campaign, doubled per consecutive restart.
+const restartBackoff = 100 * time.Millisecond
+
 // Config sizes the service. Zero values take the documented defaults,
 // except MaxRestarts, which is taken as given.
 type Config struct {
@@ -40,9 +44,6 @@ type Config struct {
 	// every restart makes forward progress. Zero fails a campaign on its
 	// first failed attempt.
 	MaxRestarts int
-	// RestartBackoff is the delay before a supervised restart, doubled
-	// per consecutive restart (default 100ms).
-	RestartBackoff time.Duration
 	// Telemetry receives the service.* counters and hosts the registry
 	// the /metrics endpoint serves (nil = a private hub).
 	Telemetry *telemetry.Telemetry
@@ -56,9 +57,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 8
-	}
-	if cfg.RestartBackoff <= 0 {
-		cfg.RestartBackoff = 100 * time.Millisecond
 	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New()
@@ -423,7 +421,7 @@ func (s *Service) supervise(c *Campaign) {
 		c.mu.Unlock()
 		s.tel.Registry.Counter(telemetry.CtrServiceCampaignsRestarted).Inc()
 		s.logf("campaign %s: attempt %d failed (%v), restarting with resume", c.ID, attempt, err)
-		backoff := s.cfg.RestartBackoff << attempt
+		backoff := restartBackoff << attempt
 		timer := time.NewTimer(backoff)
 		select {
 		case <-ctx.Done():

@@ -20,14 +20,11 @@ import (
 	"clumsy/internal/telemetry"
 )
 
-// newService builds a service on a temp dir with test-friendly knobs,
-// closed at cleanup. Callers may tweak cfg through mod.
+// newService builds a service on a temp dir, closed at cleanup. Callers
+// may tweak cfg through mod.
 func newService(t *testing.T, mod func(*Config)) *Service {
 	t.Helper()
-	cfg := Config{
-		DataDir:        t.TempDir(),
-		RestartBackoff: time.Millisecond,
-	}
+	cfg := Config{DataDir: t.TempDir()}
 	if mod != nil {
 		mod(&cfg)
 	}
@@ -329,7 +326,7 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 		fmt.Fprintln(w, "completed after adoption")
 		return nil
 	})
-	svc, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
+	svc, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -346,14 +343,14 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 	}
 
 	c, _ := svc.Get(st.ID)
-	if got := c.currentState(); got.terminal() {
-		t.Fatalf("checkpointed campaign has terminal state %s", got)
+	if got := c.currentState(); got != StateQueued {
+		t.Fatalf("checkpointed campaign has state %s, want queued", got)
 	}
 	if _, err := os.Stat(filepath.Join(c.dir, stateFile)); !os.IsNotExist(err) {
 		t.Fatalf("checkpointed campaign must not have a terminal record (stat err %v)", err)
 	}
 
-	svc2, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
+	svc2, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -391,7 +388,7 @@ func TestDrainCheckpointAndAdoption(t *testing.T) {
 // uninterrupted run — with the journal actually carrying cells across.
 func TestRecoveryByteIdentity(t *testing.T) {
 	dataDir := t.TempDir()
-	svc, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
+	svc, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +413,7 @@ func TestRecoveryByteIdentity(t *testing.T) {
 	if st2, _ := svc.Get(st.ID); st2.currentState() == StateCompleted {
 		t.Skip("campaign finished before the interruption; nothing to recover")
 	}
-	svc2, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
+	svc2, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -482,7 +479,7 @@ func TestAdoptionRejectsInvalidSpec(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	svc, err := New(Config{DataDir: dataDir, RestartBackoff: time.Millisecond})
+	svc, err := New(Config{DataDir: dataDir})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,18 +27,6 @@ func (s *Space) markDirty(a Addr, width int) {
 	}
 }
 
-// DirtyPages returns the number of pages written since tracking was last
-// reset (zero when tracking is off). Exposed for tests and telemetry.
-func (s *Space) DirtyPages() int {
-	n := 0
-	for _, w := range s.dirty {
-		for ; w != 0; w &= w - 1 {
-			n++
-		}
-	}
-	return n
-}
-
 // Checkpoint is a restorable snapshot of a Space. Creating one copies every
 // page the space has into a shadow page table and turns on dirty-page
 // tracking; from then on Commit folds newly written pages into the shadow

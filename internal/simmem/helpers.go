@@ -1,32 +1,8 @@
 package simmem
 
-// Helper accessors shared by the applications. They are written against the
-// Memory interface so the same application code runs on the golden space and
-// on the fault-injected cache hierarchy.
-
-// StoreBytes writes p byte-by-byte starting at a.
-func StoreBytes(m Memory, a Addr, p []byte) error {
-	for i, b := range p {
-		if err := m.Store8(a+Addr(i), b); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// LoadBytes reads len(p) bytes starting at a.
-func LoadBytes(m Memory, a Addr, p []byte) error {
-	for i := range p {
-		b, err := m.Load8(a + Addr(i))
-		if err != nil {
-			return err
-		}
-		p[i] = b
-	}
-	return nil
-}
-
-// StoreString writes the bytes of str followed by a NUL terminator.
+// StoreString writes the bytes of str followed by a NUL terminator. It is
+// written against the Memory interface so the same application code runs on
+// the golden space and on the fault-injected cache hierarchy.
 func StoreString(m Memory, a Addr, str string) error {
 	for i := 0; i < len(str); i++ {
 		if err := m.Store8(a+Addr(i), str[i]); err != nil {
@@ -34,20 +10,4 @@ func StoreString(m Memory, a Addr, str string) error {
 		}
 	}
 	return m.Store8(a+Addr(len(str)), 0)
-}
-
-// LoadString reads a NUL-terminated string of at most maxLen bytes.
-func LoadString(m Memory, a Addr, maxLen int) (string, error) {
-	buf := make([]byte, 0, 16)
-	for i := 0; i < maxLen; i++ {
-		b, err := m.Load8(a + Addr(i))
-		if err != nil {
-			return "", err
-		}
-		if b == 0 {
-			break
-		}
-		buf = append(buf, b)
-	}
-	return string(buf), nil
 }

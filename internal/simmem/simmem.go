@@ -43,8 +43,6 @@ func (e *AccessError) Error() string {
 type Memory interface {
 	Load8(a Addr) (uint8, error)
 	Store8(a Addr, v uint8) error
-	Load16(a Addr) (uint16, error)
-	Store16(a Addr, v uint16) error
 	Load32(a Addr) (uint32, error)
 	Store32(a Addr, v uint32) error
 }
@@ -178,26 +176,6 @@ func (s *Space) Store8(a Addr, v uint8) error {
 	}
 	s.markDirty(a, 1)
 	s.page(a)[a&pageMask] = v
-	return nil
-}
-
-// Load16 reads a little-endian 16-bit value.
-func (s *Space) Load16(a Addr) (uint16, error) {
-	a = Align(a, 2)
-	if err := s.check("load16", a, 2); err != nil {
-		return 0, err
-	}
-	return binary.LittleEndian.Uint16(s.readPage(a)[a&pageMask:]), nil
-}
-
-// Store16 writes a little-endian 16-bit value.
-func (s *Space) Store16(a Addr, v uint16) error {
-	a = Align(a, 2)
-	if err := s.check("store16", a, 2); err != nil {
-		return err
-	}
-	s.markDirty(a, 2)
-	binary.LittleEndian.PutUint16(s.page(a)[a&pageMask:], v)
 	return nil
 }
 

@@ -86,9 +86,6 @@ func NewStateTable(space *Space, records, recWords int) (*StateTable, error) {
 	}, nil
 }
 
-// Base returns the table's base address in the simulated space.
-func (t *StateTable) Base() Addr { return t.base }
-
 // Records returns the record count.
 func (t *StateTable) Records() int { return t.records }
 

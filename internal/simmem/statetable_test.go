@@ -42,14 +42,14 @@ func TestStateTableIsolationGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if st.Base()%stateTableIsolation != 0 {
-		t.Errorf("table base %#x is not %d-byte aligned", st.Base(), stateTableIsolation)
+	if st.base%stateTableIsolation != 0 {
+		t.Errorf("table base %#x is not %d-byte aligned", st.base, stateTableIsolation)
 	}
 	next, err := space.Alloc(4, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
-	span := int(next - st.Base())
+	span := int(next - st.base)
 	if span%stateTableIsolation != 0 {
 		t.Errorf("next allocation %d bytes past table base; a cache line spans the table boundary", span)
 	}

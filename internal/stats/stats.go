@@ -13,23 +13,11 @@ type Sample struct {
 	n    int
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the sample.
 func (s *Sample) Add(x float64) {
 	s.n++
-	if s.n == 1 {
-		s.min, s.max = x, x
-	} else {
-		if x < s.min {
-			s.min = x
-		}
-		if x > s.max {
-			s.max = x
-		}
-	}
 	delta := x - s.mean
 	s.mean += delta / float64(s.n)
 	s.m2 += delta * (x - s.mean)
@@ -40,12 +28,6 @@ func (s *Sample) N() int { return s.n }
 
 // Mean returns the sample mean (zero for an empty sample).
 func (s *Sample) Mean() float64 { return s.mean }
-
-// Min returns the smallest observation.
-func (s *Sample) Min() float64 { return s.min }
-
-// Max returns the largest observation.
-func (s *Sample) Max() float64 { return s.max }
 
 // Variance returns the unbiased sample variance.
 func (s *Sample) Variance() float64 {
@@ -74,25 +56,3 @@ const z95 = 1.96
 // CI95 returns the half-width of the approximate 95% confidence interval
 // of the mean.
 func (s *Sample) CI95() float64 { return z95 * s.StdErr() }
-
-// Merge folds another sample into this one (Chan et al. parallel update).
-func (s *Sample) Merge(o Sample) {
-	if o.n == 0 {
-		return
-	}
-	if s.n == 0 {
-		*s = o
-		return
-	}
-	n := float64(s.n + o.n)
-	delta := o.mean - s.mean
-	s.mean += delta * float64(o.n) / n
-	s.m2 += o.m2 + delta*delta*float64(s.n)*float64(o.n)/n
-	if o.min < s.min {
-		s.min = o.min
-	}
-	if o.max > s.max {
-		s.max = o.max
-	}
-	s.n += o.n
-}

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strconv"
 	"sync"
-	"sync/atomic"
 )
 
 // JSONLSink serialises structured trace events to an io.Writer as JSON
@@ -13,10 +12,9 @@ import (
 // parallel experiment workers all write through one sink and lines never
 // interleave.
 type JSONLSink struct {
-	mu      sync.Mutex
-	w       *bufio.Writer
-	c       io.Closer
-	records atomic.Uint64
+	mu sync.Mutex
+	w  *bufio.Writer
+	c  io.Closer
 }
 
 // NewJSONLSink wraps w in a buffered JSONL sink. If w is also an
@@ -36,11 +34,7 @@ func (s *JSONLSink) write(line []byte) {
 	s.w.Write(line)
 	s.w.WriteByte('\n')
 	s.mu.Unlock()
-	s.records.Add(1)
 }
-
-// Records returns the number of events written so far.
-func (s *JSONLSink) Records() uint64 { return s.records.Load() }
 
 // Flush drains the write buffer.
 func (s *JSONLSink) Flush() error {
@@ -73,14 +67,6 @@ type RunTrace struct {
 	run   uint64
 	clock func() float64
 	buf   []byte
-}
-
-// SetClock installs the simulated-cycle clock (used when the engine is
-// built after the trace is opened).
-func (rt *RunTrace) SetClock(clock func() float64) {
-	if rt != nil {
-		rt.clock = clock
-	}
 }
 
 // begin starts a record with the common fields: run, cycle, type.

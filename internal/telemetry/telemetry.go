@@ -45,9 +45,6 @@ func (t *Telemetry) Sink() *JSONLSink {
 	return t.sink.Load()
 }
 
-// TraceEnabled reports whether structured events are being recorded.
-func (t *Telemetry) TraceEnabled() bool { return t.Sink() != nil }
-
 // StartRun opens a trace for one simulation run. clock supplies the
 // current simulated cycle for event timestamps (nil stamps zero). It
 // returns nil — the disabled trace — when t is nil or no sink is
