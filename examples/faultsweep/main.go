@@ -37,7 +37,7 @@ func main() {
 		const n = 2_000_000
 		faults := 0
 		for i := 0; i < n; i++ {
-			if inj.Next() != 0 {
+			if inj.NextAt(uint64(i*4)) != 0 {
 				faults++
 			}
 		}

@@ -15,9 +15,8 @@ import (
 // translated source address; the NAT table entries are the control-plane
 // structure.
 type natApp struct {
-	table   *radix.Table
-	nat     simmem.Addr // hash table of translation entries
-	buckets uint32
+	table *radix.Table
+	nat   simmem.Addr // hash table of translation entries
 }
 
 func init() { Register("nat", func() App { return &natApp{} }) }
@@ -77,7 +76,6 @@ func (a *natApp) Setup(ctx *Context, tr *packet.Trace) error {
 		}
 	}
 
-	a.buckets = natBuckets
 	a.nat, err = ctx.Space.Alloc(natBuckets*natEntLen, 8)
 	if err != nil {
 		return err

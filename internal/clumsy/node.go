@@ -288,7 +288,7 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 			if x2 == 0 {
 				x2 = freqctl.DefaultX2
 			}
-			n.ctrl, err = freqctl.NewWith(freqctl.DefaultLevels(), epoch, x1, x2, freqctl.DefaultSwitchPenalty)
+			n.ctrl, err = freqctl.New(epoch, x1, x2)
 			if err != nil {
 				return nil, err
 			}
@@ -302,7 +302,6 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 				// Top rung of the ladder: the controller sees spatial
 				// evidence and backs off when faults spread across lines
 				// or eat capacity faster than line disable can contain.
-				n.ctrl.SetSpatialPolicy(DefaultSpatialLines, DefaultSpatialDisabledFrac)
 				n.ctrl.SpatialEvidence = h.L1D.TakeEpochEvidence
 			}
 			h.L1D.SetCycleTime(n.ctrl.CycleTime())

@@ -153,12 +153,6 @@ const (
 	DefaultLineDisableStrikes = 3
 	// DefaultLineDisableWindow is the strike window in L1D accesses.
 	DefaultLineDisableWindow = 4096
-	// DefaultSpatialLines is the per-epoch distinct-faulting-lines bound
-	// beyond which the controller forces a slow-down.
-	DefaultSpatialLines = 8
-	// DefaultSpatialDisabledFrac is the disabled-capacity fraction beyond
-	// which the controller forces a slow-down.
-	DefaultSpatialDisabledFrac = 0.125
 )
 
 // ErrAppPanic marks a Go panic raised by an application while processing a

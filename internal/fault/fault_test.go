@@ -146,19 +146,18 @@ func TestInjectorStatisticalRate(t *testing.T) {
 	const n = 2_000_000
 	faults := 0
 	for i := 0; i < n; i++ {
-		if in.Next() != 0 {
-			faults++
+		mask := in.NextAt(uint64(i * 4))
+		if mask == 0 {
+			continue
+		}
+		faults++
+		if k := popcount(mask); k > 3 {
+			t.Fatalf("access %d: mask %#x flips %d bits, want 1 to 3", i, mask, k)
 		}
 	}
 	got := float64(faults) / n
 	if math.Abs(got-want)/want > 0.05 {
 		t.Fatalf("empirical rate %.4g, want %.4g (±5%%)", got, want)
-	}
-	if in.Events != uint64(faults) {
-		t.Fatalf("Events counter %d != observed %d", in.Events, faults)
-	}
-	if in.Accesses != n {
-		t.Fatalf("Accesses counter %d != %d", in.Accesses, n)
 	}
 }
 
@@ -167,7 +166,7 @@ func TestInjectorMultiBitDistribution(t *testing.T) {
 	in := NewInjector(m, NewRNG(9), 32)
 	var one, two, three int
 	for one+two+three < 50000 {
-		mask := in.Next()
+		mask := in.NextAt(0)
 		if mask == 0 {
 			continue
 		}
@@ -200,21 +199,29 @@ func popcount(x uint64) int {
 	return n
 }
 
+// TestInjectorDisabled: at rate 1 every enabled access faults and draws
+// its mask from the stream, so a disabled access that advanced the
+// process would shift every mask after it. The injector disabled for 1000
+// accesses must produce the stream of a twin that never was.
 func TestInjectorDisabled(t *testing.T) {
 	m := NewModel(1e9) // every access would fault
 	in := NewInjector(m, NewRNG(1), 32)
+	twin := NewInjector(m, NewRNG(1), 32)
 	in.SetEnabled(false)
 	for i := 0; i < 1000; i++ {
-		if in.Next() != 0 {
+		if in.NextAt(uint64(i*4)) != 0 {
 			t.Fatal("disabled injector produced a fault")
 		}
 	}
-	if in.Accesses != 0 {
-		t.Fatal("disabled injector should not count accesses")
-	}
 	in.SetEnabled(true)
-	if in.Next() == 0 {
-		t.Fatal("re-enabled injector at rate 1 should fault immediately")
+	got, want := trace(in, 100), trace(twin, 100)
+	for i := range want {
+		if got[i] == 0 {
+			t.Fatalf("access %d: re-enabled injector at rate 1 did not fault", i)
+		}
+		if got[i] != want[i] {
+			t.Fatalf("access %d: mask %#x after the disabled window, want %#x", i, got[i], want[i])
+		}
 	}
 }
 
@@ -231,10 +238,9 @@ func TestInjectorCycleTimeSwitch(t *testing.T) {
 	// Faster clock: empirically more faults per access.
 	count := func(cr float64, n int) int {
 		in.SetCycleTime(cr)
-		in.ResetCounters()
 		f := 0
 		for i := 0; i < n; i++ {
-			if in.Next() != 0 {
+			if in.NextAt(uint64(i*4)) != 0 {
 				f++
 			}
 		}
@@ -251,19 +257,9 @@ func TestInjectorMaskWithinWidth(t *testing.T) {
 	m := NewModel(1e9)
 	in := NewInjector(m, NewRNG(4), 8)
 	for i := 0; i < 1000; i++ {
-		if mask := in.Next(); mask>>8 != 0 {
+		if mask := in.NextAt(uint64(i * 4)); mask>>8 != 0 {
 			t.Fatalf("mask %x exceeds 8-bit width", mask)
 		}
-	}
-}
-
-func TestInjectorResetCounters(t *testing.T) {
-	m := NewModel(1e9)
-	in := NewInjector(m, NewRNG(4), 32)
-	in.Next()
-	in.ResetCounters()
-	if in.Accesses != 0 || in.Events != 0 || in.BitFlips != 0 {
-		t.Fatal("counters not cleared")
 	}
 }
 

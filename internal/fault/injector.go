@@ -12,31 +12,14 @@ package fault
 // advance the fault process.
 //
 // Fault time advances monotonically by design — a packet rollback never
-// rewinds the fault environment. The counters are cumulative over a run:
-// the dynamic frequency controller reads the L1D's parity errors, not
-// these counters, and no program resets them. ResetCounters is kept as the
-// statecover anchor, so a new field must be cleared there or marked
-// ephemeral.
-//
-//lint:checkpoint ResetCounters
+// rewinds the fault environment, so the injector carries no checkpoint.
 type Injector struct {
-	//lint:ephemeral configuration, immutable during a run
-	model *Model
-	//lint:ephemeral fault-process position; fault time never rewinds
-	rng *RNG
-	//lint:ephemeral configuration, immutable during a run
-	bits int
-	//lint:ephemeral derived from the operating point by SetCycleTime
-	rate float64
-	//lint:ephemeral fault-process position; fault time never rewinds
-	skip int64 // fault-free accesses remaining before the next fault
-	//lint:ephemeral segment gating toggled by the experiment harness
+	model   *Model
+	rng     *RNG
+	bits    int
+	rate    float64
+	skip    int64 // fault-free accesses remaining before the next fault
 	enabled bool
-
-	// Counters, cumulative over the run.
-	Accesses uint64 // accesses observed while enabled
-	Events   uint64 // fault events injected
-	BitFlips uint64 // total bits flipped
 }
 
 // NewInjector returns an enabled injector for accesses of the given bit
@@ -68,31 +51,18 @@ func (in *Injector) redraw() {
 }
 
 // NextAt advances the fault process by one access and returns the fault
-// mask. The paper's process is address-blind; NextAt exists to satisfy
-// the Process interface.
-func (in *Injector) NextAt(addr uint64) uint64 { return in.Next() }
-
-// Next advances the fault process by one access and returns the fault mask
-// to XOR into the accessed word: zero for the overwhelming majority of
-// accesses, or a mask with one, two, or three set bits on a fault event
-// (with the correlated probabilities of the model).
-func (in *Injector) Next() uint64 {
+// mask to XOR into the accessed word: zero for the overwhelming majority
+// of accesses, or a mask with one, two, or three set bits on a fault event
+// (with the correlated probabilities of the model). The paper's process
+// is address-blind.
+func (in *Injector) NextAt(addr uint64) uint64 {
 	if !in.enabled {
 		return 0
 	}
-	in.Accesses++
 	if in.skip > 0 {
 		in.skip--
 		return 0
 	}
 	in.redraw()
-	in.Events++
-	mask, n := drawMask(in.rng, in.bits)
-	in.BitFlips += uint64(n)
-	return mask
-}
-
-// ResetCounters clears the access and fault counters.
-func (in *Injector) ResetCounters() {
-	in.Accesses, in.Events, in.BitFlips = 0, 0, 0
+	return drawMask(in.rng, in.bits)
 }

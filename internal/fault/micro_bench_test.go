@@ -8,7 +8,7 @@ func BenchmarkInjectorNext(b *testing.B) {
 	b.ResetTimer()
 	var sink uint64
 	for i := 0; i < b.N; i++ {
-		sink ^= in.Next()
+		sink ^= in.NextAt(uint64(i))
 	}
 	_ = sink
 }

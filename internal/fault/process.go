@@ -18,10 +18,6 @@ type Process interface {
 	// SetEnabled turns fault injection on or off. Disabled accesses pass
 	// through untouched and do not advance the process.
 	SetEnabled(on bool)
-	// ResetCounters clears the access and fault counters. No program
-	// calls it, since the counters are cumulative over a run; it stays as
-	// the boundary function of each process's statecover annotation.
-	ResetCounters()
 }
 
 var (
@@ -55,7 +51,7 @@ func geometricGap(rng *RNG, rate float64) int64 {
 // drawMask chooses the multiplicity of a fault event (with the correlated
 // double/triple-bit probabilities of the model) and returns the bit mask.
 // It is shared by every process so all regimes flip bits identically.
-func drawMask(rng *RNG, bits int) (mask uint64, flips int) {
+func drawMask(rng *RNG, bits int) (mask uint64) {
 	n := 1
 	u := rng.Float64() * (1 + DoubleBitRatio + TripleBitRatio)
 	switch {
@@ -71,7 +67,7 @@ func drawMask(rng *RNG, bits int) (mask uint64, flips int) {
 			flipped++
 		}
 	}
-	return mask, n
+	return mask
 }
 
 // BurstParams configures the Gilbert–Elliott two-state burst process.
@@ -102,46 +98,27 @@ func DefaultBurstParams() BurstParams {
 // alternating between a good state at the paper's base rate and a bad
 // state at BadMultiplier times that rate. State residence times and fault
 // gaps are both geometric, so the process stays exactly reproducible from
-// the seed and costs no per-access draws. As with Injector, the counters
-// are cumulative and ResetCounters is kept as the statecover anchor.
-//
-//lint:checkpoint ResetCounters
+// the seed and costs no per-access draws. Like Injector, it carries no
+// checkpoint: fault time never rewinds.
 type Burst struct {
-	//lint:ephemeral configuration, immutable during a run
-	model *Model
-	//lint:ephemeral fault-process position; fault time never rewinds
-	rng *RNG
-	//lint:ephemeral configuration, immutable during a run
-	bits int
-	//lint:ephemeral configuration, immutable during a run
-	p BurstParams
-	//lint:ephemeral segment gating toggled by the experiment harness
+	model   *Model
+	rng     *RNG
+	bits    int
+	p       BurstParams
 	enabled bool
 
-	//lint:ephemeral fault-process position; fault time never rewinds
-	bad bool
-	//lint:ephemeral fault-process position; fault time never rewinds
-	stay int64 // accesses remaining in the current state
-	//lint:ephemeral fault-process position; fault time never rewinds
-	skip int64 // fault-free accesses before the next fault
-	//lint:ephemeral derived from the operating point by SetCycleTime
+	bad      bool
+	stay     int64 // accesses remaining in the current state
+	skip     int64 // fault-free accesses before the next fault
 	goodRate float64
-	//lint:ephemeral derived from the operating point by SetCycleTime
-	badRate float64
+	badRate  float64
 
 	// OnTransition, if set, is invoked on every state change with the new
 	// state (true = entering the bad state). Wired to trace events.
-	//lint:ephemeral observer wiring, not process state
 	OnTransition func(bad bool)
 
-	// Counters, cumulative over the run like Episodes.
-	Accesses uint64 // accesses observed while enabled
-	Events   uint64 // fault events injected
-	BitFlips uint64 // total bits flipped
-	// Episodes is deliberately cumulative: it survives ResetCounters so
-	// the run report can total bad-state episodes across epochs.
-	//lint:ephemeral cumulative across epochs by design; see ResetCounters
-	Episodes uint64 // bad-state episodes entered
+	// Episodes counts the bad-state episodes entered over the run.
+	Episodes uint64
 }
 
 // NewBurst returns an enabled burst process for accesses of the given bit
@@ -195,17 +172,12 @@ func (b *Burst) toggle() {
 	}
 }
 
-// NextAt advances the process by one access and returns the fault mask.
-// The burst process is address-blind.
-func (b *Burst) NextAt(addr uint64) uint64 { return b.Next() }
-
-// Next advances the fault process by one access and returns the fault
-// mask to XOR into the accessed word.
-func (b *Burst) Next() uint64 {
+// NextAt advances the process by one access and returns the fault mask
+// to XOR into the accessed word. The burst process is address-blind.
+func (b *Burst) NextAt(addr uint64) uint64 {
 	if !b.enabled {
 		return 0
 	}
-	b.Accesses++
 	if b.stay <= 0 {
 		b.toggle()
 	}
@@ -215,16 +187,7 @@ func (b *Burst) Next() uint64 {
 		return 0
 	}
 	b.skip = geometricGap(b.rng, b.rate())
-	b.Events++
-	mask, n := drawMask(b.rng, b.bits)
-	b.BitFlips += uint64(n)
-	return mask
-}
-
-// ResetCounters clears the access and fault counters. Episodes is
-// cumulative and survives resets.
-func (b *Burst) ResetCounters() {
-	b.Accesses, b.Events, b.BitFlips = 0, 0, 0
+	return drawMask(b.rng, b.bits)
 }
 
 // StuckAtParams configures the permanent/intermittent stuck-at process.
@@ -272,28 +235,17 @@ type stuckCell struct {
 // data cache is exactly the frame the address occupies — so a weak cell
 // strikes the same line on every visit, the access pattern line disable
 // exists to contain.
-//
-//lint:checkpoint ResetCounters
 type StuckAt struct {
-	inner Process
-	//lint:ephemeral intermittent-band position; fault time never rewinds
-	rng *RNG // intermittent-band draws; cells are seeded at construction
-	//lint:ephemeral configuration, immutable during a run
-	words int // power-of-two word count of the backing array
-	//lint:ephemeral weak-cell map, seeded at construction and never mutated
-	cells []stuckCell
-	//lint:ephemeral configuration, immutable during a run
-	band float64
-	//lint:ephemeral configuration, immutable during a run
-	prob float64
-	//lint:ephemeral operating point, changed only by SetCycleTime
-	cr float64
-	//lint:ephemeral segment gating toggled by the experiment harness
+	inner   Process
+	rng     *RNG        // intermittent-band draws; cells are seeded at construction
+	words   int         // power-of-two word count of the backing array
+	cells   []stuckCell // weak-cell map, never mutated after construction
+	band    float64
+	prob    float64
+	cr      float64
 	enabled bool
 
-	//lint:ephemeral cumulative across epochs by design; see ResetCounters
-	PermanentHits uint64 // accesses faulted by a cell below threshold
-	//lint:ephemeral cumulative across epochs by design; see ResetCounters
+	PermanentHits    uint64 // accesses faulted by a cell below threshold
 	IntermittentHits uint64 // accesses faulted inside the band
 }
 
@@ -362,7 +314,3 @@ func (s *StuckAt) NextAt(addr uint64) uint64 {
 	}
 	return mask
 }
-
-// ResetCounters clears the counters of the inner process. The
-// stuck-at hit counters are cumulative and survive resets.
-func (s *StuckAt) ResetCounters() { s.inner.ResetCounters() }

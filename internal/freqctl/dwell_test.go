@@ -29,7 +29,7 @@ type applied struct {
 // the applied operating-point changes.
 func drive(t *testing.T, minDwell int, feed []uint64) (*Controller, []applied) {
 	t.Helper()
-	c, err := NewWith(DefaultLevels(), 1, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+	c, err := New(1, DefaultX1, DefaultX2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,11 +49,11 @@ func drive(t *testing.T, minDwell int, feed []uint64) (*Controller, []applied) {
 func TestMinDwellZeroIsUndamped(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		feed := epochFeed(seed, 400)
-		ref, err := NewWith(DefaultLevels(), 1, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+		ref, err := New(1, DefaultX1, DefaultX2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		dw, err := NewWith(DefaultLevels(), 1, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+		dw, err := New(1, DefaultX1, DefaultX2)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -118,11 +118,11 @@ func TestMinDwellSubsequence(t *testing.T) {
 	for seed := uint64(1); seed <= 25; seed++ {
 		feed := epochFeed(seed, 400)
 		for _, m := range []int{1, 2, 3, 5} {
-			ref, err := NewWith(DefaultLevels(), 1, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+			ref, err := New(1, DefaultX1, DefaultX2)
 			if err != nil {
 				t.Fatal(err)
 			}
-			dw, err := NewWith(DefaultLevels(), 1, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+			dw, err := New(1, DefaultX1, DefaultX2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -174,7 +174,7 @@ func TestMinDwellSubsequence(t *testing.T) {
 // still arm the exponential re-probe back-off and reset the reference
 // fault count, exactly as an applied one would.
 func TestSuppressedSlowDownArmsCooldown(t *testing.T) {
-	c, err := NewWith(DefaultLevels(), 1, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+	c, err := New(1, DefaultX1, DefaultX2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -20,10 +20,21 @@ const (
 	DefaultSwitchPenalty = 10.0 // cycles per frequency change
 )
 
+// Spatial escalation bounds, in force once SpatialEvidence is set: more
+// distinct faulting lines per epoch than SpatialLines, or a disabled-
+// capacity fraction above SpatialDisabledFrac, forces a slow-down.
+const (
+	SpatialLines        = 8
+	SpatialDisabledFrac = 0.125
+)
+
 // DefaultLevels are the available relative cycle times, fastest last:
 // full frequency and the +50%, +100%, +300% over-clocked settings
 // (Cr = 0.75, 0.5, 0.25).
 func DefaultLevels() []float64 { return []float64{1, 0.75, 0.5, 0.25} }
+
+// levels are the controller's cycle times; LevelPackets is indexed alike.
+var levels = DefaultLevels()
 
 // Decision reports the outcome of an epoch boundary.
 //
@@ -51,10 +62,8 @@ func (d Decision) String() string {
 
 // Controller is the adaptation state machine.
 type Controller struct {
-	levels        []float64 // descending cycle times (increasing frequency)
-	epochPackets  int
-	x1, x2        float64
-	switchPenalty float64
+	epochPackets int
+	x1, x2       float64
 
 	idx            int    // current level index
 	storedFaults   uint64 // fault count at the last frequency change
@@ -78,18 +87,13 @@ type Controller struct {
 	minDwell    int
 	sinceChange int
 
-	// Spatial escalation (opt-in): at each epoch boundary the controller
-	// consults SpatialEvidence and forces a slow-down when the epoch saw
-	// more than spatialLines distinct faulting lines or the disabled-
-	// capacity fraction exceeds spatialFrac. This is the top rung of the
+	// SpatialEvidence, if non-nil, arms spatial escalation: it is invoked
+	// once per epoch boundary and returns the distinct faulting lines of
+	// the closing epoch and the currently disabled capacity fraction, and
+	// the controller forces a slow-down when either exceeds its bound
+	// (SpatialLines, SpatialDisabledFrac). This is the top rung of the
 	// recovery ladder: faults spread across many lines (or eating the
 	// cache) are an operating-point problem, not a per-line one.
-	spatialLines int
-	spatialFrac  float64
-
-	// SpatialEvidence, if non-nil, is invoked once per epoch boundary and
-	// returns the distinct faulting lines of the closing epoch and the
-	// currently disabled capacity fraction.
 	SpatialEvidence func() (distinctLines int, disabledFrac float64)
 
 	// SpatialBackoffs counts slow-downs forced by spatial evidence.
@@ -112,42 +116,26 @@ type Controller struct {
 	LevelPackets []uint64
 }
 
-// NewWith returns a controller with explicit parameters. Levels must be
-// given in strictly decreasing cycle-time order... i.e. strictly increasing
-// frequency; the controller starts at levels[0].
-func NewWith(levels []float64, epochPackets int, x1, x2, switchPenalty float64) (*Controller, error) {
-	if len(levels) < 2 {
-		return nil, errors.New("freqctl: need at least two frequency levels")
-	}
-	for i, l := range levels {
-		if l <= 0 {
-			return nil, errors.New("freqctl: non-positive cycle time level")
-		}
-		if i > 0 && l >= levels[i-1] {
-			return nil, errors.New("freqctl: levels must strictly decrease in cycle time")
-		}
-	}
+// New returns a controller over the paper's levels and switch penalty
+// with the given epoch and thresholds. It starts at full-swing operation,
+// the first level.
+func New(epochPackets int, x1, x2 float64) (*Controller, error) {
 	if epochPackets < 1 {
 		return nil, errors.New("freqctl: epoch must cover at least one packet")
 	}
 	if x1 <= x2 || x2 < 0 {
 		return nil, errors.New("freqctl: thresholds must satisfy 0 <= X2 < X1")
 	}
-	if switchPenalty < 0 {
-		return nil, errors.New("freqctl: negative switch penalty")
-	}
 	return &Controller{
-		levels:        levels,
-		epochPackets:  epochPackets,
-		x1:            x1,
-		x2:            x2,
-		switchPenalty: switchPenalty,
-		LevelPackets:  make([]uint64, len(levels)),
+		epochPackets: epochPackets,
+		x1:           x1,
+		x2:           x2,
+		LevelPackets: make([]uint64, len(levels)),
 	}, nil
 }
 
 // CycleTime returns the currently selected relative cycle time.
-func (c *Controller) CycleTime() float64 { return c.levels[c.idx] }
+func (c *Controller) CycleTime() float64 { return levels[c.idx] }
 
 // SetMinDwell sets the minimum number of epochs between applied
 // operating-point changes. Zero (the default) restores the paper's
@@ -158,14 +146,6 @@ func (c *Controller) SetMinDwell(epochs int) {
 	}
 	c.minDwell = epochs
 	c.sinceChange = epochs
-}
-
-// SetSpatialPolicy arms the spatial escalation triggers: maxLines bounds
-// the distinct faulting lines per epoch, maxFrac the disabled-capacity
-// fraction. A zero value disables the corresponding trigger.
-func (c *Controller) SetSpatialPolicy(maxLines int, maxFrac float64) {
-	c.spatialLines = maxLines
-	c.spatialFrac = maxFrac
 }
 
 // PacketDone records the completion of one packet during which faults
@@ -197,9 +177,7 @@ func (c *Controller) PacketDone(faults uint64) (Decision, bool) {
 
 	decision := Keep
 	spatial := false
-	if c.idx > 0 &&
-		((c.spatialLines > 0 && spatialLines > c.spatialLines) ||
-			(c.spatialFrac > 0 && spatialFrac > c.spatialFrac)) {
+	if c.idx > 0 && (spatialLines > SpatialLines || spatialFrac > SpatialDisabledFrac) {
 		// Faults are spread across many lines or have disabled a chunk of
 		// the cache: escalate past the per-line actions and back the
 		// operating point off regardless of the count-based rule.
@@ -210,7 +188,7 @@ func (c *Controller) PacketDone(faults uint64) (Decision, bool) {
 		case observed == 0:
 			// A fault-free epoch: there is nothing to lose by probing the
 			// next faster level.
-			if c.idx < len(c.levels)-1 && c.sinceSlowdown >= c.cooldown {
+			if c.idx < len(levels)-1 && c.sinceSlowdown >= c.cooldown {
 				decision = SpeedUp
 			}
 		case !c.primed:
@@ -225,7 +203,7 @@ func (c *Controller) PacketDone(faults uint64) (Decision, bool) {
 			}
 		case float64(observed) < c.x2*float64(c.storedFaults):
 			// Comfortably below the stored rate: try the next faster level.
-			if c.idx < len(c.levels)-1 && c.sinceSlowdown >= c.cooldown {
+			if c.idx < len(levels)-1 && c.sinceSlowdown >= c.cooldown {
 				decision = SpeedUp
 			}
 		}
@@ -280,7 +258,7 @@ func (c *Controller) PacketDone(faults uint64) (Decision, bool) {
 	}
 	c.sinceChange = 0
 	c.Switches++
-	c.PenaltyCycles += c.switchPenalty
+	c.PenaltyCycles += DefaultSwitchPenalty
 	if c.OnDecision != nil {
 		c.OnDecision(decision, true, c.CycleTime())
 	}

@@ -5,7 +5,7 @@ import "testing"
 // newDefault returns a controller with the paper's default parameters,
 // starting at full-swing operation (the first level).
 func newDefault() *Controller {
-	c, err := NewWith(DefaultLevels(), DefaultEpochPackets, DefaultX1, DefaultX2, DefaultSwitchPenalty)
+	c, err := New(DefaultEpochPackets, DefaultX1, DefaultX2)
 	if err != nil {
 		panic(err) // defaults are valid by construction
 	}
@@ -143,30 +143,38 @@ func TestLevelPacketsAccounting(t *testing.T) {
 	}
 }
 
-func TestNewWithValidation(t *testing.T) {
-	bad := [][]float64{
-		{1},           // too few
-		{1, 1},        // not strictly decreasing
-		{0.5, 0.75},   // increasing
-		{1, 0.5, 0.5}, // repeat
-		{1, -0.5},     // negative
-	}
-	for i, levels := range bad {
-		if _, err := NewWith(levels, 100, 2, 0.8, 10); err == nil {
-			t.Errorf("levels %d (%v) should be rejected", i, levels)
-		}
-	}
-	if _, err := NewWith(DefaultLevels(), 0, 2, 0.8, 10); err == nil {
+func TestNewValidation(t *testing.T) {
+	if _, err := New(0, 2, 0.8); err == nil {
 		t.Error("zero epoch should be rejected")
 	}
-	if _, err := NewWith(DefaultLevels(), 100, 0.8, 2, 10); err == nil {
+	if _, err := New(100, 0.8, 2); err == nil {
 		t.Error("X1 <= X2 should be rejected")
 	}
-	if _, err := NewWith(DefaultLevels(), 100, 2, 0.8, -1); err == nil {
-		t.Error("negative penalty should be rejected")
-	}
-	if _, err := NewWith(DefaultLevels(), 100, 2, 0.8, 10); err != nil {
+	if _, err := New(100, 2, 0.8); err != nil {
 		t.Errorf("valid config rejected: %v", err)
+	}
+}
+
+// TestSpatialEvidenceArmsBounds: with SpatialEvidence set, evidence past
+// either fixed bound forces a slow-down whatever the fault count says,
+// and evidence at the bounds does not.
+func TestSpatialEvidenceArmsBounds(t *testing.T) {
+	for _, tc := range []struct {
+		lines int
+		frac  float64
+		want  Decision
+	}{
+		{SpatialLines, SpatialDisabledFrac, SpeedUp},
+		{SpatialLines + 1, 0, SlowDown},
+		{0, SpatialDisabledFrac * 2, SlowDown},
+	} {
+		c := newDefault()
+		runEpoch(c, 0) // a fault-free epoch: up to Cr = 0.75
+		c.SpatialEvidence = func() (int, float64) { return tc.lines, tc.frac }
+		if d, _ := runEpoch(c, 0); d != tc.want || (d == SlowDown) != (c.SpatialBackoffs == 1) {
+			t.Errorf("evidence %d lines, %g disabled: %v with %d spatial back-offs, want %v",
+				tc.lines, tc.frac, d, c.SpatialBackoffs, tc.want)
+		}
 	}
 }
 

@@ -18,9 +18,6 @@ type TraceConfig struct {
 	// HTTPFraction of packets carry an HTTP GET request as payload (used
 	// by the url application; others ignore payload semantics).
 	HTTPFraction float64
-	// URLPaths is the set of request paths HTTP payloads draw from. When
-	// empty, DefaultURLPaths is used.
-	URLPaths []string
 
 	// Prefixes are the routable destination prefixes; flow destinations
 	// are drawn from them so that lookups resolve. When empty, destinations
@@ -74,10 +71,6 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		return nil, err
 	}
 	rng := fault.NewRNG(cfg.Seed).Fork(0x7ace)
-	paths := cfg.URLPaths
-	if len(paths) == 0 {
-		paths = DefaultURLPaths
-	}
 	s := cfg.ZipfS
 	if s == 0 {
 		s = 1.0
@@ -100,7 +93,7 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 			f.http = true
 			f.proto = ProtoTCP
 			f.dstPort = 80
-			f.urlIdx = rng.Intn(len(paths))
+			f.urlIdx = rng.Intn(len(DefaultURLPaths))
 		} else {
 			f.dstPort = uint16(rng.Intn(1024))
 		}
@@ -118,7 +111,7 @@ func Generate(cfg TraceConfig) (*Trace, error) {
 		var payload []byte
 		if f.http {
 			payload = []byte(fmt.Sprintf("GET %s HTTP/1.0\r\nHost: sw%d.example\r\n\r\n",
-				paths[f.urlIdx], f.dst&0xff))
+				DefaultURLPaths[f.urlIdx], f.dst&0xff))
 			for len(payload) < size {
 				payload = append(payload, byte('a'+len(payload)%26))
 			}

@@ -141,7 +141,6 @@ func (t *Table) Insert(mem simmem.Memory, p packet.Prefix, nextHop, iface uint32
 // Result is the outcome of a lookup.
 type Result struct {
 	Found     bool
-	NodeAddr  simmem.Addr // node carrying the matched route
 	NextHop   uint32
 	Iface     uint32
 	PrefixLen int
@@ -178,7 +177,6 @@ func (t *Table) Lookup(mem simmem.Memory, addr uint32, onNode func(simmem.Addr) 
 				return res, err
 			}
 			res.Found = true
-			res.NodeAddr = cur
 			res.NextHop = nhop
 			res.Iface = ifc
 			res.PrefixLen = int(flags >> 8 & 0xff)

@@ -31,8 +31,9 @@ type Shape int
 const (
 	// ShapeSteady is a flat profile: the base trace unmodified in time.
 	ShapeSteady Shape = iota
-	// ShapeDiurnal is a smooth day/night swing: a sinusoid over Periods
-	// cycles with a 4:1 peak-to-trough ratio.
+	// ShapeDiurnal is a smooth day/night swing: a sinusoid over two
+	// cycles (Periods2 as a stacked shape) with a 4:1 peak-to-trough
+	// ratio.
 	ShapeDiurnal
 	// ShapeFlash is a flash crowd: baseline traffic with a narrow window
 	// mid-trace at several times the base rate, where churn and
@@ -77,11 +78,9 @@ func ParseShape(s string) (Shape, error) {
 // steady shape, no adversarial traffic, no churn — Apply returns the
 // trace unchanged and RateAt is the constant 1.
 type Spec struct {
-	// Shape is the temporal intensity profile.
+	// Shape is the temporal intensity profile, at its default cycle
+	// count across the trace: 2 diurnal cycles, 8 on/off bursts.
 	Shape Shape
-	// Periods is the number of shape cycles across the trace
-	// (0 = shape-specific default: 2 diurnal cycles, 8 on/off bursts).
-	Periods int
 	// Shape2 optionally stacks a second profile on the first: the local
 	// rate is the product of the two shapes, renormalized so the mean
 	// over the stream stays pinned at 1 (a diurnal swing with on/off
@@ -133,14 +132,6 @@ func defaultPeriods(sh Shape) int {
 	return 1
 }
 
-// periods returns the effective cycle count of the primary shape.
-func (s Spec) periods() int {
-	if s.Periods > 0 {
-		return s.Periods
-	}
-	return defaultPeriods(s.Shape)
-}
-
 // periods2 returns the effective cycle count of the stacked shape.
 func (s Spec) periods2() int {
 	if s.Periods2 > 0 {
@@ -185,7 +176,7 @@ const stackNormPoints = 1 << 12
 // stackKey identifies one stacked-shape combination for the norm cache.
 type stackKey struct {
 	s1, s2 Shape
-	p1, p2 int
+	p2     int
 }
 
 // stackNorms caches the numerically computed mean of each stacked
@@ -203,7 +194,7 @@ func stackNorm(k stackKey) float64 {
 	sum := 0.0
 	for i := 0; i < stackNormPoints; i++ {
 		frac := (float64(i) + 0.5) / stackNormPoints
-		sum += shapeRate(k.s1, k.p1, frac) * shapeRate(k.s2, k.p2, frac)
+		sum += shapeRate(k.s1, defaultPeriods(k.s1), frac) * shapeRate(k.s2, k.p2, frac)
 	}
 	norm := sum / stackNormPoints
 	stackNorms.Store(k, norm)
@@ -221,10 +212,10 @@ func (s Spec) RateAt(frac float64) float64 {
 	} else if frac >= 1 {
 		frac = math.Nextafter(1, 0)
 	}
-	r := shapeRate(s.Shape, s.periods(), frac)
+	r := shapeRate(s.Shape, defaultPeriods(s.Shape), frac)
 	if s.Shape2 != ShapeSteady {
 		r *= shapeRate(s.Shape2, s.periods2(), frac)
-		r /= stackNorm(stackKey{s1: s.Shape, s2: s.Shape2, p1: s.periods(), p2: s.periods2()})
+		r /= stackNorm(stackKey{s1: s.Shape, s2: s.Shape2, p2: s.periods2()})
 	}
 	return r
 }

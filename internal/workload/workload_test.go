@@ -118,7 +118,7 @@ func TestRateAtMeanAndFloor(t *testing.T) {
 		{Shape: ShapeDiurnal},
 		{Shape: ShapeFlash},
 		{Shape: ShapeOnOff},
-		{Shape: ShapeDiurnal, Periods: 5},
+		{Shape: ShapeSteady, Shape2: ShapeDiurnal, Periods2: 5},
 	} {
 		sum := 0.0
 		for i := 0; i < samples; i++ {
@@ -153,7 +153,7 @@ func TestStackedRateConservation(t *testing.T) {
 		for _, s2 := range shapes {
 			for _, spec := range []Spec{
 				{Shape: s1, Shape2: s2},
-				{Shape: s1, Shape2: s2, Periods: 3, Periods2: 5},
+				{Shape: s1, Shape2: s2, Periods2: 5},
 			} {
 				sum := 0.0
 				for i := 0; i < samples; i++ {
