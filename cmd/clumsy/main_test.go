@@ -488,6 +488,7 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"run", "-cr", "2"}, "CycleTime"},
 		{[]string{"run", "-watchdog", "-1"}, "WatchdogFactor"},
 		{[]string{"run", "-max-drop-rate", "-1"}, "MaxDropRate"},
+		{[]string{"run", "-app", "fw", "-state-strikes", "-1"}, "StateStrikes"},
 		{[]string{"run", "-packets", "-5"}, "packets"},
 		{[]string{"run", "-scale", "-3"}, "scale"},
 		{[]string{"stats", "-packets", "-5"}, "packets"},

@@ -267,7 +267,8 @@ type Config struct {
 	// StateStrikes bounds the per-record recovery ladder: detection
 	// strike 1 evicts the record, later strikes rebuild it from the
 	// golden shadow, and reaching the budget ends the run with
-	// ErrStateCorrupt. Zero selects DefaultStateStrikes.
+	// ErrStateCorrupt. Zero selects DefaultStateStrikes; a negative
+	// budget is rejected.
 	//lint:fingerprint-extra the state-integrity study carries the strike budget in Extra
 	StateStrikes int
 
@@ -334,6 +335,8 @@ func (c Config) check() error {
 		return fmt.Errorf("clumsy: MaxDropRate %g is negative", c.MaxDropRate)
 	case !(c.PreDisableFrac >= 0 && c.PreDisableFrac <= 1):
 		return fmt.Errorf("clumsy: PreDisableFrac %g outside [0, 1]", c.PreDisableFrac)
+	case c.StateStrikes < 0:
+		return fmt.Errorf("clumsy: StateStrikes %d is negative", c.StateStrikes)
 	}
 	return nil
 }

@@ -180,6 +180,7 @@ func TestRejectsConfigsTheModelCannotSimulate(t *testing.T) {
 		{func(c *Config) { c.MaxDropRate = -0.1 }, "MaxDropRate"},
 		{func(c *Config) { c.PreDisableFrac = -0.1 }, "PreDisableFrac"},
 		{func(c *Config) { c.PreDisableFrac = 1.5 }, "PreDisableFrac"},
+		{func(c *Config) { c.StateStrikes = -1 }, "StateStrikes"},
 	} {
 		cfg := base
 		tc.set(&cfg)

@@ -71,7 +71,7 @@ func newStateGuard(st *simmem.StateTable, h *cache.Hierarchy, rt *telemetry.RunT
 	} else if g.interval < 0 {
 		g.interval = 0
 	}
-	if g.budget <= 0 {
+	if g.budget == 0 {
 		g.budget = DefaultStateStrikes
 	}
 	st.OnCorrupt = g.onCorrupt
