@@ -13,6 +13,7 @@
 package main
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"flag"
@@ -268,12 +269,37 @@ func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) 
 		flagValue{"cr", o.fleet.CycleTime}); err != nil {
 		return err
 	}
+	// The fleet clamps the hostile count to its size.
+	if nodes := cmp.Or(o.fleet.Nodes, cluster.DefaultNodes); o.fleet.FaultyNodes > nodes {
+		return fmt.Errorf("fleet -faulty: faulty must not exceed nodes (%d), got %d", nodes, o.fleet.FaultyNodes)
+	}
+	if err := o.checkWorkload("fleet -faulty"); err != nil {
+		return err
+	}
 	return textOrJSON("fleet -faulty", o.format)
 }
 
 // checkRun rejects the run flags that runOne would floor.
 func (o *cliOpts) checkRun(cmd string) error {
-	return notNegative(cmd, flagValue{"packets", float64(o.run.Packets)}, flagValue{"scale", o.run.FaultScale})
+	if err := notNegative(cmd, flagValue{"packets", float64(o.run.Packets)}, flagValue{"scale", o.run.FaultScale}); err != nil {
+		return err
+	}
+	return o.checkWorkload(cmd)
+}
+
+// checkWorkload rejects the workload flags that workload.Spec would clamp
+// or replace with a default.
+func (o *cliOpts) checkWorkload(cmd string) error {
+	adv, churn := o.wl.Adversarial, o.wl.Churn
+	switch {
+	case !(adv >= 0 && adv <= 1):
+		return fmt.Errorf("%s: adversarial must be between 0 and 1, got %g", cmd, adv)
+	case !(churn >= 0 && churn <= 1):
+		return fmt.Errorf("%s: churn must be between 0 and 1, got %g", cmd, churn)
+	case adv+churn > 1:
+		return fmt.Errorf("%s: churn must not exceed 1-adversarial (%g), got %g", cmd, 1-adv, churn)
+	}
+	return notNegative(cmd, flagValue{"periods2", float64(o.wl.Periods2)})
 }
 
 // flagValue is a numeric flag's name and parsed value.

@@ -489,6 +489,14 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"run", "-watchdog", "-1"}, "WatchdogFactor"},
 		{[]string{"run", "-max-drop-rate", "-1"}, "MaxDropRate"},
 		{[]string{"run", "-app", "fw", "-state-strikes", "-1"}, "StateStrikes"},
+		{[]string{"run", "-app", "fw", "-adversarial", "1.7"}, "adversarial must be"},
+		{[]string{"run", "-app", "fw", "-churn", "-0.4"}, "churn must be"},
+		{[]string{"run", "-app", "fw", "-adversarial", "0.6", "-churn", "0.6"}, "churn must not exceed"},
+		{[]string{"run", "-shape", "diurnal", "-shape2", "onoff", "-periods2", "-3"}, "periods2"},
+		{[]string{"stats", "-adversarial", "-0.1"}, "adversarial must be"},
+		{[]string{"fleet", "-faulty", "20", "-nodes", "4"}, "faulty must not exceed nodes (4)"},
+		{[]string{"fleet", "-faulty", "9"}, "faulty must not exceed nodes (8)"},
+		{[]string{"fleet", "-faulty", "1", "-churn", "1.5"}, "churn must be"},
 		{[]string{"run", "-packets", "-5"}, "packets"},
 		{[]string{"run", "-scale", "-3"}, "scale"},
 		{[]string{"stats", "-packets", "-5"}, "packets"},

@@ -76,10 +76,13 @@ const (
 	sloDropRate = 0.05
 )
 
+// DefaultNodes is the fleet size when Config.Nodes is zero.
+const DefaultNodes = 8
+
 // Config describes one fleet simulation.
 type Config struct {
 	App     string // NetBench application served by every node
-	Nodes   int    // fleet size (0 = 8)
+	Nodes   int    // fleet size (0 = DefaultNodes)
 	Packets int    // fleet arrivals to simulate (0 = 2000)
 	Seed    uint64 // fleet seed: workload trace, arrival gaps, per-node fault streams
 
@@ -122,7 +125,7 @@ func (c Config) withDefaults() Config {
 		c.App = "route"
 	}
 	if c.Nodes <= 0 {
-		c.Nodes = 8
+		c.Nodes = DefaultNodes
 	}
 	if c.Packets <= 0 {
 		c.Packets = 2000
