@@ -8,6 +8,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -217,6 +218,22 @@ func TestEveryStudyResumesFromItsJournal(t *testing.T) {
 		if _, ok := LookupStudy(name); !ok {
 			t.Errorf("%s: pinned journal of a study that no longer exists", name)
 		}
+	}
+}
+
+// TestFig12SimulatesEachGridOnce: fig12's url panel comes from the AllEDF
+// pass its average panel makes, so one trial simulates each of the
+// 7 apps x 4 schemes x 5 settings = 140 grid configurations once.
+func TestFig12SimulatesEachGridOnce(t *testing.T) {
+	tel := telemetry.New()
+	clumsy.SetDefaultTelemetry(tel)
+	defer clumsy.SetDefaultTelemetry(nil)
+	st, _ := LookupStudy("fig12")
+	if err := st.Run(Options{Packets: 40, Trials: 1}, "", "", io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	if got := tel.Registry.Counter(telemetry.CtrRunCount).Load(); got != 140 {
+		t.Fatalf("fig12 started %d faulty runs, want 140", got)
 	}
 }
 

@@ -242,30 +242,31 @@ func edfPanelTitle(app string) string {
 	return fmt.Sprintf("Figure %d(%c)", 9+i/2, 'a'+i%2)
 }
 
-// edfPanels renders the Figure 9–12 panels of the given apps.
+// edfPanels renders the Figure 9–12 panels of the given apps. The
+// "average" panel is the mean over every application's grid, so when it
+// is asked for, every panel comes from one AllEDF pass.
 func edfPanels(o Options, out *output, panelApps ...string) error {
-	for _, app := range panelApps {
-		r, err := edfPanel(app, o)
-		if err != nil {
+	var all []*EDFResult
+	if slices.Contains(panelApps, "average") {
+		var err error
+		if all, err = AllEDF(o); err != nil {
 			return err
+		}
+	}
+	for _, app := range panelApps {
+		var r *EDFResult
+		if i := slices.IndexFunc(all, func(r *EDFResult) bool { return r.App == app }); i >= 0 {
+			r = all[i]
+		} else {
+			var err error
+			if r, err = EDFGrid(app, o); err != nil {
+				return err
+			}
 		}
 		out.emit(EDFRender(r, edfPanelTitle(app), o))
 		out.blank()
 	}
 	return nil
-}
-
-// edfPanel computes one Figure 9–12 panel: an app's grid, or for "average"
-// the mean over every application's grid.
-func edfPanel(app string, o Options) (*EDFResult, error) {
-	if app != "average" {
-		return EDFGrid(app, o)
-	}
-	rs, err := AllEDF(o)
-	if err != nil {
-		return nil, err
-	}
-	return rs[len(rs)-1], nil
 }
 
 // edfTable renders an app's EDF grid under a fixed title.
