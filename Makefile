@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench examples paper-tables fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench perfbench-pins examples paper-tables fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -52,6 +52,17 @@ lint-mutation:
 # `bash perfbench/run.sh --workload paper-long --seed 1`.
 perfbench:
 	cd perfbench && $(GO) vet . && $(GO) test -count=1 .
+
+# perfbench-pins runs each benchmark workload at full size for about a
+# second and fails unless every operation's digest matches
+# perfbench/pins.json. The self-test above runs at reduced sizes, where
+# nothing is pinned (about a minute on 2 vCPUs).
+perfbench-pins:
+	@for w in study-short paper-long contain-long fleet-long; do \
+		last=$$(bash perfbench/run.sh --workload $$w --seed 1 --seconds 1 | tail -n 1); \
+		echo "$$w: $$(echo "$$last" | cut -c1-60)"; \
+		case "$$last" in *'"correct":true'*'"failed":0,'*) ;; *) echo "$$w: digests differ from perfbench/pins.json"; exit 1;; esac; \
+	done
 
 # examples runs every program under examples/ through its Example test,
 # which checks what the program prints. `make test` runs them too.
