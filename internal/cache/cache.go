@@ -184,13 +184,14 @@ type table struct {
 }
 
 // newTable builds an empty table of cfg's geometry, with a data slab when
-// the level keeps line payloads.
-func newTable(cfg Config, payload bool) (*table, error) {
+// the level keeps line payloads. Each level holds its table by value, so
+// a lookup reaches the lines through one load fewer.
+func newTable(cfg Config, payload bool) (table, error) {
 	if err := cfg.Validate(); err != nil {
-		return nil, err
+		return table{}, err
 	}
 	nsets := cfg.SizeBytes / (cfg.BlockSize * cfg.Assoc)
-	t := &table{cfg: cfg, setMask: uint32(nsets - 1)}
+	t := table{cfg: cfg, setMask: uint32(nsets - 1)}
 	for bs := cfg.BlockSize; bs > 1; bs >>= 1 {
 		t.setShift++
 	}
@@ -404,11 +405,4 @@ func copyStamped(dst, src *frames, g []line, first int, since uint64, blockSize 
 }
 
 // wordParity returns the even-parity bit of a 32-bit word.
-func wordParity(v uint32) byte {
-	v ^= v >> 16
-	v ^= v >> 8
-	v ^= v >> 4
-	v ^= v >> 2
-	v ^= v >> 1
-	return byte(v & 1)
-}
+func wordParity(v uint32) byte { return byte(bits.OnesCount32(v) & 1) }

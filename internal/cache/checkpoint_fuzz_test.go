@@ -86,14 +86,14 @@ type naiveHierarchy struct {
 }
 
 func naiveSnapshot(h *Hierarchy) *naiveHierarchy {
-	return &naiveHierarchy{l1d: naiveCopy(h.L1D.tab), l1i: naiveCopy(h.L1I.tab),
-		l2: naiveCopy(h.L2.tab), deadLines: h.L1D.deadLines}
+	return &naiveHierarchy{l1d: naiveCopy(&h.L1D.tab), l1i: naiveCopy(&h.L1I.tab),
+		l2: naiveCopy(&h.L2.tab), deadLines: h.L1D.deadLines}
 }
 
 func (n *naiveHierarchy) restoreInto(h *Hierarchy) {
-	n.l1d.restoreInto(h.L1D.tab)
-	n.l1i.restoreInto(h.L1I.tab)
-	n.l2.restoreInto(h.L2.tab)
+	n.l1d.restoreInto(&h.L1D.tab)
+	n.l1i.restoreInto(&h.L1I.tab)
+	n.l2.restoreInto(&h.L2.tab)
 	h.L1D.deadLines = n.deadLines
 }
 
@@ -273,7 +273,7 @@ func FuzzCacheCheckpoint(f *testing.F) {
 				for _, lv := range []struct {
 					name string
 					x, y *table
-				}{{"L1D", a.L1D.tab, b.L1D.tab}, {"L1I", a.L1I.tab, b.L1I.tab}, {"L2", a.L2.tab, b.L2.tab}} {
+				}{{"L1D", &a.L1D.tab, &b.L1D.tab}, {"L1I", &a.L1I.tab, &b.L1I.tab}, {"L2", &a.L2.tab, &b.L2.tab}} {
 					if d := diffTables(lv.x, lv.y); d != "" {
 						t.Fatalf("op %d: %s after restore of slot %d: %s", op, lv.name, slot, d)
 					}

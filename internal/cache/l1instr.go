@@ -11,7 +11,7 @@ import "clumsy/internal/simmem"
 //
 //lint:checkpoint Snapshot, RestoreSnapshot
 type L1Instr struct {
-	tab *table
+	tab table
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
 	//lint:ephemeral scratch buffer for the fetched line, which the cache does not keep

@@ -54,7 +54,7 @@ var _ Backend = (*MainMemory)(nil)
 //
 //lint:checkpoint Snapshot, RestoreSnapshot
 type L2 struct {
-	tab *table
+	tab table
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
 	//lint:ephemeral measurement; a rollback rewinds contents, not measurements

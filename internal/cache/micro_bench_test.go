@@ -131,3 +131,19 @@ func BenchmarkL1DStore(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkL1DLoad8Stream reads a 1500-byte packet buffer one byte at a
+// time, the access pattern of md5's and crc's payload loops: each Load8
+// reads its whole word, so a word takes four hits and a line thirty-two.
+func BenchmarkL1DLoad8Stream(b *testing.B) {
+	h := benchHierarchy(b, DetectionParity, 1)
+	const n = 1500
+	buf := h.Space.MustAlloc(n, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := h.L1D.Load8(buf + simmem.Addr(i%n)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -151,7 +151,7 @@ func playDataPlane(t *testing.T, appName string, scribble bool) *metrics.Recorde
 		t.Fatal(err)
 	}
 	rec := metrics.NewRecorder()
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: rec, Exec: eng}
+	ctx := &apps.Context{Space: space, Mem: dataMemory{eng, h.L1D}, Rec: rec, Exec: eng}
 	if err := app.Setup(ctx, trace); err != nil {
 		t.Fatalf("%s setup: %v", appName, err)
 	}

@@ -45,7 +45,7 @@ func newStateRig(t *testing.T, strikes int) *stateRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx := &apps.Context{Space: space, Mem: dataMemory{eng}, Rec: metrics.NewRecorder(), Exec: eng}
+	ctx := &apps.Context{Space: space, Mem: dataMemory{eng, h.L1D}, Rec: metrics.NewRecorder(), Exec: eng}
 	if err := app.Setup(ctx, trace); err != nil {
 		t.Fatalf("setup: %v", err)
 	}

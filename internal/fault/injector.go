@@ -1,5 +1,7 @@
 package fault
 
+import "math"
+
 // Injector realises the fault process for a stream of fixed-width cache
 // accesses. Instead of drawing a Bernoulli sample per access, it draws the
 // gap to the next faulty access from the geometric distribution — an exact
@@ -44,6 +46,21 @@ func (in *Injector) SetCycleTime(cr float64) {
 
 // SetEnabled turns fault injection on or off.
 func (in *Injector) SetEnabled(on bool) { in.enabled = on }
+
+// Quiet returns the fault-free accesses before the next fault.
+func (in *Injector) Quiet() int64 {
+	if !in.enabled {
+		return math.MaxInt64
+	}
+	return in.skip
+}
+
+// Skip advances the injector over n accesses that Quiet promised.
+func (in *Injector) Skip(n int64) {
+	if in.enabled {
+		in.skip -= n
+	}
+}
 
 func (in *Injector) redraw() {
 	// Number of fault-free accesses before the next fault: geometric.

@@ -9,10 +9,25 @@ import "math"
 // address of the access so that spatially anchored processes (stuck-at
 // maps) can key faults to physical array cells; address-blind processes
 // ignore it.
+//
+// Quiet and Skip let a caller serve a run of fault-free accesses without
+// a call per access: Quiet promises that many, and Skip hands back the
+// ones served. The caller must hand them back before any other call into
+// the process — NextAt, SetCycleTime or SetEnabled — and never serve more
+// than Quiet promised; the process then emits the mask stream that one
+// NextAt per access would have emitted.
 type Process interface {
 	// NextAt advances the process by one access to the given word address
 	// and returns the fault mask to XOR into the accessed word.
 	NextAt(addr uint64) uint64
+	// Quiet returns how many upcoming accesses are certain to return mask
+	// 0 and to change nothing but the process's countdowns, whatever
+	// their addresses: the gap to the next event, unbounded while the
+	// process is disabled, and 0 when an access can fault anywhere.
+	Quiet() int64
+	// Skip advances the process over n accesses that Quiet promised,
+	// exactly as n calls of NextAt would.
+	Skip(n int64)
 	// SetCycleTime moves the process to a new relative cycle time.
 	SetCycleTime(cr float64)
 	// SetEnabled turns fault injection on or off. Disabled accesses pass
@@ -150,6 +165,27 @@ func (b *Burst) SetCycleTime(cr float64) {
 
 // SetEnabled turns fault injection on or off.
 func (b *Burst) SetEnabled(on bool) { b.enabled = on }
+
+// Quiet returns the accesses before the next fault or state change, so a
+// toggle and its OnTransition call land on the access they land on under
+// NextAt.
+func (b *Burst) Quiet() int64 {
+	switch {
+	case !b.enabled:
+		return math.MaxInt64
+	case b.stay <= 0 || b.skip <= 0:
+		return 0
+	}
+	return min(b.stay, b.skip)
+}
+
+// Skip advances the process over n accesses that Quiet promised.
+func (b *Burst) Skip(n int64) {
+	if b.enabled {
+		b.stay -= n
+		b.skip -= n
+	}
+}
 
 func (b *Burst) rate() float64 {
 	if b.bad {
@@ -290,6 +326,19 @@ func (s *StuckAt) SetEnabled(on bool) {
 	s.enabled = on
 	s.inner.SetEnabled(on)
 }
+
+// Quiet promises no fault-free access while the process is enabled: the
+// mask of an access depends on the word it reads.
+func (s *StuckAt) Quiet() int64 {
+	if !s.enabled {
+		return math.MaxInt64
+	}
+	return 0
+}
+
+// Skip has nothing to advance: Quiet promises accesses only while the
+// process is disabled, and a disabled access advances neither layer.
+func (s *StuckAt) Skip(int64) {}
 
 // NextAt advances the inner transient process and overlays the stuck-at
 // map for the physical word the address occupies.

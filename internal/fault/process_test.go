@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"math/bits"
 	"testing"
 )
@@ -226,6 +227,8 @@ func weakCells(s *StuckAt) int {
 type quietInner struct{}
 
 func (quietInner) NextAt(addr uint64) uint64 { return 0 }
+func (quietInner) Quiet() int64              { return math.MaxInt64 }
+func (quietInner) Skip(n int64)              {}
 func (quietInner) SetCycleTime(cr float64)   {}
 func (quietInner) SetEnabled(on bool)        {}
 
@@ -333,12 +336,54 @@ func TestStuckAtValidation(t *testing.T) {
 	}
 }
 
+// countdown reaches a process the way the L1 data cache does: it serves
+// each run of accesses Quiet promised from a local count without calling
+// the process, and hands the run back through Skip before any other call.
+type countdown struct {
+	p           Process
+	quiet, from int64
+}
+
+func (c *countdown) NextAt(addr uint64) uint64 {
+	if c.quiet > 0 {
+		c.quiet--
+		return 0
+	}
+	c.handBack()
+	mask := c.p.NextAt(addr)
+	c.quiet = c.p.Quiet()
+	c.from = c.quiet
+	return mask
+}
+
+func (c *countdown) handBack() {
+	if n := c.from - c.quiet; n > 0 {
+		c.p.Skip(n)
+	}
+	c.quiet, c.from = 0, 0
+}
+
+func (c *countdown) Quiet() int64 { return 0 }
+func (c *countdown) Skip(n int64) {}
+
+func (c *countdown) SetCycleTime(cr float64) {
+	c.handBack()
+	c.p.SetCycleTime(cr)
+}
+
+func (c *countdown) SetEnabled(on bool) {
+	c.handBack()
+	c.p.SetEnabled(on)
+}
+
 // FuzzFaultProcess drives every fault process through a fuzzed schedule of
 // accesses, rescales, and disable windows, and checks the invariants the
 // simulator depends on: identical seeds and schedules produce identical
 // traces, every mask fits the configured access width, and a disabled
 // window neither faults nor advances the process, so a third twin that
-// skips the window produces the same stream.
+// skips the window produces the same stream. A fourth twin serves every
+// quiet run through Quiet and Skip, as the L1 data cache does, and must
+// emit the stream of one NextAt per access.
 func FuzzFaultProcess(f *testing.F) {
 	f.Add(uint64(1), uint8(0), uint8(2), uint8(0), uint16(500))
 	f.Add(uint64(42), uint8(1), uint8(0), uint8(3), uint16(900))
@@ -378,12 +423,16 @@ func FuzzFaultProcess(f *testing.F) {
 			return append(out, trace(p, steps)...)
 		}
 		a, b, c := run(mk(), true), run(mk(), true), run(mk(), false)
+		d := run(&countdown{p: mk()}, true)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("access %d: %#x vs %#x — identical schedules diverged", i, a[i], b[i])
 			}
 			if a[i] != c[i] {
 				t.Fatalf("access %d: %#x vs %#x without the disabled window — disabled accesses advanced the process", i, a[i], c[i])
+			}
+			if a[i] != d[i] {
+				t.Fatalf("access %d: %#x vs %#x through Quiet and Skip — a promised access was not quiet", i, a[i], d[i])
 			}
 			if a[i]>>32 != 0 {
 				t.Fatalf("access %d: mask %#x exceeds the 32-bit access width", i, a[i])
