@@ -156,13 +156,13 @@ func TestBreakdownWatchdogBurn(t *testing.T) {
 	// the packet's core total reaches the budget, with only the executed 10
 	// left in the compute share.
 	eng.burnWatchdog(100)
-	if eng.core != 100 {
-		t.Errorf("core = %g, want 100 (10 executed + 90 burned)", eng.core)
+	if eng.coreCycles() != 100 {
+		t.Errorf("core = %g, want 100 (10 executed + 90 burned)", eng.coreCycles())
 	}
 	if eng.burned != 90 {
 		t.Errorf("burned = %g, want 90", eng.burned)
 	}
-	if compute := eng.core - eng.burned; compute != 10 {
+	if compute := eng.coreCycles() - eng.burned; compute != 10 {
 		t.Errorf("compute share = %g, want 10", compute)
 	}
 	// A packet that exceeded its budget before dying has nothing left to
@@ -173,8 +173,8 @@ func TestBreakdownWatchdogBurn(t *testing.T) {
 	if eng.burned != 90 {
 		t.Errorf("burnWatchdog past an exhausted budget changed burned to %g", eng.burned)
 	}
-	if eng.core != 160 {
-		t.Errorf("core = %g, want 160", eng.core)
+	if eng.coreCycles() != 160 {
+		t.Errorf("core = %g, want 160", eng.coreCycles())
 	}
 }
 
