@@ -92,8 +92,13 @@ type GoldenCache struct {
 // Run is Run(cfg) with the golden pass taken from the cache. The first run
 // with cfg's golden inputs computes it and concurrent runs with the same
 // inputs wait for it; an error or panic of that pass reaches all of them.
+// A configuration the model cannot simulate fails before it reaches the
+// cache.
 func (c *GoldenCache) Run(cfg Config) (*Result, error) {
 	cfg = cfg.withDefaults()
+	if err := cfg.check(); err != nil {
+		return nil, err
+	}
 	key := goldenKey(cfg)
 	c.mu.Lock()
 	pass, ok := c.passes[key]

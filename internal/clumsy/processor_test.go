@@ -157,8 +157,9 @@ func TestUnknownAppRejected(t *testing.T) {
 
 // TestRejectsConfigsTheModelCannotSimulate: every faulty pass refuses a
 // field outside the model's range and names it, while the boundary values
-// pass. The cases share one GoldenCache with a valid run after them: a
-// rejected configuration must not fail the golden pass it shares.
+// pass. Run and GoldenCache.Run return the check's error itself, before
+// any golden pass: the cases share one GoldenCache, which must hold no
+// pass after them, and a valid run after them.
 func TestRejectsConfigsTheModelCannotSimulate(t *testing.T) {
 	base := Config{App: "crc", Packets: 40, Seed: 3, Detection: cache.DetectionParity}
 	tr, err := generate(base.withDefaults())
@@ -195,6 +196,15 @@ func TestRejectsConfigsTheModelCannotSimulate(t *testing.T) {
 				t.Errorf("%s case, path %d (Run, GoldenCache.Run, OpenNode): error %v does not name it", tc.field, i, err)
 			}
 		}
+		want := cfg.withDefaults().check()
+		for i, err := range []error{errRun, errShared} {
+			if err == nil || err.Error() != want.Error() {
+				t.Errorf("%s case, path %d (Run, GoldenCache.Run): error %v, want the check's %v", tc.field, i, err, want)
+			}
+		}
+	}
+	if n := len(gc.passes); n != 0 {
+		t.Errorf("rejected configurations left %d golden passes in the cache, want 0", n)
 	}
 	shared, err := gc.Run(base)
 	if err != nil {
