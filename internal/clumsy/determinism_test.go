@@ -128,7 +128,7 @@ func TestRunDeterminism(t *testing.T) {
 			Recovery: RecoverAbort, Regime: RegimePermanent}},
 		{"permanent-degrade-dynamic", Config{App: "crc", Packets: 300, Seed: 11, FaultScale: 1e3,
 			Dynamic: true, Detection: cache.DetectionParity, Strikes: 2,
-			Recovery: RecoverDegrade, Regime: RegimePermanent, MinDwellEpochs: 2}},
+			Recovery: RecoverDegrade, Regime: RegimePermanent}},
 		{"predisable-degrade", Config{App: "route", Packets: 150, Seed: 5, FaultScale: 2e3,
 			CycleTime: 0.5, Detection: cache.DetectionParity, Strikes: 2,
 			Recovery: RecoverDegrade, Regime: RegimePermanent, PreDisableFrac: 0.25}},

@@ -17,29 +17,27 @@ import (
 
 // goldenZeroed gives every Config field that goldenKey zeroes the values
 // under which the golden pass must not change; goldenKept lists the fields
-// that stay in the key. Together they classify every field of Config.
+// that stay in the key, the last five of them pinned to zero by
+// Config.check. Together they classify every field of Config.
 var (
 	goldenZeroed = map[string][]func(*Config){
-		"CycleTime":          {func(c *Config) { c.CycleTime = 0.25 }},
-		"Dynamic":            {func(c *Config) { c.Dynamic = true }},
-		"EpochPackets":       {func(c *Config) { c.Dynamic, c.EpochPackets = true, 10 }},
-		"X1":                 {func(c *Config) { c.Dynamic, c.X1 = true, 1.2 }},
-		"X2":                 {func(c *Config) { c.Dynamic, c.X2 = true, 0.3 }},
-		"MinDwellEpochs":     {func(c *Config) { c.Dynamic, c.MinDwellEpochs = true, 3 }},
-		"Strikes":            {func(c *Config) { c.Strikes = 3 }},
-		"SubBlock":           {func(c *Config) { c.SubBlock = true }},
-		"FaultScale":         {func(c *Config) { c.FaultScale = 150 }},
-		"Planes":             {func(c *Config) { c.Planes = PlaneControl }, func(c *Config) { c.Planes = PlaneData }},
-		"Regime":             {func(c *Config) { c.Regime = RegimeBurst }, func(c *Config) { c.Regime = RegimePermanent }},
-		"LineDisableStrikes": {func(c *Config) { c.LineDisableStrikes = 2 }},
-		"LineDisableWindow":  {func(c *Config) { c.LineDisableStrikes, c.LineDisableWindow = 2, 512 }},
-		"PreDisableFrac":     {func(c *Config) { c.PreDisableFrac = 0.1 }},
-		"Recovery":           {func(c *Config) { c.Recovery = RecoverDrop }, func(c *Config) { c.Recovery = RecoverDegrade }},
-		"MaxDropRate":        {func(c *Config) { c.Recovery, c.MaxDropRate = RecoverDrop, 0.05 }},
-		"Telemetry":          {func(c *Config) { c.Telemetry = telemetry.New() }},
+		"CycleTime":      {func(c *Config) { c.CycleTime = 0.25 }},
+		"Dynamic":        {func(c *Config) { c.Dynamic = true }},
+		"X1":             {func(c *Config) { c.Dynamic, c.X1 = true, 1.2 }},
+		"X2":             {func(c *Config) { c.Dynamic, c.X2 = true, 0.3 }},
+		"Strikes":        {func(c *Config) { c.Strikes = 3 }},
+		"SubBlock":       {func(c *Config) { c.SubBlock = true }},
+		"FaultScale":     {func(c *Config) { c.FaultScale = 150 }},
+		"Planes":         {func(c *Config) { c.Planes = PlaneControl }, func(c *Config) { c.Planes = PlaneData }},
+		"Regime":         {func(c *Config) { c.Regime = RegimeBurst }, func(c *Config) { c.Regime = RegimePermanent }},
+		"PreDisableFrac": {func(c *Config) { c.PreDisableFrac = 0.1 }},
+		"Recovery":       {func(c *Config) { c.Recovery = RecoverDrop }, func(c *Config) { c.Recovery = RecoverDegrade }},
+		"MaxDropRate":    {func(c *Config) { c.Recovery, c.MaxDropRate = RecoverDrop, 0.05 }},
+		"Telemetry":      {func(c *Config) { c.Telemetry = telemetry.New() }},
 	}
 	goldenKept = []string{"App", "Packets", "Seed", "Detection", "WatchdogFactor",
-		"ScrubInterval", "StateStrikes", "Workload", "SpaceBytes", "L1DSize"}
+		"ScrubInterval", "StateStrikes", "Workload", "L1DSize",
+		"EpochPackets", "MinDwellEpochs", "LineDisableStrikes", "LineDisableWindow", "SpaceBytes"}
 )
 
 // TestGoldenKeyInventory classifies every Config field as zeroed by

@@ -7,6 +7,7 @@ import (
 	"clumsy/internal/apps"
 	"clumsy/internal/cache"
 	"clumsy/internal/energy"
+	"clumsy/internal/freqctl"
 	"clumsy/internal/metrics"
 	"clumsy/internal/packet"
 	"clumsy/internal/radix"
@@ -145,8 +146,7 @@ func ParseFaultRegime(s string) (FaultRegime, error) {
 	}
 }
 
-// Recovery-ladder defaults, in force when RecoverDegrade leaves the
-// corresponding Config knob at zero.
+// The line-disable budget RecoverDegrade arms.
 const (
 	// DefaultLineDisableStrikes is the per-frame strike budget S: the
 	// S-th uncorrected strike on one frame inside the window disables it.
@@ -183,11 +183,12 @@ type Config struct {
 	//lint:fingerprint-extra scheme cells name static/dynamic in Extra
 	Dynamic bool // use the frequency-adaptation controller
 
-	// Dynamic-controller overrides (zero = the paper's defaults: 100
-	// packets per epoch, X1 = 2.0, X2 = 0.8). The threshold tuning study
-	// sets X1 and X2; no study sets EpochPackets.
-	//lint:fingerprint-exempt no study sets it; every cell runs the default 100-packet epoch
+	// EpochPackets must be zero: the controller decides every
+	// freqctl.DefaultEpochPackets packets, the paper's 100.
+	//lint:fingerprint-exempt must be zero; check rejects any other value
 	EpochPackets int
+	// X1 and X2 override the controller's thresholds (zero = the paper's
+	// X1 = 2.0, X2 = 0.8); the threshold tuning study sets them.
 	//lint:fingerprint-extra the threshold-tuning study fingerprints its grid point in Extra
 	X1, X2 float64
 
@@ -210,14 +211,13 @@ type Config struct {
 	//lint:fingerprint-extra the reliability study names the regime in Extra
 	Regime FaultRegime
 
-	// LineDisableStrikes arms per-line strike tracking: after this many
-	// uncorrected strikes on one frame within LineDisableWindow L1D
-	// accesses, the frame is disabled. Zero leaves the mechanism off
-	// unless Recovery is RecoverDegrade, which falls back to
-	// DefaultLineDisableStrikes/DefaultLineDisableWindow.
-	//lint:fingerprint-exempt no study sets it; degrade cells run the default budget
+	// LineDisableStrikes and LineDisableWindow must be zero: only
+	// RecoverDegrade arms per-line strike tracking, at
+	// DefaultLineDisableStrikes strikes within DefaultLineDisableWindow
+	// L1D accesses.
+	//lint:fingerprint-exempt must be zero; check rejects any other value
 	LineDisableStrikes int
-	//lint:fingerprint-exempt no study sets it; degrade cells run the default window
+	//lint:fingerprint-exempt must be zero; check rejects any other value
 	LineDisableWindow uint64
 
 	// PreDisableFrac force-disables this fraction of L1D frames before
@@ -227,10 +227,9 @@ type Config struct {
 	//lint:fingerprint-extra the degradation curve sweeps this as its Extra axis
 	PreDisableFrac float64
 
-	// MinDwellEpochs, under the dynamic scheme, is the minimum number of
-	// controller epochs between applied operating-point changes. Zero
-	// (the default) keeps the paper's undamped semantics.
-	//lint:fingerprint-exempt no study sets it; every dynamic cell runs undamped
+	// MinDwellEpochs must be zero: the controller applies every epoch
+	// decision, as in the paper.
+	//lint:fingerprint-exempt must be zero; check rejects any other value
 	MinDwellEpochs int
 
 	// WatchdogFactor bounds per-packet instructions at this multiple of
@@ -279,8 +278,9 @@ type Config struct {
 	//lint:fingerprint-extra the state-integrity study names the workload spec in Extra
 	Workload *workload.Spec
 
-	// SpaceBytes overrides the simulated memory size (0 = auto).
-	//lint:fingerprint-exempt no study sets it; every cell sizes its memory from the trace
+	// SpaceBytes must be zero: the simulated memory is sized from the
+	// trace.
+	//lint:fingerprint-exempt must be zero; check rejects any other value
 	SpaceBytes int
 
 	// L1DSize overrides the L1 data cache capacity in bytes (0 = the
@@ -319,6 +319,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// Check returns the error that Run, Calibrate and OpenNode return for a
+// configuration the model cannot simulate, or nil.
+func (c Config) Check() error { return c.withDefaults().check() }
+
 // check rejects a defaulted configuration that the model cannot simulate,
 // naming the field. The negated comparisons also reject NaN.
 func (c Config) check() error {
@@ -337,6 +341,16 @@ func (c Config) check() error {
 		return fmt.Errorf("clumsy: PreDisableFrac %g outside [0, 1]", c.PreDisableFrac)
 	case c.StateStrikes < 0:
 		return fmt.Errorf("clumsy: StateStrikes %d is negative", c.StateStrikes)
+	case c.EpochPackets != 0:
+		return fmt.Errorf("clumsy: EpochPackets %d is not zero: the epoch is %d packets", c.EpochPackets, freqctl.DefaultEpochPackets)
+	case c.MinDwellEpochs != 0:
+		return fmt.Errorf("clumsy: MinDwellEpochs %d is not zero: every epoch decision applies", c.MinDwellEpochs)
+	case c.LineDisableStrikes != 0:
+		return fmt.Errorf("clumsy: LineDisableStrikes %d is not zero: degrade arms %d", c.LineDisableStrikes, DefaultLineDisableStrikes)
+	case c.LineDisableWindow != 0:
+		return fmt.Errorf("clumsy: LineDisableWindow %d is not zero: degrade arms %d accesses", c.LineDisableWindow, DefaultLineDisableWindow)
+	case c.SpaceBytes != 0:
+		return fmt.Errorf("clumsy: SpaceBytes %d is not zero: memory is sized from the trace", c.SpaceBytes)
 	}
 	return nil
 }

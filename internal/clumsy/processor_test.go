@@ -1,7 +1,6 @@
 package clumsy
 
 import (
-	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -166,6 +165,10 @@ func TestRejectsConfigsTheModelCannotSimulate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	cal, err := Calibrate(base, tr)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var gc GoldenCache
 	for _, tc := range []struct {
 		set   func(*Config)
@@ -182,24 +185,26 @@ func TestRejectsConfigsTheModelCannotSimulate(t *testing.T) {
 		{func(c *Config) { c.PreDisableFrac = -0.1 }, "PreDisableFrac"},
 		{func(c *Config) { c.PreDisableFrac = 1.5 }, "PreDisableFrac"},
 		{func(c *Config) { c.StateStrikes = -1 }, "StateStrikes"},
+		{func(c *Config) { c.EpochPackets = 10 }, "EpochPackets"},
+		{func(c *Config) { c.Dynamic, c.MinDwellEpochs = true, 2 }, "MinDwellEpochs"},
+		{func(c *Config) { c.LineDisableStrikes = 2 }, "LineDisableStrikes"},
+		{func(c *Config) { c.Recovery, c.LineDisableWindow = RecoverDegrade, 512 }, "LineDisableWindow"},
+		{func(c *Config) { c.SpaceBytes = 16 << 20 }, "SpaceBytes"},
 	} {
 		cfg := base
 		tc.set(&cfg)
 		_, errRun := Run(cfg)
 		_, errShared := gc.Run(cfg)
-		errNode := errors.New("Calibrate failed")
-		if cal, err := Calibrate(cfg, tr); err == nil {
-			_, errNode = OpenNode(cfg, tr, cal)
-		}
-		for i, err := range []error{errRun, errShared, errNode} {
-			if err == nil || !strings.Contains(err.Error(), tc.field) {
-				t.Errorf("%s case, path %d (Run, GoldenCache.Run, OpenNode): error %v does not name it", tc.field, i, err)
-			}
-		}
+		_, errCal := Calibrate(cfg, tr)
+		_, errNode := OpenNode(cfg, tr, cal)
 		want := cfg.withDefaults().check()
-		for i, err := range []error{errRun, errShared} {
+		if want == nil || !strings.Contains(want.Error(), tc.field) {
+			t.Errorf("%s case: check returned %v, which does not name it", tc.field, want)
+			continue
+		}
+		for i, err := range []error{errRun, errShared, errCal, errNode} {
 			if err == nil || err.Error() != want.Error() {
-				t.Errorf("%s case, path %d (Run, GoldenCache.Run): error %v, want the check's %v", tc.field, i, err, want)
+				t.Errorf("%s case, path %d (Run, GoldenCache.Run, Calibrate, OpenNode): error %v, want the check's %v", tc.field, i, err, want)
 			}
 		}
 	}
