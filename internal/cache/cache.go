@@ -176,9 +176,9 @@ type table struct {
 	//lint:ephemeral derived from the geometry at construction, never mutated
 	setMask uint32
 
-	// tracked is the snapshot last taken or restored: the only one a
-	// checkpoint may update incrementally. marked holds one bit per frame
-	// a cold path changed since its moment.
+	// tracked is the latest snapshot, the only one that can be retaken or
+	// restored. marked holds one bit per frame a cold path changed since
+	// its moment.
 	tracked *frames
 	marked  []uint64
 }
@@ -313,48 +313,34 @@ func (t *table) flushRange(addr simmem.Addr, n int, sink func(simmem.Addr, []byt
 	return nil
 }
 
-// snapshot copies the table into snap, which is nil (for a fresh
-// snapshot) or was taken from this table, and makes it the tracked
-// snapshot. It returns the snapshot and the number of frames copied: only
-// the frames changed since its moment when snap is already the tracked
-// snapshot, every frame otherwise.
+// snapshot copies the table into snap and returns it with the number of
+// frames copied. A nil snap takes a fresh full copy, which becomes the
+// tracked snapshot; otherwise snap must be the tracked snapshot, and only
+// the frames changed since its moment are copied.
 func (t *table) snapshot(snap *frames) (*frames, int) {
-	switch {
-	case snap == nil:
-		snap = t.frames.clone()
-	case snap == t.tracked:
-		return snap, t.sync(snap, &t.frames)
-	default:
-		copyAll(snap, &t.frames)
+	if snap == nil {
+		t.tracked = t.frames.clone()
+		clear(t.marked)
+		return t.tracked, len(t.lines)
 	}
-	t.tracked = snap
-	clear(t.marked)
-	return snap, len(t.lines)
+	t.mustTrack(snap)
+	return snap, t.sync(snap, &t.frames)
 }
 
-// restore copies a snapshot taken from this table back into it: only the
-// frames changed since its moment when snap is the tracked snapshot,
-// every frame otherwise. The table afterwards holds exactly the lines,
-// payloads, and LRU state of the snapshot moment, and snap is tracked.
+// restore copies the tracked snapshot back into the table: only the
+// frames changed since its moment. The table afterwards holds exactly the
+// lines, payloads, and LRU state of the snapshot moment.
 func (t *table) restore(snap *frames) {
-	if snap == t.tracked {
-		t.sync(&t.frames, snap)
-		return
-	}
-	copyAll(&t.frames, snap)
-	t.tracked = snap
-	clear(t.marked)
+	t.mustTrack(snap)
+	t.sync(&t.frames, snap)
 }
 
-// copyAll copies every frame and the clock from src into dst, which has
-// src's shape.
-func copyAll(dst, src *frames) {
-	copy(dst.lines, src.lines)
-	copy(dst.strikes, src.strikes)
-	copy(dst.data, src.data)
-	copy(dst.par, src.par)
-	copy(dst.enc, src.enc)
-	dst.tick = src.tick
+// mustTrack panics unless snap is the tracked snapshot: retaking or
+// restoring any other is a programming error.
+func (t *table) mustTrack(snap *frames) {
+	if snap != t.tracked {
+		panic("cache: snapshot is not the latest taken from this table")
+	}
 }
 
 // sync copies, from src to dst, every frame changed since the tracked

@@ -166,10 +166,11 @@ func oracleProgram(seed uint64, n int) []byte {
 }
 
 // FuzzCacheCheckpoint is the differential oracle of the cache checkpoint.
-// Hierarchy A checkpoints through Snapshot/RestoreSnapshot; its twin B
-// runs the same operations over an identically seeded fault process but
-// checkpoints through naiveSnapshot, a plain deep copy of every frame,
-// payload, check bit and the LRU clock. After every operation both must
+// Hierarchy A checkpoints through Snapshot/RestoreSnapshot, retaking its
+// one restore point or taking a fresh one; its twin B runs the same
+// operations over an identically seeded fault process but checkpoints
+// through naiveSnapshot, a plain deep copy of every frame, payload, check
+// bit and the LRU clock. After every operation both must
 // return the same value and error and hold the same measurements; after
 // every restore their tables must agree frame for frame.
 func FuzzCacheCheckpoint(f *testing.F) {
@@ -178,8 +179,8 @@ func FuzzCacheCheckpoint(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, program []byte) {
 		a, b := oracleHierarchy(t, kind), oracleHierarchy(t, kind)
-		var snaps [3]*Snapshot
-		var naive [3]*naiveHierarchy
+		var snap *Snapshot
+		var naive *naiveHierarchy
 		var prev simmem.Addr = simmem.PageBase
 		dmaBuf := make([]byte, oracleRange)
 		r := &opReader{in: program}
@@ -256,26 +257,23 @@ func FuzzCacheCheckpoint(f *testing.F) {
 				a.L1D.SetCycleTime(0.5)
 				b.L1D.SetCycleTime(0.5)
 			case 13:
-				k := r.byte()
-				slot := int(k) % len(snaps)
-				if k&4 != 0 {
-					snaps[slot] = nil // a fresh snapshot
+				if r.byte()&4 != 0 {
+					snap = nil // a fresh snapshot
 				}
-				snaps[slot] = a.Snapshot(snaps[slot])
-				naive[slot] = naiveSnapshot(b)
+				snap = a.Snapshot(snap)
+				naive = naiveSnapshot(b)
 			case 14:
-				slot := int(r.byte()) % len(snaps)
-				if snaps[slot] == nil {
+				if snap == nil {
 					continue
 				}
-				a.RestoreSnapshot(snaps[slot])
-				naive[slot].restoreInto(b)
+				a.RestoreSnapshot(snap)
+				naive.restoreInto(b)
 				for _, lv := range []struct {
 					name string
 					x, y *table
 				}{{"L1D", &a.L1D.tab, &b.L1D.tab}, {"L1I", &a.L1I.tab, &b.L1I.tab}, {"L2", &a.L2.tab, &b.L2.tab}} {
 					if d := diffTables(lv.x, lv.y); d != "" {
-						t.Fatalf("op %d: %s after restore of slot %d: %s", op, lv.name, slot, d)
+						t.Fatalf("op %d: %s after restore: %s", op, lv.name, d)
 					}
 				}
 				if a.L1D.DisabledLines() != b.L1D.DisabledLines() {

@@ -124,20 +124,20 @@ func (h *Hierarchy) CoherentDMA(addr simmem.Addr, data []byte) error {
 // and LRU order. Together with a simmem.Checkpoint of the backing space it
 // captures the complete architectural memory state of the machine;
 // statistics and energy accounting are excluded (a rollback rewinds
-// contents, not measurements). A snapshot belongs to the hierarchy it was
-// taken from: only that hierarchy may retake or restore it.
+// contents, not measurements).
 //
-// The snapshot last taken or restored is the tracked one: taking or
-// restoring it again copies only the frames changed since, the way a
-// simmem.Checkpoint copies only dirty pages. Any other snapshot, or nil,
-// takes a full copy and becomes the tracked one.
+// A hierarchy keeps one restore point: only the snapshot it took last can
+// be retaken or restored, and either copies only the frames changed since,
+// the way a simmem.Checkpoint copies only dirty pages. Passing any other
+// snapshot panics.
 type Snapshot struct {
 	l1d, l1i, l2 *frames
 }
 
-// Snapshot copies the current cache state into snap, reusing its buffers
-// when possible; pass nil to allocate a fresh one. Taking a snapshot has no
-// architectural effect — no accesses, write-backs, stats, or energy.
+// Snapshot copies the current cache state into snap, the latest snapshot
+// taken from h; pass nil to take a fresh full copy, which becomes the
+// latest. Taking a snapshot has no architectural effect — no accesses,
+// write-backs, stats, or energy.
 //
 //lint:hot-path
 func (h *Hierarchy) Snapshot(snap *Snapshot) *Snapshot {
@@ -157,10 +157,11 @@ func (h *Hierarchy) snapshot(snap *Snapshot) (*Snapshot, int) {
 	return snap, n1 + n2 + n3
 }
 
-// RestoreSnapshot copies a snapshot back into the hierarchy. Afterwards
-// every level holds exactly the lines it held at the snapshot moment, so a
-// continuation reads the same values — including the same hit/miss and
-// write-back behaviour — as an execution that never deviated after it.
+// RestoreSnapshot copies the latest snapshot back into the hierarchy,
+// which keeps it as its restore point. Afterwards every level holds
+// exactly the lines it held at the snapshot moment, so a continuation
+// reads the same values — including the same hit/miss and write-back
+// behaviour — as an execution that never deviated after it.
 //
 //lint:hot-path
 func (h *Hierarchy) RestoreSnapshot(snap *Snapshot) {

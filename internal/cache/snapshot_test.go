@@ -152,7 +152,8 @@ func TestSnapshotRestoresLRUDeterminism(t *testing.T) {
 // TestTrackedCommitCopiesTouchedFrames pins the work of a checkpoint as a
 // count: committing the tracked snapshot copies the frames changed since
 // its moment, not the table. Full copies are correct too, so the oracle
-// cannot see a silent fallback to them; this count can.
+// cannot see a silent fallback to them; this count can. Only the latest
+// snapshot can be committed or restored.
 func TestTrackedCommitCopiesTouchedFrames(t *testing.T) {
 	h := newQuietHierarchy(t)
 	a := h.Space.MustAlloc(16<<10, 32)
@@ -193,11 +194,20 @@ func TestTrackedCommitCopiesTouchedFrames(t *testing.T) {
 	}
 	commit(snap, 2, "DMA invalidate")
 
-	// Any snapshot other than the tracked one takes a full copy and
-	// becomes the tracked one.
-	other, _ := h.snapshot(nil)
-	commit(snap, all, "untracked snapshot")
-	commit(snap, 0, "re-tracked snapshot")
-	h.RestoreSnapshot(other)
-	commit(snap, all, "snapshot after restoring another")
+	// A fresh snapshot replaces the restore point: retaking or restoring
+	// the older one panics.
+	h.Snapshot(nil)
+	for what, f := range map[string]func(){
+		"retaking":  func() { h.Snapshot(snap) },
+		"restoring": func() { h.RestoreSnapshot(snap) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s an older snapshot did not panic", what)
+				}
+			}()
+			f()
+		}()
+	}
 }
