@@ -20,7 +20,6 @@ type DetectionCell struct {
 	Detection   cache.Detection
 	CycleTime   float64
 	RelativeEDF float64
-	Fallibility float64
 	Corrected   uint64 // ECC in-place corrections
 	Recoveries  uint64
 	Fatal       bool
@@ -39,7 +38,7 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 		func(i int) any { return [2]string{detections[i/nc].String(), cycleTimeLabel(CycleTimes[i%nc])} },
 		func(i int) (DetectionCell, error) {
 			cell := DetectionCell{Detection: detections[i/nc], CycleTime: CycleTimes[i%nc]}
-			var edfSum, fallSum float64
+			var edfSum float64
 			err := o.trials(clumsy.Config{
 				App:        app,
 				Packets:    o.Packets,
@@ -49,7 +48,6 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 				FaultScale: o.FaultScale,
 			}, func(res *clumsy.Result) {
 				edfSum += res.EDF(o.Exponents)
-				fallSum += res.Fallibility()
 				cell.Corrected += res.Recovery.Corrected
 				cell.Recoveries += res.Recovery.Recoveries
 				cell.Fatal = cell.Fatal || res.Report.Fatal
@@ -58,7 +56,6 @@ func ExtDetection(app string, o Options) ([]DetectionCell, error) {
 				return cell, fmt.Errorf("ext-detection %s %v cr=%v: %w", app, cell.Detection, cell.CycleTime, err)
 			}
 			cell.RelativeEDF = edfSum / float64(o.Trials) // normalised below
-			cell.Fallibility = fallSum / float64(o.Trials)
 			return cell, nil
 		})
 	if err != nil {

@@ -38,7 +38,6 @@ type FleetCell struct {
 	Deaths    float64 // mean nodes dead at run end
 	NodesLive float64 // mean nodes still in rotation at run end
 	Drains    float64 // mean drain-and-re-clock cycles
-	Reclocks  float64 // mean re-clock steps applied
 	Shed      float64 // mean packets shed per run
 }
 
@@ -92,7 +91,6 @@ func Fleet(app string, o Options) ([]FleetCell, error) {
 				cell.Deaths += float64(r.Deaths)
 				cell.NodesLive += float64(r.NodesLive)
 				cell.Drains += float64(r.Drains)
-				cell.Reclocks += float64(r.Reclocks)
 				cell.Shed += float64(r.Shed)
 				if !r.DropSLOMet {
 					cell.DropSLOMet = false
@@ -106,7 +104,6 @@ func Fleet(app string, o Options) ([]FleetCell, error) {
 			cell.Deaths /= n
 			cell.NodesLive /= n
 			cell.Drains /= n
-			cell.Reclocks /= n
 			cell.Shed /= n
 			return cell, nil
 		})

@@ -37,15 +37,11 @@ type ReliabilityCell struct {
 
 	RelEDF float64 // EDF relative to the same run's golden baseline
 	CI     float64 // 95% half-width of RelEDF across trials
-	Fall   float64 // mean fallibility factor
 
-	DropRate      float64 // mean dropped fraction of attempted packets
-	DisabledFrac  float64 // mean L1D capacity fraction dead at run end
-	LinesDisabled float64 // mean L1D frames disabled per run
-	Escalations   float64 // mean ladder escalations (line disables + spatial back-offs)
-	BurstEpisodes float64 // mean bad-state episodes (burst regime)
-	PermanentHits float64 // mean stuck-at faults (permanent regime)
-	Fatal         bool    // any trial ended fatally
+	DropRate     float64 // mean dropped fraction of attempted packets
+	DisabledFrac float64 // mean L1D capacity fraction dead at run end
+	Escalations  float64 // mean ladder escalations (line disables + spatial back-offs)
+	Fatal        bool    // any trial ended fatally
 }
 
 // reliabilityConfig is the common configuration of every sweep cell: the
@@ -91,16 +87,12 @@ func Reliability(o Options) ([]ReliabilityCell, error) {
 			[2]string{regime.String(), policy.String()}, &cells[idx], func() (ReliabilityCell, error) {
 				cell := ReliabilityCell{App: app, Regime: regime.String(), Policy: policy.String()}
 				var rel stats.Sample
-				var fall, drop, dfrac, lines, esc, bursts, perm float64
+				var drop, dfrac, esc float64
 				err := ropts.trials(reliabilityConfig(app, o, regime), func(res *clumsy.Result) {
 					rel.Add(res.EDF(o.Exponents) / res.GoldenEDF(o.Exponents))
-					fall += res.Fallibility()
 					drop += res.Report.DropRate()
 					dfrac += res.DisabledFrac
-					lines += float64(res.LinesDisabled)
 					esc += float64(res.Recovery.LineDisables) + float64(res.SpatialBackoffs)
-					bursts += float64(res.BurstEpisodes)
-					perm += float64(res.PermanentHits)
 					if res.Report.Fatal {
 						cell.Fatal = true
 					}
@@ -111,13 +103,9 @@ func Reliability(o Options) ([]ReliabilityCell, error) {
 				n := float64(o.Trials)
 				cell.RelEDF = rel.Mean()
 				cell.CI = rel.CI95()
-				cell.Fall = fall / n
 				cell.DropRate = drop / n
 				cell.DisabledFrac = dfrac / n
-				cell.LinesDisabled = lines / n
 				cell.Escalations = esc / n
-				cell.BurstEpisodes = bursts / n
-				cell.PermanentHits = perm / n
 				return cell, nil
 			})
 	})

@@ -45,7 +45,6 @@ type stateShape struct {
 // StateCell is one cell of the regime x scrub x shape sweep for one
 // stateful application, averaged over trials.
 type StateCell struct {
-	App    string
 	Regime string
 	Scrub  int // scrub interval in packets (<= 0: disabled)
 	Shape  string
@@ -53,14 +52,12 @@ type StateCell struct {
 	Detected  float64 // mean checksum mismatches detected per run
 	Evictions float64 // mean ladder evictions per run
 	Rebuilds  float64 // mean shadow rebuilds per run
-	Scrubs    float64 // mean scrub passes per run
 
 	DivergedRate   float64 // mean end-of-run diverged fraction of flow records
 	UndetectedRate float64 // mean diverged-yet-checksum-consistent fraction
 	DropRate       float64 // mean dropped fraction of attempted packets
 
-	CorruptFatal int  // trials ended by unrecoverable state corruption
-	Fatal        bool // any trial ended fatally (for any reason)
+	CorruptFatal int // trials ended by unrecoverable state corruption
 }
 
 // stateConfig is the common configuration of every cell: static Cr = 0.5
@@ -108,12 +105,11 @@ func StateIntegrity(app string, o Options) ([]StateCell, error) {
 		return extra
 	}, func(i int) (StateCell, error) {
 		regime, scrub, shape := at(i)
-		cell := StateCell{App: app, Regime: regime.String(), Scrub: scrub, Shape: shape.name}
+		cell := StateCell{Regime: regime.String(), Scrub: scrub, Shape: shape.name}
 		err := ropts.trials(stateConfig(app, o, regime, scrub, shape.spec), func(res *clumsy.Result) {
 			cell.Detected += float64(res.StateDetected)
 			cell.Evictions += float64(res.StateEvictions)
 			cell.Rebuilds += float64(res.StateRebuilds)
-			cell.Scrubs += float64(res.StateScrubs)
 			if res.StateRecords > 0 {
 				cell.DivergedRate += float64(res.StateDiverged) / float64(res.StateRecords)
 				cell.UndetectedRate += float64(res.StateUndetected) / float64(res.StateRecords)
@@ -121,9 +117,6 @@ func StateIntegrity(app string, o Options) ([]StateCell, error) {
 			cell.DropRate += res.Report.DropRate()
 			if errors.Is(res.FatalErr, clumsy.ErrStateCorrupt) {
 				cell.CorruptFatal++
-			}
-			if res.Report.Fatal {
-				cell.Fatal = true
 			}
 		})
 		if err != nil {
@@ -133,7 +126,6 @@ func StateIntegrity(app string, o Options) ([]StateCell, error) {
 		cell.Detected /= n
 		cell.Evictions /= n
 		cell.Rebuilds /= n
-		cell.Scrubs /= n
 		cell.DivergedRate /= n
 		cell.UndetectedRate /= n
 		cell.DropRate /= n

@@ -94,9 +94,6 @@ func (r *Recorder) DropPacket() {
 	r.Packets = append(r.Packets, PacketRecord{Dropped: true})
 }
 
-// Reset clears everything for a fresh run.
-func (r *Recorder) Reset() { *r = Recorder{inInit: true} }
-
 // InitErrorName is the synthetic structure name under which initialisation
 // (control-plane) mismatches are reported, matching the "Initialization
 // Error" series of Figures 6 and 7.

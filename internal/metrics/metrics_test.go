@@ -121,18 +121,6 @@ func TestFallibilityOfDeadRun(t *testing.T) {
 	}
 }
 
-func TestRecorderReset(t *testing.T) {
-	r := record([]uint64{1}, [][]uint64{{2}})
-	r.Reset()
-	if len(r.Init) != 0 || len(r.Packets) != 0 {
-		t.Fatal("reset did not clear recorder")
-	}
-	r.Observe("x", 5)
-	if len(r.Init) != 1 {
-		t.Fatal("after reset, observations should go to init phase")
-	}
-}
-
 func TestStructureNamesSorted(t *testing.T) {
 	g := NewRecorder()
 	g.BeginPackets()

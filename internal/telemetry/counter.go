@@ -141,17 +141,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// Reset removes every instrument.
-func (r *Registry) Reset() {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters = make(map[string]*Counter)
-	r.hists = make(map[string]*Histogram)
-}
-
 // Snapshot is a point-in-time copy of the registry contents.
 type Snapshot struct {
 	Counters   map[string]uint64            `json:"counters"`
