@@ -20,6 +20,16 @@ func mustJSON(t *testing.T, r *Report) string {
 	return b.String()
 }
 
+// TestRunChecksNodeConfigFirst: a node configuration the model cannot
+// simulate fails the fleet with the check's own error, before the trace
+// and the calibration pass.
+func TestRunChecksNodeConfigFirst(t *testing.T) {
+	_, err := Run(Config{App: "route", Nodes: 4, Packets: 2000, Seed: 3, FaultyNodes: 1, CycleTime: 3})
+	if want := "clumsy: CycleTime 3 outside (0, 1]"; err == nil || err.Error() != want {
+		t.Fatalf("error %v, want %q", err, want)
+	}
+}
+
 // TestFleetDeterminism pins the package's central contract: a fixed-seed
 // fleet run is byte-identical across invocations — workload, arrivals,
 // fault streams, dispatch, health decisions, and the rendered report.

@@ -88,6 +88,13 @@ type fleet struct {
 // from Config.Seed, so two invocations produce byte-identical reports.
 func Run(cfg Config) (*Report, error) {
 	cfg = cfg.withDefaults()
+	// A node the model cannot simulate fails the fleet before the trace
+	// and the calibration pass, with the check's own error.
+	for i := 0; i < cfg.Nodes; i++ {
+		if err := cfg.nodeConfig(i).Check(); err != nil {
+			return nil, err
+		}
+	}
 
 	app, err := apps.New(cfg.App)
 	if err != nil {
