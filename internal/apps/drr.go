@@ -111,13 +111,9 @@ func (a *drrApp) qword(q uint32, off simmem.Addr) simmem.Addr {
 func (a *drrApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) error {
 	// Classify: radix lookup on the destination selects the output route;
 	// the flow queue is chosen from the source address.
-	var dst uint32
-	for i := 0; i < 4; i++ {
-		b, err := ctx.Mem.Load8(buf + simmem.Addr(16+i))
-		if err != nil {
-			return err
-		}
-		dst = dst<<8 | uint32(b)
+	dst, err := loadHeaderWord32(ctx, buf, 16)
+	if err != nil {
+		return err
 	}
 	res, err := a.table.Lookup(ctx.Mem, dst, func(node simmem.Addr) error {
 		return ctx.Exec.Step(drrBlkNode, 7)
@@ -128,13 +124,9 @@ func (a *drrApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) error 
 	ctx.Rec.Observe("radix-walk", uint64(res.Steps)<<8|uint64(res.PrefixLen))
 	ctx.Rec.Observe("routetable-entry", uint64(res.NextHop))
 
-	var src uint32
-	for i := 0; i < 4; i++ {
-		b, err := ctx.Mem.Load8(buf + simmem.Addr(12+i))
-		if err != nil {
-			return err
-		}
-		src = src<<8 | uint32(b)
+	src, err := loadHeaderWord32(ctx, buf, 12)
+	if err != nil {
+		return err
 	}
 	q := src % a.nq
 	if err := ctx.Exec.Step(drrBlkClassify, 8); err != nil {

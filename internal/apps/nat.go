@@ -144,13 +144,9 @@ func (a *natApp) insert(ctx *Context, priv, pub, ifc uint32) error {
 
 func (a *natApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) error {
 	// Read the source address from the header.
-	var src uint32
-	for i := 0; i < 4; i++ {
-		b, err := ctx.Mem.Load8(buf + simmem.Addr(12+i))
-		if err != nil {
-			return err
-		}
-		src = src<<8 | uint32(b)
+	src, err := loadHeaderWord32(ctx, buf, 12)
+	if err != nil {
+		return err
 	}
 	ctx.Rec.Observe("initial-src", uint64(src))
 	if err := ctx.Exec.Step(natBlkHash, 8); err != nil {
@@ -206,13 +202,9 @@ func (a *natApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) error 
 	ctx.Rec.Observe("translated-src", uint64(pub))
 
 	// Route on the (untranslated) destination.
-	var dst uint32
-	for i := 0; i < 4; i++ {
-		b, err := ctx.Mem.Load8(buf + simmem.Addr(16+i))
-		if err != nil {
-			return err
-		}
-		dst = dst<<8 | uint32(b)
+	dst, err := loadHeaderWord32(ctx, buf, 16)
+	if err != nil {
+		return err
 	}
 	res, err := a.table.Lookup(ctx.Mem, dst, func(node simmem.Addr) error {
 		return ctx.Exec.Step(natBlkNode, 7)

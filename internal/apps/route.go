@@ -79,6 +79,20 @@ func loadHeaderWord16(ctx *Context, buf simmem.Addr, off int) (uint16, error) {
 	return uint16(hi)<<8 | uint16(lo), nil
 }
 
+// loadHeaderWord32 reads a big-endian 32-bit header field, such as an
+// address, from memory a byte at a time.
+func loadHeaderWord32(ctx *Context, buf simmem.Addr, off int) (uint32, error) {
+	var w uint32
+	for i := 0; i < 4; i++ {
+		b, err := ctx.Mem.Load8(buf + simmem.Addr(off+i))
+		if err != nil {
+			return 0, err
+		}
+		w = w<<8 | uint32(b)
+	}
+	return w, nil
+}
+
 func (a *routeApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) error {
 	// 1. Verify the header checksum (RFC 1812 5.2.2) over the 20 bytes in
 	// memory, 16 bits at a time.
@@ -142,13 +156,9 @@ func (a *routeApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) erro
 	ctx.Rec.Observe("ttl", uint64(ttl-1))
 
 	// 3. Longest-prefix match on the destination read from memory.
-	var dst uint32
-	for i := 0; i < 4; i++ {
-		b, err := ctx.Mem.Load8(buf + simmem.Addr(16+i))
-		if err != nil {
-			return err
-		}
-		dst = dst<<8 | uint32(b)
+	dst, err := loadHeaderWord32(ctx, buf, 16)
+	if err != nil {
+		return err
 	}
 	res, err := a.table.Lookup(ctx.Mem, dst, func(node simmem.Addr) error {
 		return ctx.Exec.Step(routeBlkNode, 7)

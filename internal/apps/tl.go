@@ -64,23 +64,10 @@ func (a *tlApp) Setup(ctx *Context, tr *packet.Trace) error {
 
 func (a *tlApp) Process(ctx *Context, p *packet.Packet, buf simmem.Addr) error {
 	// Read the destination address out of the packet header in memory.
-	d0, err := ctx.Mem.Load8(buf + 16)
+	dst, err := loadHeaderWord32(ctx, buf, 16)
 	if err != nil {
 		return err
 	}
-	d1, err := ctx.Mem.Load8(buf + 17)
-	if err != nil {
-		return err
-	}
-	d2, err := ctx.Mem.Load8(buf + 18)
-	if err != nil {
-		return err
-	}
-	d3, err := ctx.Mem.Load8(buf + 19)
-	if err != nil {
-		return err
-	}
-	dst := uint32(d0)<<24 | uint32(d1)<<16 | uint32(d2)<<8 | uint32(d3)
 	if err := ctx.Exec.Step(tlBlkResult, 6); err != nil {
 		return err
 	}

@@ -1,5 +1,7 @@
 package cache
 
+import "math/bits"
+
 // SEC-DED (single-error-correct, double-error-detect) support for the L1
 // data cache. The paper sets error correction aside ("Hamming codes would
 // incur unnecessary complication on the design and energy consumption",
@@ -31,7 +33,7 @@ const (
 // the value the decoder delivers together with the outcome class.
 func classifyECC(read, encoded uint32) (uint32, eccOutcome) {
 	diff := read ^ encoded
-	switch popcount32(diff) {
+	switch bits.OnesCount32(diff) {
 	case 0:
 		return read, eccClean
 	case 1:
@@ -44,12 +46,4 @@ func classifyECC(read, encoded uint32) (uint32, eccOutcome) {
 		// value that differs from both the read and the encoded word.
 		return read ^ 1<<(diff&31), eccMiscorrected
 	}
-}
-
-func popcount32(x uint32) int {
-	n := 0
-	for ; x != 0; x &= x - 1 {
-		n++
-	}
-	return n
 }

@@ -23,15 +23,6 @@ func TestClassifyECC(t *testing.T) {
 	}
 }
 
-func TestPopcount32(t *testing.T) {
-	cases := map[uint32]int{0: 0, 1: 1, 3: 2, 0xff: 8, 0xffffffff: 32, 0x80000001: 2}
-	for v, want := range cases {
-		if got := popcount32(v); got != want {
-			t.Errorf("popcount32(%#x) = %d, want %d", v, got, want)
-		}
-	}
-}
-
 // eccHierarchy builds an ECC-protected hierarchy with a manual injector.
 func eccHierarchy(t *testing.T) *Hierarchy {
 	t.Helper()
