@@ -30,15 +30,14 @@ func wireFreqTelemetry(ctrl *freqctl.Controller, reg *telemetry.Registry) {
 	epochs := reg.Counter(telemetry.CtrFreqEpochs)
 	up := reg.Counter(telemetry.CtrFreqUpTransitions)
 	down := reg.Counter(telemetry.CtrFreqDownTransitions)
-	ctrl.OnDecision = func(d freqctl.Decision, changed bool, _ float64) {
+	ctrl.OnDecision = func(d freqctl.Decision) {
 		epochs.Inc()
-		if !changed {
-			return
-		}
-		if d == freqctl.SpeedUp {
+		switch d {
+		case freqctl.SpeedUp:
 			up.Inc()
-		} else {
+		case freqctl.SlowDown:
 			down.Inc()
+		case freqctl.Keep:
 		}
 	}
 }
