@@ -125,7 +125,7 @@ type frames struct {
 	data    []byte
 	par     []byte
 	enc     []uint32
-	tick    uint64 // LRU clock: every hit and fill stamps lru = ++tick
+	tick    uint64 // LRU clock: fills and set-associative hits stamp lru = ++tick
 }
 
 // clone returns a deep copy of f.
@@ -156,14 +156,14 @@ func copyFrame(dst, src *frames, i, blockSize int) {
 // every cache level.
 //
 // It also tracks what changed since its checkpoint, so a checkpoint costs
-// the frames a packet touched rather than the whole table. Every hit and
-// fill stamps the frame with lru = ++tick, so a frame whose lru is above
-// the tick of the tracked snapshot was hit or filled since; whatever the
-// same access then does to that frame (a store, an ECC scrub, a strike,
-// the strike's invalidate and disable) rides on that stamp. The cold
-// paths that change a frame without stamping it — DMA invalidate,
-// coherent flush, ForceDisable, re-enable, and a fill that fails part-way
-// — mark it instead.
+// the frames a packet changed rather than the whole table: every path
+// that changes a frame marks it. A fill stamps and marks its frame
+// (touch), and so does a hit in a set-associative table (hit); a
+// direct-mapped table keeps no replacement order, so its hits change
+// nothing. A store, an ECC scrub, a strike (with the refetch, invalidate
+// and disable that follow it), a write-back absorbed by the L2, and the
+// cold paths — DMA invalidate, coherent flush, ForceDisable, re-enable,
+// and a fill that fails part-way — mark the frame they change.
 //
 //lint:checkpoint snapshot, restore
 type table struct {
@@ -177,8 +177,7 @@ type table struct {
 	setMask uint32
 
 	// tracked is the latest snapshot, the only one that can be retaken or
-	// restored. marked holds one bit per frame a cold path changed since
-	// its moment.
+	// restored. marked holds one bit per frame changed since its moment.
 	tracked *frames
 	marked  []uint64
 }
@@ -210,18 +209,32 @@ func (t *table) index(addr simmem.Addr) (set uint32, tag uint32) {
 }
 
 // lookup returns the frame holding addr, or -1 on a miss. The tag is the
-// full block number, which keeps lookups unambiguous.
+// full block number, which keeps lookups unambiguous. It changes nothing,
+// so it stays small enough to inline; the caller records a hit with hit.
 func (t *table) lookup(addr simmem.Addr) int {
 	blk := uint32(addr) >> t.setShift
 	first := int(blk&t.setMask) * t.cfg.Assoc
 	for i := first; i < first+t.cfg.Assoc; i++ {
 		if ln := &t.lines[i]; ln.valid && ln.tag == blk {
-			t.tick++
-			ln.lru = t.tick
 			return i
 		}
 	}
 	return -1
+}
+
+// hit records a lookup hit on frame i. Only a set-associative table has
+// a replacement order to update; a direct-mapped hit changes nothing.
+func (t *table) hit(i int) {
+	if t.cfg.Assoc > 1 {
+		t.touch(i)
+	}
+}
+
+// touch stamps frame i the most recently used and marks it changed.
+func (t *table) touch(i int) {
+	t.tick++
+	t.lines[i].lru = t.tick
+	t.mark(i)
 }
 
 // victim returns the frame to fill for addr (the invalid way if one
@@ -256,7 +269,7 @@ func (t *table) wordOffset(i int, addr simmem.Addr) int {
 	return i<<(t.setShift&63) | int(addr)&(t.cfg.BlockSize-1)&^3
 }
 
-// mark records that a cold path changed frame i without stamping it.
+// mark records that frame i changed since the tracked snapshot's moment.
 func (t *table) mark(i int) { t.marked[i>>6] |= 1 << (uint(i) & 63) }
 
 // lineBase returns the address of the first byte of the line holding addr.
@@ -343,50 +356,20 @@ func (t *table) mustTrack(snap *frames) {
 	}
 }
 
-// sync copies, from src to dst, every frame changed since the tracked
+// sync copies, from src to dst, every frame marked since the tracked
 // snapshot's moment — table to snapshot on a commit, snapshot to table on
 // a restore — together with the clock, clears the marks, and returns the
-// number of frames copied. Marked frames go first and skip the stamped
-// ones, so each changed frame is copied once in either direction.
+// number of frames copied.
 func (t *table) sync(dst, src *frames) int {
-	lines, since, bs, n := t.lines, t.tracked.tick, t.cfg.BlockSize, 0
+	bs, n := t.cfg.BlockSize, 0
 	for wi, w := range t.marked {
 		for ; w != 0; w &= w - 1 {
-			if i := wi<<6 + bits.TrailingZeros64(w); lines[i].lru <= since {
-				copyFrame(dst, src, i, bs)
-				n++
-			}
+			copyFrame(dst, src, wi<<6+bits.TrailingZeros64(w), bs)
+			n++
 		}
 		t.marked[wi] = 0
 	}
-	if t.tick != since { // some frame was hit or filled
-		// One test per eight stamps, as nearly every group predates the
-		// snapshot. Stamps never reach 2^63, so since-lru wraps past it,
-		// setting the top bit, exactly when lru > since.
-		first := 0
-		for ; len(lines) >= 8; first, lines = first+8, lines[8:] {
-			g := lines[:8]
-			if ((since-g[0].lru)|(since-g[1].lru)|(since-g[2].lru)|(since-g[3].lru)|
-				(since-g[4].lru)|(since-g[5].lru)|(since-g[6].lru)|(since-g[7].lru))>>63 != 0 {
-				n += copyStamped(dst, src, g, first, since, bs)
-			}
-		}
-		n += copyStamped(dst, src, lines, first, since, bs)
-	}
 	dst.tick = src.tick
-	return n
-}
-
-// copyStamped copies from src to dst each frame of the group g, which
-// starts at frame first, stamped after since, and returns their number.
-func copyStamped(dst, src *frames, g []line, first int, since uint64, blockSize int) int {
-	n := 0
-	for j := range g {
-		if g[j].lru > since {
-			copyFrame(dst, src, first+j, blockSize)
-			n++
-		}
-	}
 	return n
 }
 

@@ -97,10 +97,13 @@ func (n *naiveHierarchy) restoreInto(h *Hierarchy) {
 	h.L1D.deadLines = n.deadLines
 }
 
-// oracleHierarchy builds one twin of the oracle: kind 0 is parity
-// two-strike over the burst process, kind 1 ECC with 64-byte L1D lines
-// over a 16 KiB L2 of 32-byte lines (which the oracle's accesses keep
-// evicting dirty), kind 2 sub-block recovery; every kind arms line
+// oracleHierarchy builds one twin of the oracle. kind%3 picks the
+// scheme: 0 is parity two-strike over the burst process, 1 ECC with
+// 64-byte L1D lines over a 16 KiB L2 of 32-byte lines (which the
+// oracle's accesses keep evicting dirty), 2 sub-block recovery. An odd
+// kind/3 makes the L1D two-way and the L2 direct-mapped, so each level
+// is checked under both hit semantics: a set-associative hit stamps its
+// frame, a direct-mapped hit changes nothing. Every kind arms line
 // disable and runs over-clocked at Cr 0.5.
 func oracleHierarchy(t *testing.T, kind uint8) *Hierarchy {
 	t.Helper()
@@ -119,6 +122,11 @@ func oracleHierarchy(t *testing.T, kind uint8) *Hierarchy {
 	default:
 		strikes = 1
 		proc = fault.NewInjector(fault.NewModel(4000), fault.NewRNG(5).Fork(0xfa17), 32)
+	}
+	if kind/3%2 == 1 {
+		hc = hc.withDefaults()
+		hc.L1D.Assoc = 2
+		hc.L2 = Config{SizeBytes: 64 << 10, BlockSize: 64, Assoc: 1, Latency: 15}
 	}
 	h, err := NewHierarchyWith(simmem.NewSpace(oracleSpace), proc, det, strikes, hc)
 	if err != nil {
@@ -174,8 +182,8 @@ func oracleProgram(seed uint64, n int) []byte {
 // return the same value and error and hold the same measurements; after
 // every restore their tables must agree frame for frame.
 func FuzzCacheCheckpoint(f *testing.F) {
-	for seed := uint8(0); seed < 6; seed++ { // each configuration twice
-		f.Add(seed%3, oracleProgram(uint64(seed)+1, oracleOps))
+	for seed := uint8(0); seed < 12; seed++ { // each kind twice
+		f.Add(seed%3+seed/6*3, oracleProgram(uint64(seed)+1, oracleOps))
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, program []byte) {
 		a, b := oracleHierarchy(t, kind), oracleHierarchy(t, kind)

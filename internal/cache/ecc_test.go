@@ -65,6 +65,29 @@ func TestECCCorrectsSingleBitWriteFault(t *testing.T) {
 	}
 }
 
+// TestRestoreRewindsECCScrub: the scrub of a corrected read changes the
+// array, so restoring a snapshot taken before it brings the flipped bit
+// back, and the next read corrects it again.
+func TestRestoreRewindsECCScrub(t *testing.T) {
+	h := eccHierarchy(t)
+	a := h.Space.MustAlloc(64, 4)
+	if err := h.L1D.Store32(a, 0x12345678); err != nil {
+		t.Fatal(err)
+	}
+	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
+	h.L1D.tab.cachedBytes(a)[w] ^= 0x04
+	snap := h.Snapshot(nil)
+	for range 2 { // the read corrects and scrubs; the restore undoes the scrub
+		if v, err := h.L1D.Load32(a); err != nil || v != 0x12345678 {
+			t.Fatalf("Load32 = %#x, %v; want the corrected 0x12345678", v, err)
+		}
+		h.RestoreSnapshot(snap)
+	}
+	if h.L1D.Recovery.Corrected != 2 {
+		t.Fatalf("corrected %d reads, want 2: the restore kept the scrub", h.L1D.Recovery.Corrected)
+	}
+}
+
 func TestECCDetectsDoubleBitAndRecovers(t *testing.T) {
 	h := eccHierarchy(t)
 	a := h.Space.MustAlloc(64, 4)

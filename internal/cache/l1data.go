@@ -289,8 +289,10 @@ func (c *L1Data) TakeEpochEvidence() (distinctLines int, disabledFrac float64) {
 // whether the frame has exhausted its strike budget and must be disabled.
 // It also feeds the per-epoch spatial evidence, which is tracked even
 // while line disable itself is disarmed (the evidence costs two integer
-// compares on a path that already paid for a detected fault).
+// compares on a path that already paid for a detected fault). Its mark
+// also covers the refetch, invalidate and disable that follow on frame i.
 func (c *L1Data) noteStrike(i int) bool {
+	c.tab.mark(i)
 	ln := &c.tab.strikes[i]
 	if ln.epochMark != c.epochSeq {
 		ln.epochMark = c.epochSeq
@@ -527,7 +529,7 @@ func (c *L1Data) fill(addr simmem.Addr, isWrite, recovering bool) (int, error) {
 	if err != nil {
 		// A line wider than the L2's is filled one L2 line at a time, so
 		// the fill can fail with part of the new line already in the
-		// unstamped frame.
+		// frame.
 		c.tab.mark(i)
 		return -1, err
 	}
@@ -554,8 +556,7 @@ func (c *L1Data) fill(addr simmem.Addr, isWrite, recovering bool) (int, error) {
 	victim.valid = true
 	victim.dirty = false
 	victim.tag = tag
-	c.tab.tick++
-	victim.lru = c.tab.tick
+	c.tab.touch(i)
 	return i, nil
 }
 
@@ -585,13 +586,16 @@ func (c *L1Data) readWord(op string, a simmem.Addr) (uint32, error) {
 	addr := a &^ 3
 	c.Stats.Reads++
 	i := c.tab.lookup(addr)
-	if i >= 0 && c.quiet > 0 && c.detection != DetectionECC {
-		o := c.tab.wordOffset(i, addr)
-		v := leWord(c.tab.data[o:])
-		if c.detection == DetectionNone || wordParity(v) == c.tab.par[o>>2] {
-			c.quiet--
-			c.chargeArrayRead()
-			return v, nil
+	if i >= 0 {
+		c.tab.hit(i)
+		if c.quiet > 0 && c.detection != DetectionECC {
+			o := c.tab.wordOffset(i, addr)
+			v := leWord(c.tab.data[o:])
+			if c.detection == DetectionNone || wordParity(v) == c.tab.par[o>>2] {
+				c.quiet--
+				c.chargeArrayRead()
+				return v, nil
+			}
 		}
 	}
 	return c.readFrame(addr, i)
@@ -647,6 +651,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 				// array so a persistent write fault does not linger.
 				putLeWord(c.tab.data[o:], decoded)
 				c.tab.par[o>>2] = wordParity(decoded)
+				c.tab.mark(i)
 				return decoded, nil
 			case eccMiscorrected:
 				c.Recovery.Miscorrected++
@@ -786,7 +791,9 @@ func (c *L1Data) bypassWriteWord(addr simmem.Addr, v uint32) error {
 func (c *L1Data) writeWord(addr simmem.Addr, v uint32) error {
 	c.Stats.Writes++
 	i := c.tab.lookup(addr)
-	if i < 0 {
+	if i >= 0 {
+		c.tab.hit(i)
+	} else {
 		var err error
 		if i, err = c.fill(addr, true, false); err != nil {
 			return err
@@ -810,6 +817,7 @@ func (c *L1Data) writeWord(addr simmem.Addr, v uint32) error {
 		c.tab.enc[o>>2] = v
 	}
 	c.tab.lines[i].dirty = true
+	c.tab.mark(i)
 	return nil
 }
 

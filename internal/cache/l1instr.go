@@ -44,11 +44,12 @@ func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
 // latency.
 func (c *L1Instr) Fetch(pc simmem.Addr) error {
 	c.Stats.Reads++
-	if c.tab.lookup(pc) >= 0 {
+	if i := c.tab.lookup(pc); i >= 0 {
+		c.tab.hit(i)
 		return nil
 	}
 	c.Stats.ReadMisses++
-	victim := &c.tab.lines[c.tab.victim(pc)]
+	i := c.tab.victim(pc)
 	base := c.tab.lineBase(pc)
 	cyc, err := c.next.FetchLine(base, c.fill)
 	if err != nil {
@@ -56,9 +57,8 @@ func (c *L1Instr) Fetch(pc simmem.Addr) error {
 	}
 	c.chargeStall(cyc)
 	_, tag := c.tab.index(pc)
-	victim.valid = true
-	victim.tag = tag
-	c.tab.tick++
-	victim.lru = c.tab.tick
+	c.tab.lines[i].valid = true
+	c.tab.lines[i].tag = tag
+	c.tab.touch(i)
 	return nil
 }

@@ -75,6 +75,7 @@ func NewL2(cfg Config, next Backend) (*L2, error) {
 // whole or not at all, so a failed fill leaves the victim untouched.
 func (c *L2) ensure(addr simmem.Addr, isWrite bool) (int, float64, error) {
 	if i := c.tab.lookup(addr); i >= 0 {
+		c.tab.hit(i)
 		return i, 0, nil
 	}
 	if isWrite {
@@ -104,8 +105,7 @@ func (c *L2) ensure(addr simmem.Addr, isWrite bool) (int, float64, error) {
 	victim.valid = true
 	victim.dirty = false
 	victim.tag = tag
-	c.tab.tick++
-	victim.lru = c.tab.tick
+	c.tab.touch(i)
 	return i, cycles, nil
 }
 
@@ -138,6 +138,7 @@ func (c *L2) StoreLine(addr simmem.Addr, buf []byte) (float64, error) {
 		lo := int(addr+simmem.Addr(off)) & (c.tab.cfg.BlockSize - 1)
 		copy(c.tab.lineBytes(i)[lo:], buf[off:min(off+c.tab.cfg.BlockSize-lo, len(buf))])
 		c.tab.lines[i].dirty = true
+		c.tab.mark(i)
 	}
 	return cycles, nil
 }

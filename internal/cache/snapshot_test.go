@@ -194,6 +194,23 @@ func TestTrackedCommitCopiesTouchedFrames(t *testing.T) {
 	}
 	commit(snap, 2, "DMA invalidate")
 
+	// A read hit in the direct-mapped L1D and a fetch hit in the L1I
+	// change nothing: a direct-mapped table keeps no replacement order.
+	if _, err := h.L1D.Load32(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.L1I.Fetch(a); err != nil {
+		t.Fatal(err)
+	}
+	h.Snapshot(snap)
+	if _, err := h.L1D.Load32(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.L1I.Fetch(a); err != nil {
+		t.Fatal(err)
+	}
+	commit(snap, 0, "direct-mapped read and fetch hits")
+
 	// A fresh snapshot replaces the restore point: retaking or restoring
 	// the older one panics.
 	h.Snapshot(nil)
