@@ -22,8 +22,6 @@ type adpcmApp struct {
 
 func init() { Register("adpcm", func() App { return &adpcmApp{} }) }
 
-func (a *adpcmApp) Name() string { return "adpcm" }
-
 const (
 	adpcmBlkInit = iota
 	adpcmBlkSample

@@ -44,7 +44,6 @@ type Context struct {
 
 // App is one NetBench workload.
 type App interface {
-	Name() string
 	// TraceConfig describes the input traffic this workload is defined
 	// over (payload sizes, routable prefixes, HTTP fraction) for the given
 	// packet count and seed. The same configuration drives the golden and

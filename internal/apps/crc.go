@@ -16,8 +16,6 @@ type crcApp struct {
 
 func init() { Register("crc", func() App { return &crcApp{} }) }
 
-func (a *crcApp) Name() string { return "crc" }
-
 // TraceConfig: streaming payloads; destinations are irrelevant to crc.
 // Large payloads give crc its high instruction count and, because the
 // packet buffers stream through the small L1, a low miss rate on the hot

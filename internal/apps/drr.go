@@ -22,8 +22,6 @@ type drrApp struct {
 
 func init() { Register("drr", func() App { return &drrApp{} }) }
 
-func (a *drrApp) Name() string { return "drr" }
-
 const (
 	drrPrefixes = 200
 	drrQueues   = 64  // flow queues

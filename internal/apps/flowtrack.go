@@ -21,8 +21,6 @@ type ftApp struct {
 
 func init() { Register("flowtrack", func() App { return &ftApp{} }) }
 
-func (a *ftApp) Name() string { return "flowtrack" }
-
 // StateTable implements StatefulApp.
 func (a *ftApp) StateTable() *simmem.StateTable { return a.st }
 

@@ -30,8 +30,6 @@ type fwApp struct {
 
 func init() { Register("fw", func() App { return &fwApp{} }) }
 
-func (a *fwApp) Name() string { return "fw" }
-
 // StateTable implements StatefulApp.
 func (a *fwApp) StateTable() *simmem.StateTable { return a.st }
 

@@ -18,8 +18,6 @@ type md5App struct {
 
 func init() { Register("md5", func() App { return &md5App{} }) }
 
-func (a *md5App) Name() string { return "md5" }
-
 const (
 	md5BlkInit = iota
 	md5BlkPad

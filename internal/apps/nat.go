@@ -21,8 +21,6 @@ type natApp struct {
 
 func init() { Register("nat", func() App { return &natApp{} }) }
 
-func (a *natApp) Name() string { return "nat" }
-
 const (
 	natPrefixes = 250
 	natBuckets  = 512 // power of two

@@ -18,8 +18,6 @@ type routeApp struct {
 
 func init() { Register("route", func() App { return &routeApp{} }) }
 
-func (a *routeApp) Name() string { return "route" }
-
 const routePrefixes = 300
 
 const (

@@ -16,8 +16,6 @@ type tlApp struct {
 
 func init() { Register("tl", func() App { return &tlApp{} }) }
 
-func (a *tlApp) Name() string { return "tl" }
-
 // TraceConfig: small packets whose destinations are drawn from the table's
 // own prefixes, so lookups resolve; tl is short and load-dominated.
 func (a *tlApp) TraceConfig(packets int, seed uint64) packet.TraceConfig {

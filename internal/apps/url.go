@@ -23,8 +23,6 @@ type urlApp struct {
 
 func init() { Register("url", func() App { return &urlApp{} }) }
 
-func (a *urlApp) Name() string { return "url" }
-
 const (
 	urlPrefixes = 350
 	urlMaxPath  = 64 // longest matchable path

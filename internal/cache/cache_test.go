@@ -296,7 +296,7 @@ func TestAccessorGetters(t *testing.T) {
 func TestSubWordErrorPropagation(t *testing.T) {
 	// Accesses beyond the end of the space must fail through every width.
 	h := quiet(t)
-	end := simmem.Addr(h.Space.Size())
+	end := simmem.Addr(1 << 20) // the size of newTestHierarchy's space
 	if _, err := h.L1D.Load8(end + 4); err == nil {
 		t.Error("Load8 past end accepted")
 	}

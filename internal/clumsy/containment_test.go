@@ -390,8 +390,6 @@ func armPanicky(n, at int, inSetup bool) {
 	}
 }
 
-func (a *panickyApp) Name() string { return "panicky" }
-
 func (a *panickyApp) TraceConfig(packets int, seed uint64) packet.TraceConfig {
 	return packet.TraceConfig{Packets: packets, Flows: 8, PayloadMin: 16, PayloadMax: 32, Seed: seed}
 }

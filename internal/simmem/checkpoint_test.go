@@ -161,20 +161,21 @@ func TestRestoreFullScribble(t *testing.T) {
 	// Scribble over the entire mapped space, restore, and verify the image
 	// is byte-identical to the snapshot — the invariant the fault-containment
 	// golden-equivalence test builds on.
-	s := NewSpace(128 << 10)
+	const size = 128 << 10
+	s := NewSpace(size)
 	a := s.MustAlloc(4096, 4)
 	for off := Addr(0); off < 4096; off += 4 {
 		if err := s.Store32(a+off, uint32(off)*0x9e3779b9); err != nil {
 			t.Fatal(err)
 		}
 	}
-	want := make([]byte, s.Size()-int(PageBase))
+	want := make([]byte, size-int(PageBase))
 	if err := s.ReadBlock(PageBase, want); err != nil {
 		t.Fatal(err)
 	}
 	ck := s.NewCheckpoint()
 	defer ck.Release()
-	for addr := PageBase; int(addr)+4 <= s.Size(); addr += 4 {
+	for addr := PageBase; int(addr)+4 <= size; addr += 4 {
 		if err := s.Store32(addr, 0xffffffff); err != nil {
 			t.Fatal(err)
 		}

@@ -14,9 +14,10 @@ func allocatedPages(s *Space) int {
 }
 
 func TestReadsAllocateNoPage(t *testing.T) {
-	s := NewSpace(32 << 20)
+	const size = 32 << 20
+	s := NewSpace(size)
 	buf := make([]byte, 3*PageSize/2) // every block but the first crosses a page boundary
-	for a := PageBase; int(a) < s.Size(); a += PageSize {
+	for a := PageBase; int(a) < size; a += PageSize {
 		for _, off := range []Addr{0, 2, PageSize - 4} {
 			v8, err8 := s.Load8(a + off)
 			v32, err32 := s.Load32(a + off)
@@ -24,7 +25,7 @@ func TestReadsAllocateNoPage(t *testing.T) {
 				t.Fatalf("loads at %#x = %d, %d (%v, %v), want zeros", a+off, v8, v32, err8, err32)
 			}
 		}
-		n := min(len(buf), s.Size()-int(a))
+		n := min(len(buf), size-int(a))
 		if err := s.ReadBlock(a, buf[:n]); err != nil {
 			t.Fatal(err)
 		}

@@ -86,9 +86,6 @@ func NewSpace(size int) *Space {
 	return &Space{pages: make([]*[PageSize]byte, pages), size: size, brk: PageBase}
 }
 
-// Size returns the extent of the space in bytes.
-func (s *Space) Size() int { return s.size }
-
 // Brk returns the current allocation frontier.
 func (s *Space) Brk() Addr { return s.brk }
 

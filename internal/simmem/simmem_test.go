@@ -7,9 +7,12 @@ import (
 	"testing/quick"
 )
 
+// testSpaceSize is the size of newTestSpace's space.
+const testSpaceSize = 64 * 1024
+
 func newTestSpace(t *testing.T) *Space {
 	t.Helper()
-	return NewSpace(64 * 1024)
+	return NewSpace(testSpaceSize)
 }
 
 func TestAllocAlignmentAndGrowth(t *testing.T) {
@@ -157,7 +160,7 @@ func TestBlockOperations(t *testing.T) {
 			t.Fatalf("byte %d: %#x != %#x", i, dst[i], src[i])
 		}
 	}
-	if err := s.ReadBlock(Addr(s.Size()-4), make([]byte, 32)); err == nil {
+	if err := s.ReadBlock(Addr(testSpaceSize-4), make([]byte, 32)); err == nil {
 		t.Error("block read past end should fail")
 	}
 	if err := s.WriteBlock(2, src); err == nil {
