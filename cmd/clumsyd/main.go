@@ -105,6 +105,12 @@ func run() int {
 		fmt.Fprintf(os.Stderr, "clumsyd: recovered %d incomplete campaign(s) on start\n", svc.Recovered)
 	}
 
+	// The handler goes in before the address is announced: a signal that
+	// arrives once a client can see the daemon must drain it, not kill it.
+	sig := make(chan os.Signal, 2)
+	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
+	defer signal.Stop(sig)
+
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "clumsyd:", err)
@@ -115,10 +121,6 @@ func run() int {
 	serveErr := make(chan error, 1)
 	go func() { serveErr <- srv.Serve(ln) }()
 	fmt.Fprintf(os.Stderr, "clumsyd: serving on %s (data %s)\n", ln.Addr(), *dataDir)
-
-	sig := make(chan os.Signal, 2)
-	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
-	defer signal.Stop(sig)
 
 	select {
 	case err := <-serveErr:
