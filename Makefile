@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation race perfbench perfbench-pins examples paper-tables fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation inline race perfbench perfbench-pins examples paper-tables fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -20,8 +20,8 @@ race:
 # the project's own invariant analyzers over the whole tree, the
 # analyzers over themselves, and the mutation tests that prove each
 # analyzer still catches its bug class (see internal/lint and
-# DESIGN.md "Enforced invariants").
-lint: vet fmt clumsylint lint-self lint-mutation
+# DESIGN.md "Enforced invariants"), and the hot path's inlining.
+lint: vet fmt clumsylint lint-self lint-mutation inline
 
 vet:
 	$(GO) vet ./...
@@ -44,6 +44,23 @@ lint-self:
 # removed switch arm — each must be caught by its analyzer).
 lint-mutation:
 	$(GO) test -run 'TestMutation|TestAnnotationRemoval' ./internal/lint/...
+
+# inline fails unless the compiler still inlines the calls DESIGN.md "The
+# L1D hit path" relies on: table.lookup in L1Data.readWord and writeWord
+# (its two calls in l1data.go), and L1Data.Load32 and Load8 in the
+# engine. No test can see a lost inlining. Calls are counted in the -m
+# report by file and callee, never by line number.
+inline:
+	@report="$$($(GO) build -gcflags=-m ./internal/cache ./internal/clumsy 2>&1)" || { echo "$$report"; exit 1; }; \
+	fail=0; set -f; \
+	for want in '2 internal/cache/l1data.go (*table).lookup' \
+		'1 internal/clumsy/engine.go cache.(*L1Data).Load32' \
+		'1 internal/clumsy/engine.go cache.(*L1Data).Load8'; do \
+		set -- $$want; \
+		n=$$(echo "$$report" | awk -v f="$$2:" -v c="$$3" 'index($$1, f) == 1 && / inlining call to / && $$NF == c' | wc -l); \
+		if [ "$$n" -lt "$$1" ]; then echo "inline: $$2 inlines $$3 at $$n call sites, want $$1"; fail=1; fi; \
+	done; \
+	exit $$fail
 
 # perfbench vets and self-tests the repository benchmark. perfbench/ is its
 # own Go module, so the root `go vet ./...` and `go test ./...` skip it;
