@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation inline race perfbench perfbench-pins examples paper-tables fleet state clumsyd crashtest
+.PHONY: all build test lint fmt vet clumsylint lint-self lint-mutation inline race perfbench perfbench-pins examples paper-tables kill-resume fleet state clumsyd crashtest
 
 all: build lint test
 
@@ -99,6 +99,34 @@ paper-tables:
 	sed -n 1,433p results_full.txt | cmp - out/paper-all.txt
 	sed -n 436,516p results_full.txt | cmp - out/paper-extensions.txt
 	sed -n 518,525p results_full.txt | cmp - out/paper-ecc-crc.txt
+
+# kill-resume interrupts a journaled study with SIGINT as soon as its
+# journal holds a record, and fails unless the journal then holds fewer
+# than RECORDS records, the study exits non-zero and leaves no -out file.
+# It then resumes the study from the journal and compares the output with
+# an uninterrupted run. CI runs it on two studies:
+#   make kill-resume STUDY=all STUDY_FLAGS='-packets 4000 -trials 2' RECORDS=163
+#   make kill-resume STUDY=state STUDY_FLAGS='-packets 8000 -trials 3' RECORDS=24
+# The outputs are out/$(STUDY)-resumed.txt and out/$(STUDY)-fresh.txt.
+STUDY ?= all
+STUDY_FLAGS ?= -packets 4000 -trials 2
+RECORDS ?= 163
+kill-resume:
+	$(GO) build -o clumsy-bin ./cmd/clumsy
+	mkdir -p out
+	rm -f out/$(STUDY).jsonl out/$(STUDY).txt out/$(STUDY)-resumed.txt out/$(STUDY)-fresh.txt
+	@set -ex; \
+	./clumsy-bin $(STUDY) $(STUDY_FLAGS) -journal out/$(STUDY).jsonl -out out/$(STUDY).txt & pid=$$!; \
+	for i in $$(seq 1 1200); do [ -s out/$(STUDY).jsonl ] && break; sleep 0.1; done; \
+	kill -INT $$pid || { echo "$(STUDY) exited before the signal"; exit 1; }; \
+	records=$$(wc -l < out/$(STUDY).jsonl); \
+	if [ "$$records" -ge $(RECORDS) ]; then echo "journal held all $$records records at the signal: nothing was interrupted"; exit 1; fi; \
+	if wait $$pid; then echo "interrupted $(STUDY) must exit non-zero"; exit 1; fi; \
+	test ! -f out/$(STUDY).txt; \
+	test -s out/$(STUDY).jsonl
+	./clumsy-bin $(STUDY) $(STUDY_FLAGS) -journal out/$(STUDY).jsonl -resume -out out/$(STUDY)-resumed.txt
+	./clumsy-bin $(STUDY) $(STUDY_FLAGS) -out out/$(STUDY)-fresh.txt
+	cmp out/$(STUDY)-resumed.txt out/$(STUDY)-fresh.txt
 
 # fleet runs the fleet degradation study (faulty-node fraction sweep on the
 # virtual-time cluster simulator). `go run ./cmd/clumsy fleet -faulty N ...`

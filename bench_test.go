@@ -29,13 +29,17 @@ var renderOutput = flag.Bool("bench-render", false,
 	"print each experiment's reproduced tables/figures once during benchmarks")
 
 // BenchmarkStudy runs every study of the registry at a reduced, fixed-seed
-// scale. It skips the composites (all, extensions), whose parts run on
-// their own, and the studies that need an app named.
+// scale; the circuit figures take no scale. It skips the composites (all,
+// extensions), whose parts run on their own, and the studies that need an
+// app named.
 func BenchmarkStudy(b *testing.B) {
-	o := experiment.Options{Packets: 1000, Trials: 2, Seed: 1}
 	for _, st := range experiment.Studies() {
 		if st.NeedsApp || st.Name == "all" || st.Name == "extensions" {
 			continue
+		}
+		o := experiment.Options{Packets: 1000, Trials: 2, Seed: 1}
+		if st.Circuit {
+			o = experiment.Options{}
 		}
 		printed := !*renderOutput
 		b.Run(st.Name, func(b *testing.B) {

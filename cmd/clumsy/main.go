@@ -108,7 +108,7 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 	case "run":
 		c.help = "one simulation with a full report"
 		o.runFlags(fs)
-		c.check = func() error { return o.checkRun("run") }
+		c.check = func() error { return o.checkRun(fs, "run") }
 		c.exec = o.report
 	case "stats":
 		c.help = "one simulation like run, then the telemetry counter registry"
@@ -116,7 +116,7 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		fs.StringVar(&o.format, "format", "text", "output format: text (Prometheus exposition) or json")
 		fs.BoolVar(&o.describe, "describe", false, "print the telemetry name registry instead of running a simulation")
 		c.check = func() error {
-			if err := o.checkRun("stats"); err != nil {
+			if err := o.checkRun(fs, "stats"); err != nil {
 				return err
 			}
 			return textOrJSON("stats", o.format)
@@ -168,11 +168,17 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 	return c, true
 }
 
-// studyFlags defines a study's flags: scale, output and the
-// resilient-campaign knobs, -app where the study reads one (defaulting to
-// the study's app), and -recovery where the study runs under the
-// campaign-wide policy.
+// studyFlags defines a study's flags: output, profiles and, unless it is a
+// circuit figure, scale, observability and the resilient-campaign knobs,
+// -app where the study reads one (defaulting to the study's app), and
+// -recovery where the study runs under the campaign-wide policy.
 func (o *cliOpts) studyFlags(fs *flag.FlagSet, st experiment.Study) {
+	fs.StringVar(&o.format, "format", "text", "output format: text or csv")
+	fs.StringVar(&o.out, "out", "", "write the output to this file atomically instead of stdout")
+	if st.Circuit {
+		o.profileFlags(fs)
+		return
+	}
 	if st.ReadsApp() {
 		fs.StringVar(&o.app, "app", st.App, "application")
 	}
@@ -185,8 +191,6 @@ func (o *cliOpts) studyFlags(fs *flag.FlagSet, st experiment.Study) {
 	fs.Float64Var(&o.opt.FaultScale, "scale", 0, "fault-rate multiplier (0 = default)")
 	fs.Uint64Var(&o.opt.Seed, "seed", 0, "experiment seed (0 = default)")
 	fs.Float64Var(&o.opt.MaxDropRate, "max-drop-rate", 0, "under drop or degrade, fail a run once its dropped fraction exceeds this (0 = unlimited)")
-	fs.StringVar(&o.format, "format", "text", "output format: text or csv")
-	fs.StringVar(&o.out, "out", "", "write the output to this file atomically instead of stdout")
 	fs.StringVar(&o.journalPath, "journal", "", "record every completed grid cell in this JSONL journal (atomic per cell)")
 	fs.BoolVar(&o.resume, "resume", false, "with -journal, skip cells already recorded; the output is byte-identical to an uninterrupted run")
 	fs.DurationVar(&o.opt.RunTimeout, "run-timeout", 0, "per-grid-cell wall-clock deadline, e.g. 90s (0 = none)")
@@ -238,9 +242,14 @@ func (o *cliOpts) workloadFlags(fs *flag.FlagSet) {
 // observabilityFlags defines the host-side observability flags.
 func (o *cliOpts) observabilityFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a JSONL event trace of every simulated run to this file")
+	fs.BoolVar(&o.progress, "progress", false, "report progress on stderr")
+	o.profileFlags(fs)
+}
+
+// profileFlags defines the pprof flags.
+func (o *cliOpts) profileFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.cpuprofile, "cpuprofile", "", "write a pprof CPU profile to this file")
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this file at exit")
-	fs.BoolVar(&o.progress, "progress", false, "report progress on stderr")
 }
 
 // fleetRunFlags are read only by a single fleet run, fleetStudyFlags only
@@ -286,12 +295,26 @@ func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) 
 	return textOrJSON("fleet -faulty", o.format)
 }
 
-// checkRun rejects the run flags that runOne would floor, and the
-// workload shapes a single run would ignore: on a batch trace a shape only
-// scales the adversarial and churn probabilities.
-func (o *cliOpts) checkRun(cmd string) error {
+// checkRun rejects the run flags that runOne would floor, default or
+// ignore, and the workload shapes a single run would ignore: on a batch
+// trace a shape only scales the adversarial and churn probabilities.
+func (o *cliOpts) checkRun(fs *flag.FlagSet, cmd string) error {
 	if err := notNegative(cmd, flagValue{"packets", float64(o.run.Packets)}, flagValue{"scale", o.run.FaultScale}); err != nil {
 		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	switch {
+	case set["strikes"] && !o.parity:
+		return fmt.Errorf("%s: -strikes counts parity strikes, and -parity is off", cmd)
+	case set["cr"] && o.run.Dynamic:
+		return fmt.Errorf("%s: -cr fixes the clock, which the -dynamic controller sets", cmd)
+	case o.run.CycleTime == 0:
+		return fmt.Errorf("%s: -cr 0 would run at Cr=1; cr must be in (0, 1]", cmd)
+	case o.parity && o.run.Strikes == 0:
+		return fmt.Errorf("%s: -strikes 0 would run 1 strike; strikes must be in 1..3", cmd)
+	case o.run.MaxDropRate > 0 && o.run.Recovery == clumsy.RecoverAbort:
+		return fmt.Errorf("%s: -max-drop-rate applies only under -recovery drop or degrade", cmd)
 	}
 	if err := o.checkWorkload(cmd); err != nil {
 		return err

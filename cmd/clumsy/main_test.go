@@ -513,6 +513,21 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"fleet", "-faulty", "1", "-cr", "-1"}, "cr"},
 		{[]string{"fleet", "-faulty", "1", "-packets", "200", "-cr", "3"}, "CycleTime"},
 		{[]string{"fleet", "-faulty", "1", "-cr", "3", "-packets", "100000"}, "CycleTime"},
+		{[]string{"run", "-app", "route", "-packets", "1000", "-cr", "0"}, "-cr 0"},
+		{[]string{"run", "-parity", "-strikes", "0"}, "-strikes 0"},
+		{[]string{"run", "-strikes", "3"}, "-strikes"},
+		{[]string{"stats", "-strikes", "1"}, "-strikes"},
+		{[]string{"run", "-dynamic", "-cr", "0.5"}, "-cr"},
+		{[]string{"stats", "-dynamic", "-parity", "-cr", "1"}, "-cr"},
+		{[]string{"run", "-max-drop-rate", "0.5"}, "-max-drop-rate"},
+		{[]string{"stats", "-recovery", "abort", "-max-drop-rate", "0.1"}, "-max-drop-rate"},
+		{[]string{"fig5", "-packets", "50"}, "-packets"},
+		{[]string{"fig5", "-scale", "3"}, "-scale"},
+		{[]string{"fig1b", "-seed", "4"}, "-seed"},
+		{[]string{"fig4", "-journal", journal}, "-journal"},
+		{[]string{"fig3", "-max-drop-rate", "0.2"}, "-max-drop-rate"},
+		{[]string{"table1", "-packets", "60", "-trials", "1", "-max-drop-rate", "0.3"}, "max-drop-rate"},
+		{[]string{"all", "-recovery", "abort", "-max-drop-rate", "0.3"}, "max-drop-rate"},
 	} {
 		var buf bytes.Buffer
 		err := run(tc.args, &buf)
@@ -591,6 +606,8 @@ func TestCommandFlagSets(t *testing.T) {
 		{"state", []string{"journal"}, []string{"recovery", "app"}},
 		{"fig9", []string{"recovery"}, []string{"app"}},
 		{"trace", []string{"app", "out"}, []string{"trace-out", "recovery"}},
+		{"fig5", []string{"format", "out", "cpuprofile", "memprofile"}, []string{"packets", "trials", "scale", "seed",
+			"max-drop-rate", "journal", "resume", "run-timeout", "trace-out", "progress", "app", "recovery"}},
 	} {
 		c, ok := newCommand(tc.cmd, &cliOpts{})
 		if !ok {

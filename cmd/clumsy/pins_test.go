@@ -9,9 +9,12 @@ import (
 	"io/fs"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
+
+	"clumsy/internal/experiment"
 )
 
 // studyPinsFile holds the pinned digests of the CLI's command outputs, the
@@ -29,15 +32,18 @@ var pinnedStudies = []string{
 	"reliability", "fleet", "state",
 }
 
-// studyPinCases lists every pinned invocation by name.
+// studyPinCases lists every pinned invocation by name. The circuit
+// figures take no scale flags.
 func studyPinCases() map[string][]string {
-	small := []string{"-packets", "120", "-trials", "1"}
 	cases := map[string][]string{}
 	for _, name := range pinnedStudies {
-		cases[name] = append([]string{name}, small...)
+		cases[name] = []string{name}
+		if st, _ := experiment.LookupStudy(name); !st.Circuit {
+			cases[name] = append(cases[name], "-packets", "120", "-trials", "1")
+		}
 	}
 	for _, name := range []string{"table1", "fig5", "extensions"} {
-		cases[name+"/csv"] = append(append([]string{name}, small...), "-format", "csv")
+		cases[name+"/csv"] = append(slices.Clone(cases[name]), "-format", "csv")
 	}
 	// Two trials pin how a study averages its trials; fleet needs more
 	// packets per node before its nodes degrade.

@@ -214,8 +214,11 @@ func referenceResult(t *testing.T) []byte {
 		if err != nil {
 			t.Fatal(err)
 		}
+		for st.State == "queued" || st.State == "running" {
+			time.Sleep(20 * time.Millisecond)
+			st = svc.List()[0]
+		}
 		c, _ := svc.Get(st.ID)
-		<-c.Done()
 		refBytes, err = c.Result()
 		if err != nil {
 			t.Fatal(err)

@@ -10,46 +10,31 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 )
 
 // WriteFile produces path atomically: write receives a buffered writer
-// into a temporary file in path's directory; on success the temp file is
-// flushed, fsynced, and renamed over path. On any error the temp file is
-// removed and path is left untouched.
-func WriteFile(path string, write func(io.Writer) error) (err error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
+// into a File; on success the buffer is flushed and the File closed,
+// which publishes it. On any error the temp file is removed and path is
+// left untouched.
+func WriteFile(path string, write func(io.Writer) error) error {
+	f, err := Create(path)
 	if err != nil {
-		return fmt.Errorf("atomicio: %w", err)
-	}
-	defer func() {
-		if err != nil {
-			tmp.Close()           //lint:errcheck-ok — already failing, the remove below is the cleanup that matters
-			os.Remove(tmp.Name()) //lint:errcheck-ok — best-effort cleanup on the error path
-		}
-	}()
-	// All primitive operations route through the fault-injection hooks in
-	// fault.go; with no injector armed they are the plain os.File calls.
-	bw := bufio.NewWriterSize(faultFile{tmp}, 1<<16)
-	if err = write(bw); err != nil {
 		return err
 	}
-	if err = bw.Flush(); err != nil {
-		return fmt.Errorf("atomicio: flush %s: %w", path, err)
+	bw := bufio.NewWriterSize(f, 1<<16)
+	if err = write(bw); err == nil {
+		if err = bw.Flush(); err != nil {
+			err = fmt.Errorf("atomicio: flush %s: %w", path, err)
+		}
 	}
-	if err = faultySync(tmp); err != nil {
-		return fmt.Errorf("atomicio: fsync %s: %w", path, err)
+	if err != nil {
+		f.Abort()
+		return err
 	}
-	if err = tmp.Close(); err != nil {
-		return fmt.Errorf("atomicio: close %s: %w", path, err)
-	}
-	if err = faultyRename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("atomicio: rename %s: %w", path, err)
-	}
-	syncDir(dir)
-	return nil
+	return f.Close()
 }
 
 // syncDir makes the rename itself durable by fsyncing the directory entry.
@@ -69,7 +54,9 @@ func syncDir(dir string) {
 // Close succeeds. It backs outputs that are produced incrementally over a
 // whole command — JSONL event traces and pprof CPU profiles — so an
 // interrupted command never leaves a truncated output under the final
-// name.
+// name, and every WriteFile. Its writes, fsync and rename go through the
+// fault-injection hooks in fault.go; with no injector armed they are the
+// plain os calls.
 type File struct {
 	f    *os.File
 	path string
@@ -78,10 +65,14 @@ type File struct {
 }
 
 // Create opens a streaming atomic file that will become path on Close.
+// An error names path, not the temporary file.
 func Create(path string) (*File, error) {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp-*")
 	if err != nil {
-		return nil, fmt.Errorf("atomicio: %w", err)
+		if pe, ok := err.(*fs.PathError); ok {
+			err = pe.Err
+		}
+		return nil, fmt.Errorf("atomicio: create %s: %w", path, err)
 	}
 	return &File{f: tmp, path: path}, nil
 }
@@ -97,30 +88,34 @@ func (a *File) Write(p []byte) (int, error) {
 
 // Close fsyncs the temporary file and renames it to the final path. It is
 // idempotent; after the first successful Close further calls return nil.
+// On failure it aborts: the temporary file is removed.
 func (a *File) Close() error {
 	if a.done {
 		return nil
 	}
+	err := a.publish()
+	if err != nil {
+		a.Abort()
+	}
 	a.done = true
+	return err
+}
+
+// publish is Close's sequence: fsync, close, rename, directory sync.
+func (a *File) publish() error {
 	if a.werr != nil {
 		// A write already failed: the temp file is a known-truncated
 		// stream. Publishing it under the final name would trade the
 		// previous complete file for a partial one, so discard instead.
-		a.f.Close()           //lint:errcheck-ok — discarding a failed stream
-		os.Remove(a.f.Name()) //lint:errcheck-ok — best-effort cleanup
 		return fmt.Errorf("atomicio: not publishing %s after failed write: %w", a.path, a.werr)
 	}
 	if err := faultySync(a.f); err != nil {
-		a.f.Close()           //lint:errcheck-ok — already failing, the remove below is the cleanup
-		os.Remove(a.f.Name()) //lint:errcheck-ok — best-effort cleanup on the error path
 		return fmt.Errorf("atomicio: fsync %s: %w", a.path, err)
 	}
 	if err := a.f.Close(); err != nil {
-		os.Remove(a.f.Name()) //lint:errcheck-ok — best-effort cleanup on the error path
 		return fmt.Errorf("atomicio: close %s: %w", a.path, err)
 	}
 	if err := faultyRename(a.f.Name(), a.path); err != nil {
-		os.Remove(a.f.Name()) //lint:errcheck-ok — best-effort cleanup on the error path
 		return fmt.Errorf("atomicio: rename %s: %w", a.path, err)
 	}
 	syncDir(filepath.Dir(a.path))

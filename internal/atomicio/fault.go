@@ -258,9 +258,3 @@ func faultyRename(oldpath, newpath string) error {
 	}
 	return fmt.Errorf("atomicio: injected torn rename of %s: %w", newpath, syscall.EIO)
 }
-
-// faultFile adapts faultyWrite to io.Writer so the buffered writer in
-// WriteFile flushes through the injector.
-type faultFile struct{ f *os.File }
-
-func (ff faultFile) Write(p []byte) (int, error) { return faultyWrite(ff.f, p) }

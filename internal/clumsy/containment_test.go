@@ -146,7 +146,7 @@ func playDataPlane(t *testing.T, appName string, scribble bool) *metrics.Recorde
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := newEngine(h, appBlocks)
+	eng, err := newEngine(h)
 	if err != nil {
 		t.Fatal(err)
 	}

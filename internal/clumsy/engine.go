@@ -51,13 +51,13 @@ type engine struct {
 	packetStart uint64 // instrs at the start of the current packet
 }
 
-// newEngine builds an engine over the hierarchy with a code segment of the
-// given number of basic blocks.
-func newEngine(h *cache.Hierarchy, blocks int) (*engine, error) {
-	if blocks < 1 {
-		blocks = 1
-	}
-	code, err := h.Space.Alloc(blocks*32, 128)
+// appBlocks is the size of the synthetic code segment, comfortably above
+// any application's basic-block count.
+const appBlocks = 32
+
+// newEngine builds an engine over the hierarchy and its code segment.
+func newEngine(h *cache.Hierarchy) (*engine, error) {
+	code, err := h.Space.Alloc(appBlocks*32, 128)
 	if err != nil {
 		return nil, err
 	}

@@ -18,7 +18,7 @@ func newTestEngine(t *testing.T) (*engine, *cache.Hierarchy) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := newEngine(h, 8)
+	eng, err := newEngine(h)
 	if err != nil {
 		t.Fatal(err)
 	}

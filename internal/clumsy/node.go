@@ -172,10 +172,6 @@ func OpenNode(cfg Config, trace *packet.Trace, cal Calibration) (*Node, error) {
 	return n, nil
 }
 
-// appBlocks is the size of the synthetic code segment, comfortably above
-// any application's basic-block count.
-const appBlocks = 32
-
 // openNode is the one constructor of the engine. It builds, in order, the
 // fault process, the hierarchy and its line-disable ladder, the engine and
 // frequency controller, runs the app's Setup, and installs the state guard
@@ -253,7 +249,7 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 			h.L1D.ForceDisable(cfg.PreDisableFrac)
 		}
 	}
-	if n.eng, err = newEngine(h, appBlocks); err != nil {
+	if n.eng, err = newEngine(h); err != nil {
 		return nil, err
 	}
 
@@ -284,7 +280,7 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 			if x2 == 0 {
 				x2 = freqctl.DefaultX2
 			}
-			n.ctrl, err = freqctl.New(freqctl.DefaultEpochPackets, x1, x2)
+			n.ctrl, err = freqctl.New(x1, x2)
 			if err != nil {
 				return nil, err
 			}

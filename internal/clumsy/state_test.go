@@ -41,7 +41,7 @@ func newStateRig(t *testing.T, strikes int) *stateRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := newEngine(h, appBlocks)
+	eng, err := newEngine(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -110,12 +110,14 @@ func TestParallelForMonitor(t *testing.T) {
 	defer runtime.GOMAXPROCS(old)
 	reg := telemetry.NewRegistry()
 	var events atomic.Int32
+	var p telemetry.Progress // the last progress reported
 	mon := &telemetry.RunMonitor{Registry: reg}
-	mon.OnProgress = func(p telemetry.Progress) {
+	mon.OnProgress = func(q telemetry.Progress) {
 		events.Add(1)
-		if p.Done < 1 || p.Done > p.Total {
-			t.Errorf("inconsistent progress: %d/%d", p.Done, p.Total)
+		if q.Done < 1 || q.Done > q.Total {
+			t.Errorf("inconsistent progress: %d/%d", q.Done, q.Total)
 		}
+		p = q
 	}
 	SetMonitor(mon)
 	defer SetMonitor(nil)
@@ -130,7 +132,6 @@ func TestParallelForMonitor(t *testing.T) {
 	if got := events.Load(); got != n {
 		t.Fatalf("OnProgress fired %d times, want %d", got, n)
 	}
-	p := mon.Progress()
 	if p.Done != n || p.Total != n {
 		t.Fatalf("final progress %d/%d, want %d/%d", p.Done, p.Total, n, n)
 	}
@@ -191,9 +192,18 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 func TestParallelForCancelledContext(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	mon := &telemetry.RunMonitor{}
+	var last telemetry.Progress
+	mon := &telemetry.RunMonitor{OnProgress: func(p telemetry.Progress) { last = p }}
 	SetMonitor(mon)
 	defer SetMonitor(nil)
+	// A skip reaches OnProgress with the next completed run, so settle
+	// completes one empty run and reports the progress before it.
+	settle := func() telemetry.Progress {
+		mon.RunDone(0)
+		p := last
+		p.Done--
+		return p
+	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 100
@@ -210,7 +220,7 @@ func TestParallelForCancelledContext(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("one worker executed %d items after cancellation at the 3rd, want exactly 3", got)
 	}
-	if p := mon.Progress(); p.Done != 3 || p.Skipped != n-3 {
+	if p := settle(); p.Done != 3 || p.Skipped != n-3 {
 		t.Fatalf("monitor counted done %d, skipped %d; want 3 and %d", p.Done, p.Skipped, n-3)
 	}
 
@@ -231,7 +241,7 @@ func TestParallelForCancelledContext(t *testing.T) {
 	if got := calls.Load(); got >= n {
 		t.Fatalf("all %d items ran despite cancellation", got)
 	}
-	if p := mon.Progress(); p.Done+p.Skipped != p.Total || p.Total != n {
+	if p := settle(); p.Done+p.Skipped != p.Total || p.Total != n {
 		t.Fatalf("cancelled grid: done %d + skipped %d, total %d; want %d", p.Done, p.Skipped, p.Total, n)
 	}
 
@@ -250,7 +260,7 @@ func TestParallelForCancelledContext(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("failing grid err = %v, want boom", err)
 	}
-	if p := mon.Progress(); p.Done+p.Skipped != p.Total || p.Total != n {
+	if p := settle(); p.Done+p.Skipped != p.Total || p.Total != n {
 		t.Fatalf("failed grid: done %d + skipped %d, total %d; want %d", p.Done, p.Skipped, p.Total, n)
 	}
 }

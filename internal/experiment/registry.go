@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"clumsy/internal/apps"
+	"clumsy/internal/clumsy"
 )
 
 // Study is one entry of the study registry: a named part of the evaluation,
@@ -24,6 +25,9 @@ type Study struct {
 	// Options.Recovery. The circuit figures and the fleet study never read
 	// it, and reliability and state choose their policies themselves.
 	Recovery bool
+	// Circuit marks the figures of the circuit model (fig1b to fig5),
+	// which simulate nothing and read no Options.
+	Circuit bool
 
 	run studyFunc
 }
@@ -37,7 +41,8 @@ func (s Study) ReadsApp() bool { return s.App != "" || s.NeedsApp }
 // Check reports whether the study accepts the scale and cell deadline of
 // o, app (empty = the study's default) and the output format (empty =
 // text). A zero scale value means the default and a zero deadline none;
-// a negative one is an error that names it.
+// a negative one is an error that names it. A circuit figure takes no
+// scale value, and a drop-rate bound needs a recovery policy that drops.
 func (s Study) Check(o Options, app, format string) error {
 	for _, v := range []struct {
 		name  string
@@ -46,13 +51,19 @@ func (s Study) Check(o Options, app, format string) error {
 		{"packets", float64(o.Packets)},
 		{"trials", float64(o.Trials)},
 		{"scale", o.FaultScale},
+		{"seed", float64(o.Seed)},
 		{"max-drop-rate", o.MaxDropRate},
 	} {
-		if v.value < 0 {
+		switch {
+		case v.value < 0:
 			return fmt.Errorf("%s: %s must not be negative, got %g", s.Name, v.name, v.value)
+		case v.value != 0 && s.Circuit:
+			return fmt.Errorf("%s: the circuit model takes no %s", s.Name, v.name)
 		}
 	}
 	switch {
+	case s.Recovery && o.MaxDropRate > 0 && o.Recovery == clumsy.RecoverAbort:
+		return fmt.Errorf("%s: max-drop-rate applies only under recovery drop or degrade", s.Name)
 	case o.RunTimeout < 0:
 		return fmt.Errorf("%s: run-timeout must not be negative, got %v", s.Name, o.RunTimeout)
 	case format != "" && format != "text" && format != "csv":
@@ -101,11 +112,11 @@ func LookupStudy(name string) (Study, bool) {
 // per-study journal keys live in the study functions themselves, so
 // renaming or reordering entries here leaves existing journals resumable.
 var studies = []Study{
-	{Name: "fig1b", Help: "voltage swing vs cycle time (circuit model)", run: func(_ Options, _ string, out *output) error { return figure(out, Fig1b) }},
-	{Name: "fig2b", Help: "SRAM noise-immunity curves", run: func(_ Options, _ string, out *output) error { return figure(out, Fig2b) }},
-	{Name: "fig3", Help: "switching-combination noise distribution", run: func(_ Options, _ string, out *output) error { return figure(out, Fig3) }},
-	{Name: "fig4", Help: "fault probability vs voltage swing", run: func(_ Options, _ string, out *output) error { return figure(out, Fig4) }},
-	{Name: "fig5", Help: "fault probability vs cycle time + fitted formula (Eq. 4)", run: func(_ Options, _ string, out *output) error { return figure(out, Fig5) }},
+	{Name: "fig1b", Help: "voltage swing vs cycle time (circuit model)", Circuit: true, run: func(_ Options, _ string, out *output) error { return figure(out, Fig1b) }},
+	{Name: "fig2b", Help: "SRAM noise-immunity curves", Circuit: true, run: func(_ Options, _ string, out *output) error { return figure(out, Fig2b) }},
+	{Name: "fig3", Help: "switching-combination noise distribution", Circuit: true, run: func(_ Options, _ string, out *output) error { return figure(out, Fig3) }},
+	{Name: "fig4", Help: "fault probability vs voltage swing", Circuit: true, run: func(_ Options, _ string, out *output) error { return figure(out, Fig4) }},
+	{Name: "fig5", Help: "fault probability vs cycle time + fitted formula (Eq. 4)", Circuit: true, run: func(_ Options, _ string, out *output) error { return figure(out, Fig5) }},
 	{Name: "table1", Help: "application properties and fallibility factors", Recovery: true, run: runTable1},
 	{Name: "fig6", Help: "error probabilities per plane (control/data/both); route by default", App: "route", Recovery: true, run: runFig6},
 	{Name: "fig7", Help: "error probabilities per plane (control/data/both); nat by default", App: "nat", Recovery: true, run: runFig7},

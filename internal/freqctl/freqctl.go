@@ -62,8 +62,7 @@ func (d Decision) String() string {
 
 // Controller is the adaptation state machine.
 type Controller struct {
-	epochPackets int
-	x1, x2       float64
+	x1, x2 float64
 
 	idx            int    // current level index
 	storedFaults   uint64 // fault count at the last frequency change
@@ -105,18 +104,14 @@ type Controller struct {
 	LevelPackets []uint64
 }
 
-// New returns a controller over the paper's levels and switch penalty
-// with the given epoch and thresholds. It starts at full-swing operation,
+// New returns a controller over the paper's levels, epoch and switch
+// penalty with the given thresholds. It starts at full-swing operation,
 // the first level.
-func New(epochPackets int, x1, x2 float64) (*Controller, error) {
-	if epochPackets < 1 {
-		return nil, errors.New("freqctl: epoch must cover at least one packet")
-	}
+func New(x1, x2 float64) (*Controller, error) {
 	if x1 <= x2 || x2 < 0 {
 		return nil, errors.New("freqctl: thresholds must satisfy 0 <= X2 < X1")
 	}
 	return &Controller{
-		epochPackets: epochPackets,
 		x1:           x1,
 		x2:           x2,
 		LevelPackets: make([]uint64, len(levels)),
@@ -135,7 +130,7 @@ func (c *Controller) PacketDone(faults uint64) Decision {
 	c.LevelPackets[c.idx]++
 	c.faultsInEpoch += faults
 	c.packetsInEpoch++
-	if c.packetsInEpoch < c.epochPackets {
+	if c.packetsInEpoch < DefaultEpochPackets {
 		return Keep
 	}
 

@@ -5,7 +5,7 @@ import "testing"
 // newDefault returns a controller with the paper's default parameters,
 // starting at full-swing operation (the first level).
 func newDefault() *Controller {
-	c, err := New(DefaultEpochPackets, DefaultX1, DefaultX2)
+	c, err := New(DefaultX1, DefaultX2)
 	if err != nil {
 		panic(err) // defaults are valid by construction
 	}
@@ -79,10 +79,7 @@ func TestFaultBurstBacksOff(t *testing.T) {
 // back-off, so a fault-free epoch right after it keeps the level and the
 // next one probes the faster level again.
 func TestSlowDownArmsCooldown(t *testing.T) {
-	c, err := New(1, DefaultX1, DefaultX2)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c := newDefault()
 	for i, want := range []struct {
 		faults uint64
 		d      Decision
@@ -93,7 +90,7 @@ func TestSlowDownArmsCooldown(t *testing.T) {
 		{0, Keep, 1}, // under the cooldown
 		{0, SpeedUp, 0.75},
 	} {
-		if d := c.PacketDone(want.faults); d != want.d || c.CycleTime() != want.cr {
+		if d := runEpoch(c, want.faults); d != want.d || c.CycleTime() != want.cr {
 			t.Fatalf("epoch %d: %v at Cr %g, want %v at Cr %g", i+1, d, c.CycleTime(), want.d, want.cr)
 		}
 	}
@@ -172,13 +169,10 @@ func TestLevelPacketsAccounting(t *testing.T) {
 }
 
 func TestNewValidation(t *testing.T) {
-	if _, err := New(0, 2, 0.8); err == nil {
-		t.Error("zero epoch should be rejected")
-	}
-	if _, err := New(100, 0.8, 2); err == nil {
+	if _, err := New(0.8, 2); err == nil {
 		t.Error("X1 <= X2 should be rejected")
 	}
-	if _, err := New(100, 2, 0.8); err != nil {
+	if _, err := New(2, 0.8); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 }

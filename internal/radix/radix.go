@@ -138,9 +138,9 @@ func (t *Table) Insert(mem simmem.Memory, p packet.Prefix, nextHop, iface uint32
 	return mem.Store32(cur+offFlags, flagRoute|uint32(p.Len)<<8)
 }
 
-// Result is the outcome of a lookup.
+// Result is the outcome of a lookup. A lookup that matches no route
+// leaves NextHop, Iface and PrefixLen zero.
 type Result struct {
-	Found     bool
 	NextHop   uint32
 	Iface     uint32
 	PrefixLen int
@@ -176,7 +176,6 @@ func (t *Table) Lookup(mem simmem.Memory, addr uint32, onNode func(simmem.Addr) 
 			if err != nil {
 				return res, err
 			}
-			res.Found = true
 			res.NextHop = nhop
 			res.Iface = ifc
 			res.PrefixLen = int(flags >> 8 & 0xff)

@@ -24,7 +24,7 @@ func TestEmptyTableLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Found {
+	if res.NextHop != 0 {
 		t.Fatal("lookup in empty table found a route")
 	}
 	if res.Steps != 1 {
@@ -42,7 +42,7 @@ func TestInsertAndExactLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Found || res.NextHop != 42 || res.Iface != 3 || res.PrefixLen != 16 {
+	if res.NextHop != 42 || res.Iface != 3 || res.PrefixLen != 16 {
 		t.Fatalf("result %+v", res)
 	}
 	// An address outside the prefix misses.
@@ -50,7 +50,7 @@ func TestInsertAndExactLookup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Found {
+	if res.NextHop != 0 {
 		t.Fatal("lookup outside prefix found a route")
 	}
 }
@@ -79,7 +79,7 @@ func TestLongestPrefixMatch(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !res.Found || res.NextHop != c.want {
+		if res.NextHop != c.want {
 			t.Errorf("lookup %#x: %+v, want hop %d", c.addr, res, c.want)
 		}
 	}
@@ -94,7 +94,7 @@ func TestDefaultRoute(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !res.Found || res.NextHop != 99 || res.PrefixLen != 0 {
+	if res.NextHop != 99 || res.PrefixLen != 0 {
 		t.Fatalf("default route not matched: %+v", res)
 	}
 }
@@ -105,11 +105,11 @@ func TestHostRoute(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, err := tab.Lookup(space, 0x01020304, nil)
-	if err != nil || !res.Found || res.NextHop != 7 {
+	if err != nil || res.NextHop != 7 {
 		t.Fatalf("host route: %+v, %v", res, err)
 	}
 	res, _ = tab.Lookup(space, 0x01020305, nil)
-	if res.Found {
+	if res.NextHop != 0 {
 		t.Fatal("host route matched wrong address")
 	}
 }
@@ -147,25 +147,25 @@ func TestBulkInsertLookupAgainstReference(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Reference longest-prefix match in host memory.
-	ref := func(addr uint32) (uint32, bool) {
-		best, bestLen, found := uint32(0), -1, false
+	// Reference longest-prefix match in host memory; 0 is no route.
+	ref := func(addr uint32) uint32 {
+		best, bestLen := uint32(0), -1
 		for i, p := range prefixes {
 			if addr&p.Mask() == p.Addr&p.Mask() && p.Len > bestLen {
-				best, bestLen, found = uint32(i+1), p.Len, true
+				best, bestLen = uint32(i+1), p.Len
 			}
 		}
-		return best, found
+		return best
 	}
 	for i := 0; i < 2000; i++ {
 		addr := rng.Uint32()
-		want, wantFound := ref(addr)
+		want := ref(addr)
 		res, err := tab.Lookup(space, addr, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Found != wantFound || (wantFound && res.NextHop != want) {
-			t.Fatalf("addr %#x: got (%v, %d), want (%v, %d)", addr, res.Found, res.NextHop, wantFound, want)
+		if res.NextHop != want {
+			t.Fatalf("addr %#x: next hop %d, want %d", addr, res.NextHop, want)
 		}
 	}
 }
@@ -185,7 +185,7 @@ func TestCorruptPointerIsSilentDeadEnd(t *testing.T) {
 	if err != nil {
 		t.Fatalf("checked walk must not trap: %v", err)
 	}
-	if res.Found {
+	if res.NextHop != 0 {
 		t.Fatal("lookup through severed subtree should miss")
 	}
 }
@@ -317,7 +317,7 @@ func TestInsertRebuildsThroughCorruptLink(t *testing.T) {
 		t.Fatalf("insert through corrupt link failed: %v", err)
 	}
 	res, err := tab.Lookup(space, 0x81000001, nil)
-	if err != nil || !res.Found || res.NextHop != 2 {
+	if err != nil || res.NextHop != 2 {
 		t.Fatalf("rebuilt subtree lookup: %+v, %v", res, err)
 	}
 }

@@ -128,7 +128,3 @@ func (c *Campaign) cancelRequested() bool {
 	defer c.mu.Unlock()
 	return c.cancelled
 }
-
-// Done returns a channel closed when the campaign's supervisor finishes
-// (terminal state reached or checkpoint-cancelled by a drain).
-func (c *Campaign) Done() <-chan struct{} { return c.done }

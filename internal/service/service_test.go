@@ -54,7 +54,7 @@ func stubStudies(t *testing.T, fn func(o experiment.Options, sp Spec, w io.Write
 func waitDone(t *testing.T, c *Campaign) {
 	t.Helper()
 	select {
-	case <-c.Done():
+	case <-c.done:
 	case <-time.After(30 * time.Second):
 		t.Fatalf("campaign %s did not finish", c.ID)
 	}
@@ -113,6 +113,9 @@ func TestSubmitValidates(t *testing.T) {
 		{Study: "table1", Packets: -1},
 		{Study: "errors", App: "bogus"},
 		{Study: "table1", Recovery: "bogus"},
+		{Study: "fig5", Packets: 120},       // the circuit model takes no scale
+		{Study: "table1", MaxDropRate: 0.1}, // under abort nothing drops
+		{Study: "fig6", Recovery: "abort", Seed: 1, MaxDropRate: 0.1},
 	} {
 		if _, err := svc.Submit(sp); err == nil {
 			t.Errorf("Submit(%+v) accepted a bad spec", sp)
@@ -228,7 +231,7 @@ func TestRestartWithResume(t *testing.T) {
 		return nil
 	})
 	svc := newService(t, func(c *Config) { c.MaxRestarts = 1 })
-	st, err := svc.Submit(Spec{Study: stubbed, Packets: 120, Trials: 1})
+	st, err := svc.Submit(smallSpec())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -104,16 +104,6 @@ func (m *RunMonitor) RunSkipped() {
 	m.mu.Unlock()
 }
 
-// Progress returns the current grid progress.
-func (m *RunMonitor) Progress() Progress {
-	if m == nil {
-		return Progress{}
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.progressLocked()
-}
-
 func (m *RunMonitor) progressLocked() Progress {
 	p := Progress{
 		Done:    m.done,
