@@ -1,10 +1,10 @@
 // Package surface checks that the module carries no code that only its
-// tests use. It holds no program code: its one test loads the module and
+// tests use. It holds no program code: TestSurface loads the module and
 // perfbench (non-test files only) and enforces two rules on every
 // declaration outside internal/lint:
 //
-//  1. Every function, method and struct field is reached by non-test
-//     code.
+//  1. Every function, method and field of a named struct type is
+//     reached by non-test code.
 //  2. No struct field is written by non-test code without also being
 //     read by it.
 //
