@@ -116,6 +116,9 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 		fs.StringVar(&o.format, "format", "text", "output format: text (Prometheus exposition) or json")
 		fs.BoolVar(&o.describe, "describe", false, "print the telemetry name registry instead of running a simulation")
 		c.check = func() error {
+			if o.describe {
+				return checkDescribe(fs)
+			}
 			if err := o.checkRun(fs, "stats"); err != nil {
 				return err
 			}
@@ -150,7 +153,7 @@ func newCommand(name string, o *cliOpts) (command, bool) {
 			parsedFlag(fs, "dispatch", "-faulty run: dispatch policy, flow (the default) or least", &o.fleet.Dispatch, cluster.ParseDispatchPolicy)
 			fs.Float64Var(&o.fleet.CycleTime, "cr", 0, "-faulty run: relative cycle time of every node (0 = 0.5)")
 			fs.BoolVar(&o.fleet.Dynamic, "dynamic", false, "-faulty run: dynamic frequency control on every node")
-			parsedFlag(fs, "recovery", recoveryHelp, &o.fleet.Recovery, clumsy.ParseRecoveryPolicy)
+			parsedFlag(fs, "recovery", "-faulty run: node fatal-error policy, drop or degrade (the default)", &o.fleet.Recovery, clumsy.ParseRecoveryPolicy)
 			o.workloadFlags(fs)
 			c.check = func() error { return o.checkFleet(fs, st) }
 			c.exec = func(w io.Writer) error {
@@ -266,8 +269,13 @@ func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) 
 		unread, only = fleetStudyFlags, "the degradation study (no -faulty)"
 	}
 	fs.Visit(func(f *flag.Flag) {
-		if err == nil && slices.Contains(unread, f.Name) {
+		switch {
+		case err != nil:
+		case slices.Contains(unread, f.Name):
 			err = fmt.Errorf("fleet: -%s applies only to %s", f.Name, only)
+		case f.Name == "recovery" && o.fleet.Recovery == clumsy.RecoverAbort:
+			// The fleet replaces abort with its default, degrade.
+			err = errors.New("fleet -faulty: -recovery abort does not apply; nodes run drop or degrade")
 		}
 	})
 	switch {
@@ -369,6 +377,17 @@ func notNegative(cmd string, flags ...flagValue) error {
 		}
 	}
 	return nil
+}
+
+// checkDescribe rejects the flags stats -describe ignores: it prints the
+// telemetry name registry as text, and reads only -out.
+func checkDescribe(fs *flag.FlagSet) (err error) {
+	fs.Visit(func(f *flag.Flag) {
+		if err == nil && f.Name != "describe" && f.Name != "out" {
+			err = fmt.Errorf("stats: -%s does not apply to -describe, which prints the name registry", f.Name)
+		}
+	})
+	return err
 }
 
 // textOrJSON rejects an output format other than text or json.
@@ -544,7 +563,8 @@ func run(args []string, w io.Writer) (err error) {
 }
 
 // printProgress renders one grid-progress line on stderr (carriage-return
-// updated in place, finished with a newline).
+// updated in place, finished with a newline once every run is done or
+// skipped).
 func printProgress(p telemetry.Progress) {
 	// Drained cells (grid failure or cancellation) would otherwise vanish
 	// from the count: Done never reaches Total and the line looks stuck.
@@ -556,7 +576,7 @@ func printProgress(p telemetry.Progress) {
 		p.Done, p.Total,
 		p.AvgRun.Round(time.Millisecond), p.Elapsed.Round(time.Millisecond),
 		p.Utilization()*100, skipped)
-	if p.Done >= p.Total {
+	if p.Done+p.Skipped >= p.Total {
 		fmt.Fprintln(os.Stderr)
 	}
 }

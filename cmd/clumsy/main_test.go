@@ -453,6 +453,10 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"fig1b", "-format", "xml"}, "format"},
 		{[]string{"all", "-format", "json"}, "format"},
 		{[]string{"stats", "-format", "csv"}, "format"},
+		{[]string{"stats", "-describe", "-app", "fw", "-scale", "25", "-parity", "-strikes", "2", "-packets", "5000"}, "-app"},
+		{[]string{"stats", "-describe", "-format", "json"}, "-format"},
+		{[]string{"stats", "-parity", "-describe"}, "-parity"},
+		{[]string{"stats", "-describe", "-trace-out", journal}, "-trace-out"},
 		{[]string{"fleet", "-faulty", "1", "-format", "csv"}, "format"},
 		{[]string{"fleet", "-nodes", "2"}, "-nodes"},
 		{[]string{"fleet", "-dispatch", "flow"}, "-dispatch"},
@@ -469,6 +473,7 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"fleet", "-faulty", "1", "-state-strikes", "2"}, "-state-strikes"},
 		{[]string{"fleet", "-faulty", "1", "-trials", "2"}, "-trials"},
 		{[]string{"fleet", "-faulty", "1", "-journal", journal}, "-journal"},
+		{[]string{"fleet", "-faulty", "1", "-nodes", "2", "-packets", "400", "-seed", "5", "-recovery", "abort"}, "-recovery abort"},
 		{[]string{"reliability", "-recovery", "drop"}, "-recovery"},
 		{[]string{"state", "-recovery", "drop"}, "-recovery"},
 		{[]string{"fig9", "-app", "route"}, "-app"},
@@ -554,13 +559,19 @@ func TestRejectsMisuse(t *testing.T) {
 
 // TestShapeFlagsAccepted: a single run takes a shape that scales
 // adversarial or churn traffic, and a fleet run takes one alone, where it
-// paces the arrivals.
+// paces the arrivals. The other checks that reject ignored flags keep
+// what a command reads: stats -describe takes -out, and fleet -faulty the
+// policies its nodes run.
 func TestShapeFlagsAccepted(t *testing.T) {
 	for _, args := range [][]string{
 		{"run", "-shape", "flash", "-churn", "0.1"},
 		{"stats", "-shape", "diurnal", "-shape2", "onoff", "-periods2", "3", "-adversarial", "0.05"},
 		{"fleet", "-faulty", "1", "-shape", "flash"},
 		{"fleet", "-faulty", "1", "-shape", "diurnal", "-shape2", "onoff", "-periods2", "3"},
+		{"stats", "-describe", "-out", "names.txt"},
+		{"stats", "-describe=false", "-app", "fw"},
+		{"fleet", "-faulty", "1", "-recovery", "drop"},
+		{"fleet", "-faulty", "1", "-recovery", "degrade"},
 	} {
 		c, _ := newCommand(args[0], &cliOpts{})
 		if err := c.fs.Parse(args[1:]); err != nil {

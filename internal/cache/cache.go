@@ -114,24 +114,30 @@ type strikeState struct {
 // frames is the flat storage of a table, and of a snapshot of it. Frame
 // i = set*Assoc + way keeps its bookkeeping in lines[i] and the rest at
 // the same frame index of each slab: its strike state, BlockSize bytes of
-// data, one parity byte and one ECC word per 32-bit word. A slab a level
-// does not keep is nil: the L1I keeps tags only, only the L1D keeps
-// strike state and check bits, and ECC words only under SEC-DED.
+// data, and one error pattern per 32-bit word. A slab a level does not
+// keep is nil: the L1I keeps tags only, and only the L1D keeps strike
+// state and error patterns.
+//
+// A word's error pattern holds the bits by which the stored word differs
+// from the value last written or filled into it. Check bits are a
+// function of that value, so the pattern is all they can tell a read:
+// parity passes exactly when the read mask xor the pattern has even
+// weight, and SEC-DED decodes the read word against the stored word xor
+// the pattern.
 //
 //lint:checkpoint snapshot, restore
 type frames struct {
 	lines   []line
 	strikes []strikeState
 	data    []byte
-	par     []byte
-	enc     []uint32
+	flip    []uint32
 	tick    uint64 // LRU clock: fills and set-associative hits stamp lru = ++tick
 }
 
 // clone returns a deep copy of f.
 func (f *frames) clone() *frames {
 	//lint:alloc-ok first use only; later checkpoints copy into these slabs and the zero-alloc pin verifies it
-	return &frames{lines: slices.Clone(f.lines), strikes: slices.Clone(f.strikes), data: slices.Clone(f.data), par: slices.Clone(f.par), enc: slices.Clone(f.enc), tick: f.tick}
+	return &frames{lines: slices.Clone(f.lines), strikes: slices.Clone(f.strikes), data: slices.Clone(f.data), flip: slices.Clone(f.flip), tick: f.tick}
 }
 
 // copyFrame copies frame i, bookkeeping and payload, from src to dst.
@@ -143,12 +149,9 @@ func copyFrame(dst, src *frames, i, blockSize int) {
 	if src.data != nil {
 		copy(dst.data[i*blockSize:(i+1)*blockSize], src.data[i*blockSize:])
 	}
-	w := blockSize / 4
-	if src.par != nil {
-		copy(dst.par[i*w:(i+1)*w], src.par[i*w:])
-	}
-	if src.enc != nil {
-		copy(dst.enc[i*w:(i+1)*w], src.enc[i*w:])
+	if src.flip != nil {
+		w := blockSize / 4
+		copy(dst.flip[i*w:(i+1)*w], src.flip[i*w:])
 	}
 }
 
@@ -263,8 +266,8 @@ func (t *table) lineBytes(i int) []byte {
 }
 
 // wordOffset returns the offset in the data slab of the aligned word at
-// addr, held in frame i; the word's parity and ECC word sit at offset/4 in
-// theirs.
+// addr, held in frame i; the word's error pattern sits at offset/4 in its
+// slab.
 func (t *table) wordOffset(i int, addr simmem.Addr) int {
 	return i<<(t.setShift&63) | int(addr)&(t.cfg.BlockSize-1)&^3
 }

@@ -23,13 +23,12 @@ const (
 
 // naiveTable is the oracle's deliberately simple checkpoint of one table:
 // its own copy of every frame's bookkeeping, strike state, payload and
-// check bits, and of the LRU clock.
+// error patterns, and of the LRU clock.
 type naiveTable struct {
 	lines   []line
 	strikes []strikeState
 	data    []byte
-	par     []byte
-	enc     []uint32
+	flip    []uint32
 	tick    uint64
 }
 
@@ -38,8 +37,7 @@ func naiveCopy(t *table) naiveTable {
 		lines:   append([]line(nil), t.lines...),
 		strikes: append([]strikeState(nil), t.strikes...),
 		data:    append([]byte(nil), t.data...),
-		par:     append([]byte(nil), t.par...),
-		enc:     append([]uint32(nil), t.enc...),
+		flip:    append([]uint32(nil), t.flip...),
 		tick:    t.tick,
 	}
 }
@@ -48,8 +46,7 @@ func (n naiveTable) restoreInto(t *table) {
 	copy(t.lines, n.lines)
 	copy(t.strikes, n.strikes)
 	copy(t.data, n.data)
-	copy(t.par, n.par)
-	copy(t.enc, n.enc)
+	copy(t.flip, n.flip)
 	t.tick = n.tick
 }
 
@@ -70,9 +67,8 @@ func diffTables(a, b *table) string {
 		if a.data != nil && !slices.Equal(a.lineBytes(i), b.lineBytes(i)) {
 			return fmt.Sprintf("frame %d: data differs", i)
 		}
-		if a.par != nil && (!slices.Equal(a.par[i*bs/4:(i+1)*bs/4], b.par[i*bs/4:(i+1)*bs/4]) ||
-			a.enc != nil && !slices.Equal(a.enc[i*bs/4:(i+1)*bs/4], b.enc[i*bs/4:(i+1)*bs/4])) {
-			return fmt.Sprintf("frame %d: check bits differ", i)
+		if a.flip != nil && !slices.Equal(a.flip[i*bs/4:(i+1)*bs/4], b.flip[i*bs/4:(i+1)*bs/4]) {
+			return fmt.Sprintf("frame %d: error patterns differ", i)
 		}
 	}
 	return ""

@@ -9,15 +9,12 @@ import (
 )
 
 // corruptWord flips one stored bit of the cached word at a, simulating a
-// write-path fault left behind in the array (parity goes stale).
+// write-path fault left behind in the array.
 func corruptWord(t *testing.T, h *Hierarchy, a simmem.Addr) {
 	t.Helper()
-	b := h.L1D.tab.cachedBytes(a)
-	if b == nil {
+	if !h.L1D.tab.corrupt(a, 0x01) {
 		t.Fatalf("address %#x not cached", a)
 	}
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	b[w] ^= 0x01
 }
 
 // strike forces one uncorrected parity strike on the frame holding a: the

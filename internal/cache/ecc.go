@@ -11,9 +11,9 @@ import "math/bits"
 // parity.
 //
 // The implementation models the *behaviour* of a (39,32) Hamming code per
-// data word rather than the bit matrices: each protected line carries its
-// as-encoded words, and a read compares the (possibly corrupted) stored
-// word against the encoding. Zero differing bits pass; one differing bit
+// data word rather than the bit matrices: a read compares the (possibly
+// corrupted) word it sees against the as-encoded word, which is the stored
+// word xor its error pattern. Zero differing bits pass; one differing bit
 // is corrected on the fly; two differing bits are detected but
 // uncorrectable and enter the k-strike recovery path, exactly like a
 // parity hit; three or more differing bits alias into the code and are

@@ -44,8 +44,7 @@ func TestECCCorrectsSingleBitWriteFault(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Corrupt one stored bit by hand (a write-path fault left it behind).
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	h.L1D.tab.cachedBytes(a)[w] ^= 0x04
+	h.L1D.tab.corrupt(a, 0x04)
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)
@@ -74,8 +73,7 @@ func TestRestoreRewindsECCScrub(t *testing.T) {
 	if err := h.L1D.Store32(a, 0x12345678); err != nil {
 		t.Fatal(err)
 	}
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	h.L1D.tab.cachedBytes(a)[w] ^= 0x04
+	h.L1D.tab.corrupt(a, 0x04)
 	snap := h.Snapshot(nil)
 	for range 2 { // the read corrects and scrubs; the restore undoes the scrub
 		if v, err := h.L1D.Load32(a); err != nil || v != 0x12345678 {
@@ -99,8 +97,7 @@ func TestECCDetectsDoubleBitAndRecovers(t *testing.T) {
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	h.L1D.tab.cachedBytes(a)[w] ^= 0x03 // two bits: uncorrectable, detectable
+	h.L1D.tab.corrupt(a, 0x03) // two bits: uncorrectable, detectable
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)
@@ -136,9 +133,8 @@ func TestSubBlockRecoveryKeepsDirtyNeighbours(t *testing.T) {
 	if err := h.L1D.Store32(a+4, 0x2222); err != nil {
 		t.Fatal(err)
 	}
-	// Corrupt word 0 with stale parity.
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	h.L1D.tab.cachedBytes(a)[w] ^= 0x01
+	// Corrupt word 0, as a write-path fault would.
+	h.L1D.tab.corrupt(a, 0x01)
 	wbBefore := h.L1D.Stats.Writebacks
 	v, err := h.L1D.Load32(a)
 	if err != nil {

@@ -64,9 +64,7 @@ func TestL1DPropagatesBackendFailures(t *testing.T) {
 			func() error { return l1.Store32(base+8192, 2) },
 			func() error { _, err := l1.Load32(base); return err },
 			func() error {
-				if b := l1.tab.cachedBytes(base); b != nil {
-					b[int(base)&(DefaultL1D.BlockSize-1)] ^= 1
-				}
+				l1.tab.corrupt(base, 1)
 				_, err := l1.Load32(base)
 				return err
 			},

@@ -124,13 +124,10 @@ func TestRecoveryRestoresCorrectData(t *testing.T) {
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	i := h.L1D.tab.lookup(a)
-	if i < 0 {
+	if !h.L1D.tab.corrupt(a, 0x01) {
 		t.Fatal("line not resident")
 	}
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	h.L1D.tab.lineBytes(i)[w] ^= 0x01
-	h.L1D.tab.lines[i].dirty = false // pretend the corrupt value was never legitimately dirtied
+	h.L1D.tab.lines[h.L1D.tab.lookup(a)].dirty = false // pretend the corrupt value was never legitimately dirtied
 
 	v, err := h.L1D.Load32(a)
 	if err != nil {
@@ -162,13 +159,20 @@ func (c *L1Data) InvalidateAllWriteback(t *testing.T) {
 	}
 }
 
-// cachedBytes returns the data of the frame holding addr, or nil when addr
-// is not cached. Like any lookup, it counts as a hit.
-func (t *table) cachedBytes(addr simmem.Addr) []byte {
-	if i := t.lookup(addr); i >= 0 {
-		return t.lineBytes(i)
+// corrupt flips the bits m of the cached word at addr, as a write-path
+// fault would, and reports whether addr was cached. The stored word and
+// its error pattern flip together: a test that flips only the stored word
+// leaves the array in a state no fault can reach.
+func (t *table) corrupt(addr simmem.Addr, m uint32) bool {
+	i := t.lookup(addr)
+	if i < 0 {
+		return false
 	}
-	return nil
+	o := t.wordOffset(i, addr)
+	putLeWord(t.data[o:], leWord(t.data[o:])^m)
+	t.flip[o>>2] ^= m
+	t.mark(i)
+	return true
 }
 
 func TestEvenBitFaultEscapesParity(t *testing.T) {
@@ -185,8 +189,7 @@ func TestEvenBitFaultEscapesParity(t *testing.T) {
 	if err := h.L1D.Store32(a, 0); err != nil {
 		t.Fatal(err)
 	}
-	w := int(a) & (DefaultL1D.BlockSize - 1) &^ 3
-	h.L1D.tab.cachedBytes(a)[w] ^= 0x03 // two bits: even parity preserved
+	h.L1D.tab.corrupt(a, 0x03) // two bits: even parity preserved
 	v, err := h.L1D.Load32(a)
 	if err != nil {
 		t.Fatal(err)

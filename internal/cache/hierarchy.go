@@ -120,7 +120,7 @@ func (h *Hierarchy) CoherentDMA(addr simmem.Addr, data []byte) error {
 }
 
 // Snapshot is a copy of the restorable state of every cache level — line
-// payloads, tags, valid/dirty bits, parity/ECC check bits, strike state,
+// payloads, tags, valid/dirty bits, L1D error patterns, strike state,
 // and LRU order. Together with a simmem.Checkpoint of the backing space it
 // captures the complete architectural memory state of the machine;
 // statistics and energy accounting are excluded (a rollback rewinds

@@ -182,10 +182,7 @@ func NewL1Data(cfg Config, next Backend, inj fault.Process, det Detection, strik
 		strikes = 1
 	}
 	tab.strikes = make([]strikeState, len(tab.lines))
-	tab.par = make([]byte, len(tab.data)/4)
-	if det == DetectionECC {
-		tab.enc = make([]uint32, len(tab.data)/4)
-	}
+	tab.flip = make([]uint32, len(tab.data)/4)
 	c := &L1Data{tab: tab, next: next, injector: inj, detection: det, strikes: strikes, epochSeq: 1}
 	c.SetCycleTime(1)
 	return c, nil
@@ -538,20 +535,10 @@ func (c *L1Data) fill(addr simmem.Addr, isWrite, recovering bool) (int, error) {
 	} else {
 		c.chargeStall(cyc, c.memCycles()-m0)
 	}
-	// The fill drives the array once; parity is computed per word from the
-	// (correct) L2 data.
+	// The fill drives the array once with the (correct) L2 data, so the
+	// line holds no fault.
 	c.chargeFillDrive()
-	par, enc := c.tab.par[len(data)/4*i:][:len(data)/4], c.tab.enc
-	if enc != nil {
-		enc = enc[len(par)*i:][:len(par)]
-	}
-	for w := range par {
-		v := leWord(data[4*w:])
-		par[w] = wordParity(v)
-		if enc != nil {
-			enc[w] = v
-		}
-	}
+	clear(c.tab.flip[len(data)/4*i:][:len(data)/4])
 	_, tag := c.tab.index(addr)
 	victim.valid = true
 	victim.dirty = false
@@ -574,11 +561,11 @@ func putLeWord(b []byte, v uint32) {
 }
 
 // readWord performs the full clumsy read of the 32-bit word holding the
-// byte at a, which op accesses: injection, parity check, strikes, and
-// recovery through L2. An access to the unmapped first page fails before
-// it reaches the cache. A hit inside the fault countdown whose word
-// passes its check (none, or parity) returns at once: it is the general
-// path's first attempt when the mask is zero and the check passes.
+// byte at a, which op accesses: injection, check, strikes, and recovery
+// through L2. An access to the unmapped first page fails before it
+// reaches the cache. A hit inside the fault countdown on a word that holds
+// no fault returns at once, under every scheme: it is the general path's
+// first attempt when the mask and the error pattern are both zero.
 func (c *L1Data) readWord(op string, a simmem.Addr) (uint32, error) {
 	if a < simmem.PageBase {
 		return 0, unmapped(op, a)
@@ -588,14 +575,10 @@ func (c *L1Data) readWord(op string, a simmem.Addr) (uint32, error) {
 	i := c.tab.lookup(addr)
 	if i >= 0 {
 		c.tab.hit(i)
-		if c.quiet > 0 && c.detection != DetectionECC {
-			o := c.tab.wordOffset(i, addr)
-			v := leWord(c.tab.data[o:])
-			if c.detection == DetectionNone || wordParity(v) == c.tab.par[o>>2] {
-				c.quiet--
-				c.chargeArrayRead()
-				return v, nil
-			}
+		if o := c.tab.wordOffset(i, addr); c.quiet > 0 && c.tab.flip[o>>2] == 0 {
+			c.quiet--
+			c.chargeArrayRead()
+			return leWord(c.tab.data[o:]), nil
 		}
 	}
 	return c.readFrame(addr, i)
@@ -638,7 +621,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 		case DetectionNone:
 			return v, nil
 		case DetectionECC:
-			decoded, outcome := classifyECC(v, c.tab.enc[o>>2])
+			decoded, outcome := classifyECC(v, stored^c.tab.flip[o>>2])
 			switch outcome {
 			case eccClean:
 				return v, nil
@@ -650,7 +633,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 				// Scrub: the corrected value is written back into the
 				// array so a persistent write fault does not linger.
 				putLeWord(c.tab.data[o:], decoded)
-				c.tab.par[o>>2] = wordParity(decoded)
+				c.tab.flip[o>>2] = 0
 				c.tab.mark(i)
 				return decoded, nil
 			case eccMiscorrected:
@@ -662,7 +645,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 		case DetectionParity:
 			fallthrough
 		default: // any unrecognised scheme behaves like parity
-			if wordParity(v) == c.tab.par[o>>2] {
+			if wordParity(mask^c.tab.flip[o>>2]) == 0 {
 				return v, nil
 			}
 		}
@@ -703,11 +686,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 			}
 			c.chargeRecoveryStall(cyc)
 			copy(c.tab.data[o:o+4], word)
-			fresh := leWord(word)
-			c.tab.par[o>>2] = wordParity(fresh)
-			if c.tab.enc != nil {
-				c.tab.enc[o>>2] = fresh
-			}
+			c.tab.flip[o>>2] = 0
 			attempt = 0
 			continue
 		}
@@ -745,7 +724,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 		}
 		o = c.tab.wordOffset(i, addr)
 		// The refetched word is read once more through the (still clumsy)
-		// array; the loop continues with fresh parity, so a transient on
+		// array; the loop continues on a fault-free word, so a transient on
 		// this read is detected again rather than silently returned.
 		attempt = 0
 	}
@@ -784,10 +763,10 @@ func (c *L1Data) bypassWriteWord(addr simmem.Addr, v uint32) error {
 	return nil
 }
 
-// writeWord performs the clumsy write of the aligned word at addr. The
-// parity bit is computed from the intended value before the array drive, so
-// a write-path fault leaves a detectable mismatch behind (unless an even
-// number of bits flip).
+// writeWord performs the clumsy write of the aligned word at addr. A
+// write-path fault stays behind as the word's error pattern, the bits by
+// which the stored word differs from v, for the next read's check to find
+// (parity misses an even number of flipped bits).
 func (c *L1Data) writeWord(addr simmem.Addr, v uint32) error {
 	c.Stats.Writes++
 	i := c.tab.lookup(addr)
@@ -812,10 +791,7 @@ func (c *L1Data) writeWord(addr simmem.Addr, v uint32) error {
 		}
 	}
 	putLeWord(c.tab.data[o:], v^mask)
-	c.tab.par[o>>2] = wordParity(v)
-	if c.tab.enc != nil {
-		c.tab.enc[o>>2] = v
-	}
+	c.tab.flip[o>>2] = mask
 	c.tab.lines[i].dirty = true
 	c.tab.mark(i)
 	return nil

@@ -185,25 +185,17 @@ func TestParallelForJoinsDistinctErrors(t *testing.T) {
 }
 
 // TestParallelForCancelledContext: a cancelled campaign context stops the
-// grid and surfaces as the context error. The monitor counts every item
-// that never ran, drained by a worker or never issued, so done plus
-// skipped is the grid's total. With one worker the items run in order and
-// the set of never-run items is exact.
+// grid and surfaces as the context error. The monitor counts and reports
+// every item that never ran, drained by a worker or never issued, so the
+// last progress report has done plus skipped at the grid's total. With one
+// worker the items run in order and the set of never-run items is exact.
 func TestParallelForCancelledContext(t *testing.T) {
 	old := runtime.GOMAXPROCS(1)
 	defer runtime.GOMAXPROCS(old)
-	var last telemetry.Progress
+	var last telemetry.Progress // the last progress reported
 	mon := &telemetry.RunMonitor{OnProgress: func(p telemetry.Progress) { last = p }}
 	SetMonitor(mon)
 	defer SetMonitor(nil)
-	// A skip reaches OnProgress with the next completed run, so settle
-	// completes one empty run and reports the progress before it.
-	settle := func() telemetry.Progress {
-		mon.RunDone(0)
-		p := last
-		p.Done--
-		return p
-	}
 
 	ctx, cancel := context.WithCancel(context.Background())
 	const n = 100
@@ -220,7 +212,7 @@ func TestParallelForCancelledContext(t *testing.T) {
 	if got := calls.Load(); got != 3 {
 		t.Fatalf("one worker executed %d items after cancellation at the 3rd, want exactly 3", got)
 	}
-	if p := settle(); p.Done != 3 || p.Skipped != n-3 {
+	if p := last; p.Done != 3 || p.Skipped != n-3 {
 		t.Fatalf("monitor counted done %d, skipped %d; want 3 and %d", p.Done, p.Skipped, n-3)
 	}
 
@@ -241,7 +233,7 @@ func TestParallelForCancelledContext(t *testing.T) {
 	if got := calls.Load(); got >= n {
 		t.Fatalf("all %d items ran despite cancellation", got)
 	}
-	if p := settle(); p.Done+p.Skipped != p.Total || p.Total != n {
+	if p := last; p.Done+p.Skipped != p.Total || p.Total != n {
 		t.Fatalf("cancelled grid: done %d + skipped %d, total %d; want %d", p.Done, p.Skipped, p.Total, n)
 	}
 
@@ -260,7 +252,7 @@ func TestParallelForCancelledContext(t *testing.T) {
 	if !errors.Is(err, boom) {
 		t.Fatalf("failing grid err = %v, want boom", err)
 	}
-	if p := settle(); p.Done+p.Skipped != p.Total || p.Total != n {
+	if p := last; p.Done+p.Skipped != p.Total || p.Total != n {
 		t.Fatalf("failed grid: done %d + skipped %d, total %d; want %d", p.Done, p.Skipped, p.Total, n)
 	}
 }

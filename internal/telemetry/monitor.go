@@ -6,7 +6,7 @@ import (
 )
 
 // Progress is a snapshot of a running experiment grid, delivered to the
-// RunMonitor's OnProgress callback after every completed run.
+// RunMonitor's OnProgress callback after every completed or skipped run.
 type Progress struct {
 	Done    int           // runs completed
 	Skipped int           // runs drained without executing after a grid failure or cancellation
@@ -39,9 +39,9 @@ func (p Progress) Utilization() float64 {
 // "experiment.runs" counter and the "experiment.run_ms" histogram, so grid
 // timing shows up in the same stats dump as the simulation counters.
 type RunMonitor struct {
-	// OnProgress, if non-nil, observes every completed run. It is called
-	// under the monitor's lock: keep it fast and do not re-enter the
-	// monitor.
+	// OnProgress, if non-nil, observes every completed run and every
+	// skipped one. It is called under the monitor's lock: keep it fast and
+	// do not re-enter the monitor.
 	OnProgress func(Progress)
 
 	// Registry, if non-nil, receives run-duration instruments.
@@ -84,11 +84,7 @@ func (m *RunMonitor) RunDone(d time.Duration) {
 	m.mu.Lock()
 	m.done++
 	m.busy += d
-	p := m.progressLocked()
-	cb := m.OnProgress
-	if cb != nil {
-		cb(p)
-	}
+	m.reportLocked()
 	m.mu.Unlock()
 }
 
@@ -101,7 +97,15 @@ func (m *RunMonitor) RunSkipped() {
 	}
 	m.mu.Lock()
 	m.skipped++
+	m.reportLocked()
 	m.mu.Unlock()
+}
+
+// reportLocked hands the grid's progress to OnProgress, if one is set.
+func (m *RunMonitor) reportLocked() {
+	if m.OnProgress != nil {
+		m.OnProgress(m.progressLocked())
+	}
 }
 
 func (m *RunMonitor) progressLocked() Progress {
