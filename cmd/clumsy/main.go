@@ -255,11 +255,13 @@ func (o *cliOpts) profileFlags(fs *flag.FlagSet) {
 	fs.StringVar(&o.memprofile, "memprofile", "", "write a pprof heap profile to this file at exit")
 }
 
-// fleetRunFlags are read only by a single fleet run, fleetStudyFlags only
-// by the degradation study.
+// workloadFlagNames are the flags workloadFlags defines. fleetRunFlags
+// are read only by a single fleet run, fleetStudyFlags only by the
+// degradation study.
 var (
-	fleetRunFlags   = []string{"nodes", "dispatch", "cr", "dynamic", "recovery", "max-drop-rate", "shape", "shape2", "periods2", "adversarial", "churn"}
-	fleetStudyFlags = []string{"trials", "journal", "resume", "run-timeout"}
+	workloadFlagNames = []string{"shape", "shape2", "periods2", "adversarial", "churn"}
+	fleetRunFlags     = append([]string{"nodes", "dispatch", "cr", "dynamic", "recovery", "max-drop-rate"}, workloadFlagNames...)
+	fleetStudyFlags   = []string{"trials", "journal", "resume", "run-timeout"}
 )
 
 // checkFleet rejects the flags the chosen fleet mode does not read.
@@ -305,13 +307,29 @@ func (o *cliOpts) checkFleet(fs *flag.FlagSet, st experiment.Study) (err error) 
 
 // checkRun rejects the run flags that runOne would floor, default or
 // ignore, and the workload shapes a single run would ignore: on a batch
-// trace a shape only scales the adversarial and churn probabilities.
+// trace a shape only scales the adversarial and churn probabilities. A
+// replayed trace file is the whole workload, and only an app with a flow
+// table reads the state flags.
 func (o *cliOpts) checkRun(fs *flag.FlagSet, cmd string) error {
 	if err := notNegative(cmd, flagValue{"packets", float64(o.run.Packets)}, flagValue{"scale", o.run.FaultScale}); err != nil {
 		return err
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, name := range append([]string{"packets"}, workloadFlagNames...) {
+		if set[name] && o.tracePath != "" {
+			return fmt.Errorf("%s: -%s does not apply to -trace, whose file is the workload", cmd, name)
+		}
+	}
+	if app, err := apps.New(o.run.App); err == nil {
+		if _, ok := app.(apps.StatefulApp); !ok {
+			for _, name := range []string{"scrub", "state-strikes"} {
+				if set[name] {
+					return fmt.Errorf("%s: -%s applies only to an app with a flow table, and %s keeps none", cmd, name, o.run.App)
+				}
+			}
+		}
+	}
 	switch {
 	case set["strikes"] && !o.parity:
 		return fmt.Errorf("%s: -strikes counts parity strikes, and -parity is off", cmd)

@@ -495,6 +495,16 @@ func TestRejectsMisuse(t *testing.T) {
 		{[]string{"run", "-watchdog", "-1"}, "WatchdogFactor"},
 		{[]string{"run", "-max-drop-rate", "-1"}, "MaxDropRate"},
 		{[]string{"run", "-app", "fw", "-state-strikes", "-1"}, "StateStrikes"},
+		{[]string{"run", "-app", "route", "-scrub", "5"}, "-scrub applies only to an app with a flow table, and route"},
+		{[]string{"run", "-app", "route", "-state-strikes", "2"}, "-state-strikes applies only to an app with a flow table, and route"},
+		{[]string{"stats", "-app", "md5", "-scrub", "5"}, "-scrub applies only to an app with a flow table, and md5"},
+		{[]string{"stats", "-state-strikes", "2"}, "-state-strikes"},
+		{[]string{"run", "-trace", journal, "-packets", "5000"}, "-packets does not apply to -trace"},
+		{[]string{"run", "-trace", journal, "-adversarial", "0.2"}, "-adversarial does not apply to -trace"},
+		{[]string{"run", "-trace", journal, "-churn", "0.3"}, "-churn does not apply to -trace"},
+		{[]string{"run", "-trace", journal, "-adversarial", "0.1", "-shape", "flash"}, "-shape does not apply to -trace"},
+		{[]string{"stats", "-trace", journal, "-shape2", "onoff"}, "-shape2 does not apply to -trace"},
+		{[]string{"stats", "-trace", journal, "-periods2", "2"}, "-periods2 does not apply to -trace"},
 		{[]string{"run", "-app", "fw", "-adversarial", "1.7"}, "adversarial must be"},
 		{[]string{"run", "-app", "fw", "-churn", "-0.4"}, "churn must be"},
 		{[]string{"run", "-app", "fw", "-adversarial", "0.6", "-churn", "0.6"}, "churn must not exceed"},

@@ -114,9 +114,8 @@ type strikeState struct {
 // frames is the flat storage of a table, and of a snapshot of it. Frame
 // i = set*Assoc + way keeps its bookkeeping in lines[i] and the rest at
 // the same frame index of each slab: its strike state, BlockSize bytes of
-// data, and one error pattern per 32-bit word. A slab a level does not
-// keep is nil: the L1I keeps tags only, and only the L1D keeps strike
-// state and error patterns.
+// data, and one error pattern per 32-bit word. Only the L1D keeps strike
+// state and error patterns; the L2's slabs of them are nil.
 //
 // A word's error pattern holds the bits by which the stored word differs
 // from the value last written or filled into it. Check bits are a
@@ -146,9 +145,7 @@ func copyFrame(dst, src *frames, i, blockSize int) {
 	if src.strikes != nil {
 		dst.strikes[i] = src.strikes[i]
 	}
-	if src.data != nil {
-		copy(dst.data[i*blockSize:(i+1)*blockSize], src.data[i*blockSize:])
-	}
+	copy(dst.data[i*blockSize:(i+1)*blockSize], src.data[i*blockSize:])
 	if src.flip != nil {
 		w := blockSize / 4
 		copy(dst.flip[i*w:(i+1)*w], src.flip[i*w:])
@@ -165,8 +162,8 @@ func copyFrame(dst, src *frames, i, blockSize int) {
 // direct-mapped table keeps no replacement order, so its hits change
 // nothing. A store, an ECC scrub, a strike (with the refetch, invalidate
 // and disable that follow it), a write-back absorbed by the L2, and the
-// cold paths — DMA invalidate, coherent flush, ForceDisable, re-enable,
-// and a fill that fails part-way — mark the frame they change.
+// cold paths — DMA invalidate, coherent flush, ForceDisable and
+// re-enable — mark the frame they change.
 //
 //lint:checkpoint snapshot, restore
 type table struct {
@@ -185,10 +182,9 @@ type table struct {
 	marked  []uint64
 }
 
-// newTable builds an empty table of cfg's geometry, with a data slab when
-// the level keeps line payloads. Each level holds its table by value, so
-// a lookup reaches the lines through one load fewer.
-func newTable(cfg Config, payload bool) (table, error) {
+// newTable builds an empty table of cfg's geometry. Each level holds its
+// table by value, so a lookup reaches the lines through one load fewer.
+func newTable(cfg Config) (table, error) {
 	if err := cfg.Validate(); err != nil {
 		return table{}, err
 	}
@@ -199,9 +195,7 @@ func newTable(cfg Config, payload bool) (table, error) {
 	}
 	n := nsets * cfg.Assoc
 	t.lines = make([]line, n)
-	if payload {
-		t.data = make([]byte, n*cfg.BlockSize)
-	}
+	t.data = make([]byte, n*cfg.BlockSize)
 	t.marked = make([]uint64, (n+63)/64)
 	return t, nil
 }

@@ -247,13 +247,13 @@ func TestBadAddressesTrap(t *testing.T) {
 func TestL2SharedBetweenL1s(t *testing.T) {
 	h := quiet(t)
 	code := h.Space.MustAlloc(8192, 128)
-	if err := h.L1I.Fetch(code); err != nil {
+	if err := h.L1I.Fetch(code, 3); err != nil {
 		t.Fatal(err)
 	}
-	if h.L1I.Stats.ReadMisses != 1 {
-		t.Fatalf("first fetch should miss, got %d", h.L1I.Stats.ReadMisses)
+	if h.L1I.Stats.Reads != 3 || h.L1I.Stats.ReadMisses != 1 {
+		t.Fatalf("three fetches of a cold line: %+v, want 3 reads and 1 miss", h.L1I.Stats)
 	}
-	if err := h.L1I.Fetch(code + 4); err != nil {
+	if err := h.L1I.Fetch(code+4, 1); err != nil {
 		t.Fatal(err)
 	}
 	if h.L1I.Stats.ReadMisses != 1 {
@@ -312,12 +312,11 @@ func TestNewHierarchyWithBadConfig(t *testing.T) {
 	space := simmem.NewSpace(1 << 20)
 	m := fault.NewModel(1)
 	inj := fault.NewInjector(m, fault.NewRNG(1), 32)
-	bad := HierarchyConfig{L1D: Config{SizeBytes: 5000, BlockSize: 32, Assoc: 1}}
-	if _, err := NewHierarchyWith(space, inj, DetectionNone, 1, bad); err == nil {
+	if _, err := NewHierarchyWith(space, inj, DetectionNone, 1, 5000); err == nil {
 		t.Fatal("invalid L1D geometry accepted")
 	}
-	bad = HierarchyConfig{L2: Config{SizeBytes: 5000, BlockSize: 128, Assoc: 4}}
-	if _, err := NewHierarchyWith(space, inj, DetectionNone, 1, bad); err == nil {
+	bad := Config{SizeBytes: 5000, BlockSize: 128, Assoc: 4}
+	if _, err := newHierarchy(space, inj, DetectionNone, 1, DefaultL1D, bad); err == nil {
 		t.Fatal("invalid L2 geometry accepted")
 	}
 }

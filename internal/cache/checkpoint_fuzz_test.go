@@ -13,9 +13,8 @@ import (
 // so fills evict dirty L2 lines, and addressed over a range that also
 // covers the unmapped first page and the 16 KiB past the end of the
 // space, where fills fail after a victim's write-back. The space ends
-// half-way through a 64-byte line, so an L1D line that spans two L2
-// lines can fail half-way through its fill; the line maps to the last L1D
-// set, which ForceDisable (pinning frames from the first) never reaches.
+// part-way through the last L2 line, so the fills of the mapped L1D lines
+// inside it fail too.
 const (
 	oracleSpace = 240<<10 - 32
 	oracleRange = 256 << 10
@@ -64,7 +63,7 @@ func diffTables(a, b *table) string {
 		if a.strikes != nil && a.strikes[i] != b.strikes[i] {
 			return fmt.Sprintf("frame %d: strikes %+v vs %+v", i, a.strikes[i], b.strikes[i])
 		}
-		if a.data != nil && !slices.Equal(a.lineBytes(i), b.lineBytes(i)) {
+		if !slices.Equal(a.lineBytes(i), b.lineBytes(i)) {
 			return fmt.Sprintf("frame %d: data differs", i)
 		}
 		if a.flip != nil && !slices.Equal(a.flip[i*bs/4:(i+1)*bs/4], b.flip[i*bs/4:(i+1)*bs/4]) {
@@ -77,34 +76,34 @@ func diffTables(a, b *table) string {
 // naiveHierarchy is the oracle's checkpoint of a whole hierarchy; it keeps
 // the disabled-frame count itself rather than recounting it.
 type naiveHierarchy struct {
-	l1d, l1i, l2 naiveTable
-	deadLines    int
+	l1d, l2   naiveTable
+	l1i       uint32
+	deadLines int
 }
 
 func naiveSnapshot(h *Hierarchy) *naiveHierarchy {
-	return &naiveHierarchy{l1d: naiveCopy(&h.L1D.tab), l1i: naiveCopy(&h.L1I.tab),
-		l2: naiveCopy(&h.L2.tab), deadLines: h.L1D.deadLines}
+	return &naiveHierarchy{l1d: naiveCopy(&h.L1D.tab), l2: naiveCopy(&h.L2.tab),
+		l1i: h.L1I.resident, deadLines: h.L1D.deadLines}
 }
 
 func (n *naiveHierarchy) restoreInto(h *Hierarchy) {
 	n.l1d.restoreInto(&h.L1D.tab)
-	n.l1i.restoreInto(&h.L1I.tab)
 	n.l2.restoreInto(&h.L2.tab)
+	h.L1I.resident = n.l1i
 	h.L1D.deadLines = n.deadLines
 }
 
 // oracleHierarchy builds one twin of the oracle. kind%3 picks the
-// scheme: 0 is parity two-strike over the burst process, 1 ECC with
-// 64-byte L1D lines over a 16 KiB L2 of 32-byte lines (which the
-// oracle's accesses keep evicting dirty), 2 sub-block recovery. An odd
-// kind/3 makes the L1D two-way and the L2 direct-mapped, so each level
-// is checked under both hit semantics: a set-associative hit stamps its
-// frame, a direct-mapped hit changes nothing. Every kind arms line
-// disable and runs over-clocked at Cr 0.5.
+// scheme: 0 is parity two-strike over the burst process, 1 ECC over a
+// 16 KiB L2 (which the oracle's accesses keep evicting dirty), 2
+// sub-block recovery. An odd kind/3 makes the L1D two-way and the L2
+// direct-mapped, so each level is checked under both hit semantics: a
+// set-associative hit stamps its frame, a direct-mapped hit changes
+// nothing. Every kind arms line disable and runs over-clocked at Cr 0.5.
 func oracleHierarchy(t *testing.T, kind uint8) *Hierarchy {
 	t.Helper()
 	var proc fault.Process
-	var hc HierarchyConfig
+	l1d, l2 := DefaultL1D, DefaultL2
 	det, strikes := DetectionParity, 2
 	switch kind % 3 {
 	case 0:
@@ -112,19 +111,17 @@ func oracleHierarchy(t *testing.T, kind uint8) *Hierarchy {
 			fault.BurstParams{MeanGoodAccesses: 400, MeanBadAccesses: 100, BadMultiplier: 40})
 	case 1:
 		det = DetectionECC
-		hc.L1D = Config{SizeBytes: 4096, BlockSize: 64, Assoc: 1, Latency: 2}
-		hc.L2 = Config{SizeBytes: 16 << 10, BlockSize: 32, Assoc: 4, Latency: 15}
+		l2.SizeBytes = 16 << 10
 		proc = fault.NewInjector(fault.NewModel(4000), fault.NewRNG(5).Fork(0xfa17), 32)
 	default:
 		strikes = 1
 		proc = fault.NewInjector(fault.NewModel(4000), fault.NewRNG(5).Fork(0xfa17), 32)
 	}
 	if kind/3%2 == 1 {
-		hc = hc.withDefaults()
-		hc.L1D.Assoc = 2
-		hc.L2 = Config{SizeBytes: 64 << 10, BlockSize: 64, Assoc: 1, Latency: 15}
+		l1d.Assoc = 2
+		l2 = Config{SizeBytes: 64 << 10, BlockSize: 64, Assoc: 1, Latency: 15}
 	}
-	h, err := NewHierarchyWith(simmem.NewSpace(oracleSpace), proc, det, strikes, hc)
+	h, err := newHierarchy(simmem.NewSpace(oracleSpace), proc, det, strikes, l1d, l2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,10 +170,11 @@ func oracleProgram(seed uint64, n int) []byte {
 // Hierarchy A checkpoints through Snapshot/RestoreSnapshot, retaking its
 // one restore point or taking a fresh one; its twin B runs the same
 // operations over an identically seeded fault process but checkpoints
-// through naiveSnapshot, a plain deep copy of every frame, payload, check
-// bit and the LRU clock. After every operation both must
-// return the same value and error and hold the same measurements; after
-// every restore their tables must agree frame for frame.
+// through naiveSnapshot, a plain deep copy of every frame, payload, error
+// pattern, the LRU clock and the L1I's resident lines. After every
+// operation both must return the same value and error and hold the same
+// measurements; after every restore their tables and resident lines must
+// agree.
 func FuzzCacheCheckpoint(f *testing.F) {
 	for seed := uint8(0); seed < 12; seed++ { // each kind twice
 		f.Add(seed%3+seed/6*3, oracleProgram(uint64(seed)+1, oracleOps))
@@ -233,8 +231,8 @@ func FuzzCacheCheckpoint(f *testing.F) {
 				}
 				ea, eb = a.L1D.Store8(x, v), b.L1D.Store8(x, v)
 			case 8:
-				x := addr()
-				ea, eb = a.L1I.Fetch(x), b.L1I.Fetch(x)
+				x, k := addr(), 1+int(r.byte()%16)
+				ea, eb = a.L1I.Fetch(x, k), b.L1I.Fetch(x, k)
 			case 9, 10:
 				x, k := addr(), r.byte()
 				n := 1 + int(k)%128
@@ -275,10 +273,13 @@ func FuzzCacheCheckpoint(f *testing.F) {
 				for _, lv := range []struct {
 					name string
 					x, y *table
-				}{{"L1D", &a.L1D.tab, &b.L1D.tab}, {"L1I", &a.L1I.tab, &b.L1I.tab}, {"L2", &a.L2.tab, &b.L2.tab}} {
+				}{{"L1D", &a.L1D.tab, &b.L1D.tab}, {"L2", &a.L2.tab, &b.L2.tab}} {
 					if d := diffTables(lv.x, lv.y); d != "" {
 						t.Fatalf("op %d: %s after restore: %s", op, lv.name, d)
 					}
+				}
+				if a.L1I.resident != b.L1I.resident {
+					t.Fatalf("op %d: L1I resident lines %#x vs %#x after restore", op, a.L1I.resident, b.L1I.resident)
 				}
 				if a.L1D.DisabledLines() != b.L1D.DisabledLines() {
 					t.Fatalf("op %d: DisabledLines %d vs %d after restore", op, a.L1D.DisabledLines(), b.L1D.DisabledLines())

@@ -46,11 +46,11 @@ func TestL1DPropagatesBackendFailures(t *testing.T) {
 	// silent success.
 	for n := 1; n <= 40; n++ {
 		space := simmem.NewSpace(1 << 20)
-		mem := NewMainMemory(space, 80)
+		mem := NewMainMemory(space)
 		fb := &failingBackend{inner: mem, countdown: n}
 		inj := fault.NewInjector(fault.NewModel(1), fault.NewRNG(1), 32)
 		inj.SetEnabled(false)
-		l1, err := NewL1Data(DefaultL1D, fb, inj, DetectionParity, 1)
+		l1, err := NewL1Data(DefaultL1D, fb, mem, inj, DetectionParity, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -86,14 +86,14 @@ func TestL1DPropagatesBackendFailures(t *testing.T) {
 
 func TestL1InstrPropagatesBackendFailure(t *testing.T) {
 	space := simmem.NewSpace(1 << 20)
-	mem := NewMainMemory(space, 80)
-	fb := &failingBackend{inner: mem, countdown: 1}
-	l1i, err := NewL1Instr(DefaultL1I, fb)
-	if err != nil {
-		t.Fatal(err)
-	}
+	fb := &failingBackend{inner: NewMainMemory(space), countdown: 1}
+	l1i := &L1Instr{next: fb}
 	code := space.MustAlloc(4096, 128)
-	if err := l1i.Fetch(code); !errors.Is(err, errBackend) {
+	if err := l1i.Fetch(code, 3); !errors.Is(err, errBackend) {
 		t.Fatalf("err = %v, want injected backend failure", err)
+	}
+	// The failed fill left the line absent: the next fetch misses again.
+	if err := l1i.Fetch(code, 1); err != nil || l1i.Stats.ReadMisses != 2 {
+		t.Fatalf("refetch: err %v, %d misses, want nil and 2", err, l1i.Stats.ReadMisses)
 	}
 }

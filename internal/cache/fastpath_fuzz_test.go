@@ -50,12 +50,12 @@ func newFastPathTwin(t *testing.T, kind uint8, reference bool) *fastPathTwin {
 	if reference {
 		proc = generalPath{proc}
 	}
-	var hc HierarchyConfig
+	l1d := DefaultL1D
 	if kind/54%2 == 1 {
-		hc.L1D = Config{SizeBytes: 4096, BlockSize: 32, Assoc: 2, Latency: 2}
+		l1d.Assoc = 2
 	}
 	det := []Detection{DetectionNone, DetectionParity, DetectionECC}[kind/3%3]
-	h, err := NewHierarchyWith(simmem.NewSpace(oracleSpace), proc, det, 1+int(kind/9%3), hc)
+	h, err := newHierarchy(simmem.NewSpace(oracleSpace), proc, det, 1+int(kind/9%3), l1d, DefaultL2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,8 +153,8 @@ func FuzzL1DFastPath(f *testing.F) {
 				x, v := addr(), r.byte()
 				ea, eb = a.h.L1D.Store8(x, v), b.h.L1D.Store8(x, v)
 			case 9:
-				x := addr()
-				ea, eb = a.h.L1I.Fetch(x), b.h.L1I.Fetch(x)
+				x, k := addr(), 1+int(r.byte()%16)
+				ea, eb = a.h.L1I.Fetch(x, k), b.h.L1I.Fetch(x, k)
 			case 10:
 				x, n := addr(), 1+int(r.byte())%len(dmaBuf)
 				for i := range dmaBuf[:n] {
@@ -199,10 +199,13 @@ func FuzzL1DFastPath(f *testing.F) {
 		for _, lv := range []struct {
 			name string
 			x, y *table
-		}{{"L1D", &a.h.L1D.tab, &b.h.L1D.tab}, {"L1I", &a.h.L1I.tab, &b.h.L1I.tab}, {"L2", &a.h.L2.tab, &b.h.L2.tab}} {
+		}{{"L1D", &a.h.L1D.tab, &b.h.L1D.tab}, {"L2", &a.h.L2.tab, &b.h.L2.tab}} {
 			if d := diffTables(lv.x, lv.y); d != "" {
 				t.Fatalf("%s at the end: %s", lv.name, d)
 			}
+		}
+		if a.h.L1I.resident != b.h.L1I.resident {
+			t.Fatalf("L1I resident lines at the end: %#x vs %#x", a.h.L1I.resident, b.h.L1I.resident)
 		}
 	})
 }

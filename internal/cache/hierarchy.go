@@ -9,13 +9,12 @@ import (
 var (
 	// DefaultL1D: 4 KB direct-mapped, 32-byte lines, 2-cycle latency.
 	DefaultL1D = Config{SizeBytes: 4096, BlockSize: 32, Assoc: 1, Latency: 2}
-	// DefaultL1I matches the L1 data cache organisation.
-	DefaultL1I = Config{SizeBytes: 4096, BlockSize: 32, Assoc: 1, Latency: 2}
 	// DefaultL2: 128 KB 4-way, 128-byte lines, 15-cycle latency.
 	DefaultL2 = Config{SizeBytes: 128 * 1024, BlockSize: 128, Assoc: 4, Latency: 15}
-	// DefaultMemoryLatency is the line-transfer latency of main memory.
-	DefaultMemoryLatency = 80.0
 )
+
+// DefaultMemoryLatency is the line-transfer latency of main memory.
+const DefaultMemoryLatency = 80.0
 
 // Hierarchy bundles the full simulated memory system.
 //
@@ -30,59 +29,34 @@ type Hierarchy struct {
 	L1I *L1Instr
 }
 
-// HierarchyConfig describes a full memory system; zero-valued fields fall
-// back to the StrongARM defaults.
-type HierarchyConfig struct {
-	L1D        Config
-	L1I        Config
-	L2         Config
-	MemLatency float64
-}
-
-func (hc HierarchyConfig) withDefaults() HierarchyConfig {
-	if hc.L1D == (Config{}) {
-		hc.L1D = DefaultL1D
-	}
-	if hc.L1I == (Config{}) {
-		hc.L1I = DefaultL1I
-	}
-	if hc.L2 == (Config{}) {
-		hc.L2 = DefaultL2
-	}
-	if hc.MemLatency == 0 {
-		hc.MemLatency = DefaultMemoryLatency
-	}
-	return hc
-}
-
 // NewHierarchy assembles the default StrongARM-like hierarchy over space,
 // with the given fault process, detection scheme and strike count on the
 // L1 data cache.
 func NewHierarchy(space *simmem.Space, inj fault.Process, det Detection, strikes int) (*Hierarchy, error) {
-	return NewHierarchyWith(space, inj, det, strikes, HierarchyConfig{})
+	return newHierarchy(space, inj, det, strikes, DefaultL1D, DefaultL2)
 }
 
-// NewHierarchyWith assembles a hierarchy with explicit cache geometries
-// (used by the geometry ablation experiments).
-func NewHierarchyWith(space *simmem.Space, inj fault.Process, det Detection, strikes int, hc HierarchyConfig) (*Hierarchy, error) {
-	hc = hc.withDefaults()
-	mem := NewMainMemory(space, hc.MemLatency)
-	l2, err := NewL2(hc.L2, mem)
+// NewHierarchyWith assembles the default hierarchy with an L1D of
+// l1dBytes (the geometry ablation experiments).
+func NewHierarchyWith(space *simmem.Space, inj fault.Process, det Detection, strikes, l1dBytes int) (*Hierarchy, error) {
+	l1d := DefaultL1D
+	l1d.SizeBytes = l1dBytes
+	return newHierarchy(space, inj, det, strikes, l1d, DefaultL2)
+}
+
+// newHierarchy assembles a hierarchy of the given L1D and L2 geometries.
+// Every line the L1D fetches or writes back must lie inside one L2 line.
+func newHierarchy(space *simmem.Space, inj fault.Process, det Detection, strikes int, l1d, l2 Config) (*Hierarchy, error) {
+	mem := NewMainMemory(space)
+	l2c, err := NewL2(l2, mem)
 	if err != nil {
 		return nil, err
 	}
-	l1d, err := NewL1Data(hc.L1D, l2, inj, det, strikes)
+	l1dc, err := NewL1Data(l1d, l2c, mem, inj, det, strikes)
 	if err != nil {
 		return nil, err
 	}
-	l1i, err := NewL1Instr(hc.L1I, l2)
-	if err != nil {
-		return nil, err
-	}
-	// The L1D samples the memory's cycle accumulator around its backend
-	// calls to split stall attribution into L2 and memory buckets.
-	l1d.AttachMemory(mem)
-	return &Hierarchy{Space: space, Mem: mem, L2: l2, L1D: l1d, L1I: l1i}, nil
+	return &Hierarchy{Space: space, Mem: mem, L2: l2c, L1D: l1dc, L1I: &L1Instr{next: l2c}}, nil
 }
 
 // StallCycles returns the total memory stall cycles accumulated so far.
@@ -120,18 +94,19 @@ func (h *Hierarchy) CoherentDMA(addr simmem.Addr, data []byte) error {
 }
 
 // Snapshot is a copy of the restorable state of every cache level — line
-// payloads, tags, valid/dirty bits, L1D error patterns, strike state,
-// and LRU order. Together with a simmem.Checkpoint of the backing space it
-// captures the complete architectural memory state of the machine;
-// statistics and energy accounting are excluded (a rollback rewinds
-// contents, not measurements).
+// payloads, tags, valid/dirty bits, L1D error patterns, strike state, LRU
+// order and the L1I's resident lines. Together with a simmem.Checkpoint
+// of the backing space it captures the complete architectural memory
+// state of the machine; statistics and energy accounting are excluded (a
+// rollback rewinds contents, not measurements).
 //
 // A hierarchy keeps one restore point: only the snapshot it took last can
 // be retaken or restored, and either copies only the frames changed since,
 // the way a simmem.Checkpoint copies only dirty pages. Passing any other
 // snapshot panics.
 type Snapshot struct {
-	l1d, l1i, l2 *frames
+	l1d, l2 *frames
+	l1i     uint32
 }
 
 // Snapshot copies the current cache state into snap, the latest snapshot
@@ -150,11 +125,11 @@ func (h *Hierarchy) snapshot(snap *Snapshot) (*Snapshot, int) {
 	if snap == nil {
 		snap = &Snapshot{} //lint:alloc-ok first use only; the steady state reuses these buffers and the zero-alloc pin verifies it
 	}
-	var n1, n2, n3 int
+	var n1, n2 int
 	snap.l1d, n1 = h.L1D.tab.snapshot(snap.l1d)
-	snap.l1i, n2 = h.L1I.tab.snapshot(snap.l1i)
-	snap.l2, n3 = h.L2.tab.snapshot(snap.l2)
-	return snap, n1 + n2 + n3
+	snap.l2, n2 = h.L2.tab.snapshot(snap.l2)
+	snap.l1i = h.L1I.resident
+	return snap, n1 + n2
 }
 
 // RestoreSnapshot copies the latest snapshot back into the hierarchy,
@@ -166,7 +141,7 @@ func (h *Hierarchy) snapshot(snap *Snapshot) (*Snapshot, int) {
 //lint:hot-path
 func (h *Hierarchy) RestoreSnapshot(snap *Snapshot) {
 	h.L1D.tab.restore(snap.l1d)
-	h.L1I.tab.restore(snap.l1i)
+	h.L1I.resident = snap.l1i
 	h.L2.tab.restore(snap.l2)
 	h.L1D.syncDisabled()
 }

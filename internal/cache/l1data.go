@@ -147,34 +147,18 @@ type L1Data struct {
 	//lint:ephemeral measurement; a rollback rewinds contents, not measurements
 	Breakdown CycleBreakdown
 
-	// mem, when non-nil, points at the main memory at the bottom of this
-	// cache's backend chain; its cycle accumulator is sampled around
-	// backend calls to split reported stalls into L2 and memory buckets.
-	// Nil (an L1D built over an arbitrary backend) attributes all
-	// non-recovery backend stalls to the L2 bucket.
+	// mem is the main memory at the bottom of this cache's backend chain;
+	// its cycle accumulator is sampled around backend calls to split
+	// reported stalls into L2 and memory buckets.
 	//lint:ephemeral topology wiring, immutable after construction
 	mem *MainMemory
 }
 
-// AttachMemory registers the main memory below this cache's backend chain
-// for the L2/memory stall split. The hierarchy constructor calls it; an
-// L1D without one accounts backend stalls wholly to the L2 bucket.
-func (c *L1Data) AttachMemory(m *MainMemory) { c.mem = m }
-
-// memCycles samples the attached main memory's cycle accumulator (zero
-// without one); deltas around a backend call isolate the memory share of
-// its reported stall.
-func (c *L1Data) memCycles() float64 {
-	if c.mem == nil {
-		return 0
-	}
-	return c.mem.Cycles
-}
-
-// NewL1Data builds the clumsy L1 data cache over next. strikes selects the
-// recovery scheme (1, 2, or 3); it is ignored under DetectionNone.
-func NewL1Data(cfg Config, next Backend, inj fault.Process, det Detection, strikes int) (*L1Data, error) {
-	tab, err := newTable(cfg, true)
+// NewL1Data builds the clumsy L1 data cache over next, with mem the main
+// memory below it. strikes selects the recovery scheme (1, 2, or 3); it is
+// ignored under DetectionNone.
+func NewL1Data(cfg Config, next Backend, mem *MainMemory, inj fault.Process, det Detection, strikes int) (*L1Data, error) {
+	tab, err := newTable(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -183,7 +167,7 @@ func NewL1Data(cfg Config, next Backend, inj fault.Process, det Detection, strik
 	}
 	tab.strikes = make([]strikeState, len(tab.lines))
 	tab.flip = make([]uint32, len(tab.data)/4)
-	c := &L1Data{tab: tab, next: next, injector: inj, detection: det, strikes: strikes, epochSeq: 1}
+	c := &L1Data{tab: tab, next: next, mem: mem, injector: inj, detection: det, strikes: strikes, epochSeq: 1}
 	c.SetCycleTime(1)
 	return c, nil
 }
@@ -509,7 +493,7 @@ func (c *L1Data) fill(addr simmem.Addr, isWrite, recovering bool) (int, error) {
 		// "an incorrect value from level-1 is written to" the L2.
 		c.Stats.Writebacks++
 		base := simmem.Addr(victim.tag) << c.tab.setShift
-		m0 := c.memCycles()
+		m0 := c.mem.Cycles
 		cyc, err := c.next.StoreLine(base, data)
 		if err != nil {
 			return -1, err
@@ -517,23 +501,19 @@ func (c *L1Data) fill(addr simmem.Addr, isWrite, recovering bool) (int, error) {
 		if recovering {
 			c.chargeRecoveryStall(cyc)
 		} else {
-			c.chargeStall(cyc, c.memCycles()-m0)
+			c.chargeStall(cyc, c.mem.Cycles-m0)
 		}
 	}
 	base := c.tab.lineBase(addr)
-	m0 := c.memCycles()
+	m0 := c.mem.Cycles
 	cyc, err := c.next.FetchLine(base, data)
 	if err != nil {
-		// A line wider than the L2's is filled one L2 line at a time, so
-		// the fill can fail with part of the new line already in the
-		// frame.
-		c.tab.mark(i)
 		return -1, err
 	}
 	if recovering {
 		c.chargeRecoveryStall(cyc)
 	} else {
-		c.chargeStall(cyc, c.memCycles()-m0)
+		c.chargeStall(cyc, c.mem.Cycles-m0)
 	}
 	// The fill drives the array once with the (correct) L2 data, so the
 	// line holds no fault.
@@ -737,7 +717,7 @@ func (c *L1Data) readFrame(addr simmem.Addr, i int) (uint32, error) {
 func (c *L1Data) bypassReadWord(addr simmem.Addr) (uint32, error) {
 	c.Recovery.Bypasses++
 	word := c.word[:]
-	m0 := c.memCycles()
+	m0 := c.mem.Cycles
 	cyc, err := c.next.FetchLine(addr, word)
 	if err != nil {
 		return 0, err
@@ -745,7 +725,7 @@ func (c *L1Data) bypassReadWord(addr simmem.Addr) (uint32, error) {
 	// Bypass is the degraded steady state of a set whose frames are all
 	// dead, not a recovery event: its round trips split into the normal
 	// L2/memory buckets.
-	c.chargeStall(cyc, c.memCycles()-m0)
+	c.chargeStall(cyc, c.mem.Cycles-m0)
 	return leWord(word), nil
 }
 
@@ -754,12 +734,12 @@ func (c *L1Data) bypassWriteWord(addr simmem.Addr, v uint32) error {
 	c.Recovery.Bypasses++
 	word := c.word[:]
 	putLeWord(word, v)
-	m0 := c.memCycles()
+	m0 := c.mem.Cycles
 	cyc, err := c.next.StoreLine(addr, word)
 	if err != nil {
 		return err
 	}
-	c.chargeStall(cyc, c.memCycles()-m0)
+	c.chargeStall(cyc, c.mem.Cycles-m0)
 	return nil
 }
 

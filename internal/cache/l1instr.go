@@ -6,16 +6,21 @@ import "clumsy/internal/simmem"
 // over-clocks only the data cache, so instruction fetches run at full swing
 // with no fault injection. It serves fetch requests by program counter and
 // reports miss stall cycles; the fetched bytes themselves are irrelevant to
-// the simulation (applications are host code), so the cache tracks only
-// tags.
+// the simulation (applications are host code).
+//
+// The only code is the engine's segment of 32 lines of 32 bytes, which
+// fall into 32 distinct sets of the 4 KB direct-mapped array, and nothing
+// else is ever fetched into it. No line evicts another, so the cache's
+// state is the set of code lines fetched since the last restore: bit
+// pc/32 mod 32 of resident.
 //
 //lint:checkpoint Snapshot, RestoreSnapshot
 type L1Instr struct {
-	tab table
+	resident uint32
 	//lint:ephemeral topology wiring, immutable after construction
 	next Backend
 	//lint:ephemeral scratch buffer for the fetched line, which the cache does not keep
-	fill []byte
+	fill [32]byte
 	//lint:ephemeral measurement; a rollback rewinds contents, not measurements
 	Stats Stats
 
@@ -30,35 +35,22 @@ type L1Instr struct {
 //lint:cycle-accounting
 func (c *L1Instr) chargeStall(cyc float64) { c.Cycles += cyc }
 
-// NewL1Instr builds the instruction cache over next.
-func NewL1Instr(cfg Config, next Backend) (*L1Instr, error) {
-	tab, err := newTable(cfg, false)
-	if err != nil {
-		return nil, err
-	}
-	return &L1Instr{tab: tab, next: next, fill: make([]byte, cfg.BlockSize)}, nil
-}
-
-// Fetch simulates the instruction fetch at pc. Hits cost nothing beyond the
-// pipelined fetch stage; misses stall for the L2 (and possibly memory)
-// latency.
-func (c *L1Instr) Fetch(pc simmem.Addr) error {
-	c.Stats.Reads++
-	if i := c.tab.lookup(pc); i >= 0 {
-		c.tab.hit(i)
+// Fetch simulates n sequential instruction fetches from the code line
+// holding pc. The first misses unless the line is resident and stalls for
+// the L2 (and possibly memory) latency; the rest hit, and hits cost
+// nothing beyond the pipelined fetch stage.
+func (c *L1Instr) Fetch(pc simmem.Addr, n int) error {
+	c.Stats.Reads += uint64(n)
+	bit := uint32(1) << (pc >> 5 & 31)
+	if c.resident&bit != 0 {
 		return nil
 	}
 	c.Stats.ReadMisses++
-	i := c.tab.victim(pc)
-	base := c.tab.lineBase(pc)
-	cyc, err := c.next.FetchLine(base, c.fill)
+	cyc, err := c.next.FetchLine(pc&^31, c.fill[:])
 	if err != nil {
 		return err
 	}
 	c.chargeStall(cyc)
-	_, tag := c.tab.index(pc)
-	c.tab.lines[i].valid = true
-	c.tab.lines[i].tag = tag
-	c.tab.touch(i)
+	c.resident |= bit
 	return nil
 }

@@ -12,12 +12,13 @@ import (
 
 func TestL2LRUReplacement(t *testing.T) {
 	space := simmem.NewSpace(1 << 22)
-	mem := NewMainMemory(space, 80)
 	// Tiny 2-way L2: 2 sets of 2 ways, 128-byte lines.
-	l2, err := NewL2(Config{SizeBytes: 512, BlockSize: 128, Assoc: 2, Latency: 15}, mem)
+	h, err := newHierarchy(space, fault.NewInjector(fault.NewModel(1), fault.NewRNG(1), 32), DetectionNone, 1,
+		DefaultL1D, Config{SizeBytes: 512, BlockSize: 128, Assoc: 2, Latency: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l2, mem := h.L2, h.Mem
 	base := space.MustAlloc(8192, 512)
 	buf := make([]byte, 128)
 	// Three lines mapping to the same set (stride = 256 with 2 sets).
@@ -44,11 +45,12 @@ func TestL2LRUReplacement(t *testing.T) {
 
 func TestL2DirtyEvictionReachesMemory(t *testing.T) {
 	space := simmem.NewSpace(1 << 22)
-	mem := NewMainMemory(space, 80)
-	l2, err := NewL2(Config{SizeBytes: 256, BlockSize: 128, Assoc: 1, Latency: 15}, mem)
+	h, err := newHierarchy(space, fault.NewInjector(fault.NewModel(1), fault.NewRNG(1), 32), DetectionNone, 1,
+		DefaultL1D, Config{SizeBytes: 256, BlockSize: 128, Assoc: 1, Latency: 15})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l2 := h.L2
 	base := space.MustAlloc(8192, 512)
 	line := make([]byte, 128)
 	for i := range line {
@@ -237,7 +239,7 @@ func TestDMAOverwritesCachedData(t *testing.T) {
 
 func TestMainMemoryBounds(t *testing.T) {
 	space := simmem.NewSpace(1 << 16)
-	mem := NewMainMemory(space, 80)
+	mem := NewMainMemory(space)
 	buf := make([]byte, 128)
 	if _, err := mem.FetchLine(1<<16, buf); err == nil {
 		t.Fatal("fetch past end of space should fail")

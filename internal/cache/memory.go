@@ -5,9 +5,8 @@ import "clumsy/internal/simmem"
 // MainMemory is the bottom of the hierarchy: a fixed-latency DRAM front-end
 // over the simulated address space. It is never fault-injected.
 type MainMemory struct {
-	Space   *simmem.Space
-	Latency float64 // stall cycles per line transfer
-	Stats   Stats
+	Space *simmem.Space
+	Stats Stats
 
 	// Cycles accumulates the transfer latency of every line moved; the
 	// L1D samples it around backend calls to split reported stalls into
@@ -15,16 +14,15 @@ type MainMemory struct {
 	Cycles float64
 }
 
-// NewMainMemory wraps space with the given line-transfer latency.
-func NewMainMemory(space *simmem.Space, latency float64) *MainMemory {
-	return &MainMemory{Space: space, Latency: latency}
-}
+// NewMainMemory wraps space; every line transfer takes
+// DefaultMemoryLatency cycles.
+func NewMainMemory(space *simmem.Space) *MainMemory { return &MainMemory{Space: space} }
 
 // chargeTransfer accounts one line transfer's latency — the only
 // permitted write to the memory cycle accumulator (cycleacct invariant).
 //
 //lint:cycle-accounting
-func (m *MainMemory) chargeTransfer() { m.Cycles += m.Latency }
+func (m *MainMemory) chargeTransfer() { m.Cycles += DefaultMemoryLatency }
 
 // FetchLine reads a line from the backing space.
 func (m *MainMemory) FetchLine(addr simmem.Addr, buf []byte) (float64, error) {
@@ -33,7 +31,7 @@ func (m *MainMemory) FetchLine(addr simmem.Addr, buf []byte) (float64, error) {
 		return 0, err
 	}
 	m.chargeTransfer()
-	return m.Latency, nil
+	return DefaultMemoryLatency, nil
 }
 
 // StoreLine writes a line to the backing space.
@@ -43,7 +41,7 @@ func (m *MainMemory) StoreLine(addr simmem.Addr, buf []byte) (float64, error) {
 		return 0, err
 	}
 	m.chargeTransfer()
-	return m.Latency, nil
+	return DefaultMemoryLatency, nil
 }
 
 var _ Backend = (*MainMemory)(nil)
@@ -63,7 +61,7 @@ type L2 struct {
 
 // NewL2 builds the unified L2 over the given backend.
 func NewL2(cfg Config, next Backend) (*L2, error) {
-	tab, err := newTable(cfg, true)
+	tab, err := newTable(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -109,38 +107,30 @@ func (c *L2) ensure(addr simmem.Addr, isWrite bool) (int, float64, error) {
 	return i, cycles, nil
 }
 
-// FetchLine serves an upper-level fill request of len(buf) bytes.
+// FetchLine serves an upper-level fill request of len(buf) bytes, which
+// lie inside one L2 line.
 func (c *L2) FetchLine(addr simmem.Addr, buf []byte) (float64, error) {
 	c.Stats.Reads++
-	cycles := c.tab.cfg.Latency
-	for off := 0; off < len(buf); off += c.tab.cfg.BlockSize {
-		i, extra, err := c.ensure(addr+simmem.Addr(off), false)
-		if err != nil {
-			return 0, err
-		}
-		cycles += extra
-		lo := int(addr+simmem.Addr(off)) & (c.tab.cfg.BlockSize - 1)
-		copy(buf[off:], c.tab.lineBytes(i)[lo:])
+	i, cycles, err := c.ensure(addr, false)
+	if err != nil {
+		return 0, err
 	}
-	return cycles, nil
+	copy(buf, c.tab.lineBytes(i)[int(addr)&(c.tab.cfg.BlockSize-1):])
+	return c.tab.cfg.Latency + cycles, nil
 }
 
-// StoreLine absorbs an upper-level write-back.
+// StoreLine absorbs an upper-level write-back of len(buf) bytes, which lie
+// inside one L2 line.
 func (c *L2) StoreLine(addr simmem.Addr, buf []byte) (float64, error) {
 	c.Stats.Writes++
-	cycles := c.tab.cfg.Latency
-	for off := 0; off < len(buf); off += c.tab.cfg.BlockSize {
-		i, extra, err := c.ensure(addr+simmem.Addr(off), true)
-		if err != nil {
-			return 0, err
-		}
-		cycles += extra
-		lo := int(addr+simmem.Addr(off)) & (c.tab.cfg.BlockSize - 1)
-		copy(c.tab.lineBytes(i)[lo:], buf[off:min(off+c.tab.cfg.BlockSize-lo, len(buf))])
-		c.tab.lines[i].dirty = true
-		c.tab.mark(i)
+	i, cycles, err := c.ensure(addr, true)
+	if err != nil {
+		return 0, err
 	}
-	return cycles, nil
+	copy(c.tab.lineBytes(i)[int(addr)&(c.tab.cfg.BlockSize-1):], buf)
+	c.tab.lines[i].dirty = true
+	c.tab.mark(i)
+	return c.tab.cfg.Latency + cycles, nil
 }
 
 // InvalidateRange drops any lines overlapping the given byte range without

@@ -75,8 +75,10 @@ func TestHierarchyMatchesReferenceMemory(t *testing.T) {
 			// the dirty lines are flushed.
 			h.L1D.InvalidateAllWriteback(t)
 			l2buf := make([]byte, 64*1024)
-			if _, err := h.L2.FetchLine(base, l2buf); err != nil {
-				t.Fatal(err)
+			for off := 0; off < len(l2buf); off += DefaultL1D.BlockSize { // an L1D line at a time
+				if _, err := h.L2.FetchLine(base+simmem.Addr(off), l2buf[off:off+DefaultL1D.BlockSize]); err != nil {
+					t.Fatal(err)
+				}
 			}
 			for off := 0; off < 64*1024; off++ {
 				want, _ := ref.Load8(base + simmem.Addr(off))

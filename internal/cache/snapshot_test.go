@@ -157,7 +157,7 @@ func TestSnapshotRestoresLRUDeterminism(t *testing.T) {
 func TestTrackedCommitCopiesTouchedFrames(t *testing.T) {
 	h := newQuietHierarchy(t)
 	a := h.Space.MustAlloc(16<<10, 32)
-	all := len(h.L1D.tab.lines) + len(h.L1I.tab.lines) + len(h.L2.tab.lines)
+	all := len(h.L1D.tab.lines) + len(h.L2.tab.lines)
 	commit := func(snap *Snapshot, want int, what string) {
 		t.Helper()
 		if _, n := h.snapshot(snap); n != want {
@@ -195,18 +195,19 @@ func TestTrackedCommitCopiesTouchedFrames(t *testing.T) {
 	commit(snap, 2, "DMA invalidate")
 
 	// A read hit in the direct-mapped L1D and a fetch hit in the L1I
-	// change nothing: a direct-mapped table keeps no replacement order.
+	// change nothing: a direct-mapped table keeps no replacement order,
+	// and the L1I keeps no frames.
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.L1I.Fetch(a); err != nil {
+	if err := h.L1I.Fetch(a, 1); err != nil {
 		t.Fatal(err)
 	}
 	h.Snapshot(snap)
 	if _, err := h.L1D.Load32(a); err != nil {
 		t.Fatal(err)
 	}
-	if err := h.L1I.Fetch(a); err != nil {
+	if err := h.L1I.Fetch(a, 1); err != nil {
 		t.Fatal(err)
 	}
 	commit(snap, 0, "direct-mapped read and fetch hits")

@@ -142,7 +142,7 @@ func playDataPlane(t *testing.T, appName string, scribble bool) *metrics.Recorde
 	space := simmem.NewSpace(autoSpaceBytes(trace))
 	injector := fault.NewInjector(fault.NewModel(1), fault.NewRNG(1).Fork(0xfa17), 32)
 	injector.SetEnabled(false)
-	h, err := cache.NewHierarchyWith(space, injector, cache.DetectionNone, 1, cache.HierarchyConfig{})
+	h, err := cache.NewHierarchy(space, injector, cache.DetectionNone, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -90,31 +90,32 @@ func (e *engine) burnWatchdog(budget uint64) {
 // total of every charge.
 func (e *engine) coreCycles() float64 { return float64(e.instrs) + e.burned }
 
-// Step implements apps.Exec.
+// Step implements apps.Exec. Entering a block fetches its line, and every
+// 8 instructions run in it fetch the line again; one L1I call makes all
+// of a step's fetches.
 func (e *engine) Step(block, n int) error {
 	if n < 0 {
 		panic("clumsy: negative instruction count")
 	}
+	if block < 0 || block >= appBlocks {
+		panic("clumsy: basic block outside the code segment")
+	}
 	e.charge(n)
+	fetches := 0
 	if block != e.curBlock {
 		e.curBlock = block
 		e.sinceFetch = 0
-		if err := e.fetch(block); err != nil {
-			return err
-		}
+		fetches = 1
 	}
 	e.sinceFetch += n
-	for e.sinceFetch >= instrsPerFetch {
-		e.sinceFetch -= instrsPerFetch
-		if err := e.fetch(block); err != nil {
+	fetches += e.sinceFetch / instrsPerFetch
+	e.sinceFetch %= instrsPerFetch
+	if fetches > 0 {
+		if err := e.hier.L1I.Fetch(e.codeBase+simmem.Addr(block*32), fetches); err != nil {
 			return err
 		}
 	}
 	return e.checkBudget()
-}
-
-func (e *engine) fetch(block int) error {
-	return e.hier.L1I.Fetch(e.codeBase + simmem.Addr(block*32))
 }
 
 func (e *engine) checkBudget() error {

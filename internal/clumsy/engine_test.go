@@ -51,6 +51,23 @@ func TestEngineNegativeStepPanics(t *testing.T) {
 	_ = eng.Step(0, -1)
 }
 
+// TestEngineBlockOutsideCodeSegmentPanics: a block outside the code
+// segment would fetch a line the L1I's resident mask cannot tell apart
+// from a code line.
+func TestEngineBlockOutsideCodeSegmentPanics(t *testing.T) {
+	for _, block := range []int{appBlocks, -1} {
+		eng, _ := newTestEngine(t)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Step(%d, 1) did not panic", block)
+				}
+			}()
+			_ = eng.Step(block, 1)
+		}()
+	}
+}
+
 func TestEngineInstructionFetches(t *testing.T) {
 	eng, h := newTestEngine(t)
 	// Switching blocks fetches each block's line once; staying within a
@@ -58,19 +75,16 @@ func TestEngineInstructionFetches(t *testing.T) {
 	if err := eng.Step(0, 1); err != nil {
 		t.Fatal(err)
 	}
-	first := h.L1I.Stats.Reads
-	if first == 0 {
-		t.Fatal("block entry should fetch")
+	if h.L1I.Stats.Reads != 1 {
+		t.Fatalf("block entry made %d fetches, want 1", h.L1I.Stats.Reads)
 	}
-	if err := eng.Step(0, 16); err != nil { // two more fetch groups
+	// 1+16 instructions in the block complete two groups of 8.
+	if err := eng.Step(0, 16); err != nil {
 		t.Fatal(err)
 	}
-	if h.L1I.Stats.Reads < first+2 {
-		t.Fatalf("fetches = %d, want >= %d", h.L1I.Stats.Reads, first+2)
-	}
 	// Same-line fetches hit after the first miss.
-	if h.L1I.Stats.ReadMisses != 1 {
-		t.Fatalf("I-misses = %d, want 1", h.L1I.Stats.ReadMisses)
+	if h.L1I.Stats.Reads != 3 || h.L1I.Stats.ReadMisses != 1 {
+		t.Fatalf("L1I %+v, want 3 reads and 1 miss", h.L1I.Stats)
 	}
 }
 

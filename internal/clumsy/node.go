@@ -204,6 +204,10 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 	}
 	model := fault.NewModel(scale)
 	seedRNG := fault.NewRNG(cfg.Seed)
+	l1dBytes := cfg.L1DSize
+	if l1dBytes == 0 {
+		l1dBytes = cache.DefaultL1D.SizeBytes
+	}
 	var proc fault.Process
 	switch cfg.Regime {
 	case RegimeBurst:
@@ -211,10 +215,6 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 		proc = n.burst
 	case RegimePermanent:
 		inner := fault.NewInjector(model, seedRNG.Fork(0xfa17), 32)
-		l1dBytes := cfg.L1DSize
-		if l1dBytes == 0 {
-			l1dBytes = cache.DefaultL1D.SizeBytes
-		}
 		n.stuck = fault.NewStuckAt(inner, seedRNG.Fork(0x57ac), l1dBytes/4, fault.DefaultStuckAtParams())
 		proc = n.stuck
 	case RegimePaper:
@@ -227,12 +227,7 @@ func openNode(cfg Config, trace *packet.Trace, o nodeOpts) (*Node, error) {
 	// first; the countdown starts at zero, so this call needs no L1D.
 	proc.SetEnabled(false)
 
-	var hc cache.HierarchyConfig
-	if cfg.L1DSize != 0 {
-		hc.L1D = cache.DefaultL1D
-		hc.L1D.SizeBytes = cfg.L1DSize
-	}
-	h, err := cache.NewHierarchyWith(space, proc, cfg.Detection, cfg.Strikes, hc)
+	h, err := cache.NewHierarchyWith(space, proc, cfg.Detection, cfg.Strikes, l1dBytes)
 	if err != nil {
 		return nil, err
 	}

@@ -37,7 +37,7 @@ func newStateRig(t *testing.T, strikes int) *stateRig {
 	space := simmem.NewSpace(autoSpaceBytes(trace))
 	proc := fault.NewInjector(fault.NewModel(1), fault.NewRNG(7).Fork(0xfa17), 32)
 	proc.SetEnabled(false)
-	h, err := cache.NewHierarchyWith(space, proc, cache.DetectionParity, 2, cache.HierarchyConfig{})
+	h, err := cache.NewHierarchy(space, proc, cache.DetectionParity, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
